@@ -9,12 +9,11 @@ anchor threshold rather than assumed.
 import math
 
 from tai_welfare import (
-    Lottery,
     Preferences,
     ScenarioSpec,
     calibrate_c0,
+    lottery_value,
     welfare_cornucopia,
-    welfare_lottery_delayed,
     welfare_mounting,
     welfare_no_takeover,
     welfare_truncated,
@@ -46,9 +45,6 @@ for eps in (0.0, 1e-4, 1e-3, 1e-2):
     print(f"  eps = {eps:7.0e}: W = {wc.value:9.3f}  ({wc.method}, err<={wc.abs_error_estimate:.1e})")
 print()
 
-lottery_spec = ScenarioSpec(
-    c0=c0, g_ai=0.05, prefs=prefs, lottery=Lottery(p3=0.1, p4=0.1, T_delayed=50.0)
-)
-we = welfare_lottery_delayed(lottery_spec).value
+we = lottery_value(wa, welfare_truncated(spec, 50.0).value, p3=0.1, p4=0.1)
 print(f"takeover lottery (p3=0.1, p4=0.1, doom at T=50 if non-corrigible): W = {we:.3f}")
 print(f"long-run survival probability of that lottery: {0.9 * 0.9:.2f}")

@@ -40,23 +40,13 @@ from .hazards import (
     MountingLogHazard,
     OneOffHazard,
     SafetyGoodsHazard,
-    SurvivalCurve,
     ZeroHazard,
     cumulative_hazard,
     expected_lifespan,
     hazard_rate,
     survival,
 )
-from .preferences import (
-    RAWLSIAN_THETA,
-    Preferences,
-    SwfKind,
-    ces_aggregate,
-    crra_upper_bound,
-    crra_utility,
-    crra_utility_from_log,
-    effective_discount,
-)
+from .preferences import Preferences, effective_discount
 from .solvers import (
     SolveOutcome,
     solve_T_delayed,
@@ -70,13 +60,11 @@ from .special import erf, erfc, erfcx
 from .tables import TableSpec, calibrate_c0, emit_table, table_spec
 from .taxonomy import LeafDistribution, TaxonomyProbs, leaf_distribution, p_doom
 from .welfare import (
-    Lottery,
     ScenarioSpec,
     WelfareResult,
     integrate_discounted,
+    lottery_value,
     welfare_cornucopia,
-    welfare_lottery_delayed,
-    welfare_lottery_immediate,
     welfare_mounting,
     welfare_no_takeover,
     welfare_truncated,

@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .compensation import ev_panel
-from .config import RunConfig, parse_config
+from .config import LIST_KEYS, SCALAR_KEYS, RunConfig, parse_config, parse_finite, parse_list
 from .errors import ConfigError, ConvergenceError, DomainError, TaiWelfareError
 from .growth import ProductionParams, asymptotic_growth_rate, simulate, trajectory_csv
 from .hazards import (
@@ -26,42 +25,32 @@ from .hazards import (
     ZeroHazard,
     expected_lifespan,
 )
-from .preferences import Preferences
-from .solvers import (
-    solve_T_delayed,
-    solve_epsilon_mounting,
-    solve_extinction_time,
-    solve_p3_delayed,
-    solve_p3_immediate,
-    solve_p4_delayed,
-)
+from .solvers import SolveOutcome
 from .tables import (
+    SOLVE_TARGETS,
     TABLE_IDS,
     calibrate_c0,
     emit_table,
+    ev_cell,
     format_cell,
     format_number,
+    scenario,
     table_spec,
 )
 from .taxonomy import TaxonomyProbs, leaf_distribution, p_doom
-from .welfare import ScenarioSpec
 
-_CONFIG_FLAGS = (
-    "c0", "g_baseline", "p1", "p2", "p3", "p4", "T", "epsilon",
-    "saving_rate", "delta", "tech_growth", "quad_tol",
-)
-_LIST_FLAGS = ("g_ai_grid", "rho_grid", "theta_set")
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="key=value config file")
-    for name in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
-    for name in _LIST_FLAGS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}", type=str, default=None,
-            help="comma-separated numbers",
-        )
+    for name in SCALAR_KEYS:
+        parser.add_argument(_flag(name), type=float, default=None)
+    for name in LIST_KEYS:
+        parser.add_argument(_flag(name), type=str, default=None,
+                            help="comma-separated numbers")
     parser.add_argument("--output-format", choices=("csv", "markdown"), default=None)
 
 
@@ -74,29 +63,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         config = parse_config(text)
     updates: dict = {}
-    for name in _CONFIG_FLAGS:
+    for name in SCALAR_KEYS + LIST_KEYS + ("output_format",):
         value = getattr(args, name, None)
         if value is not None:
-            updates[name] = value
-    for name in _LIST_FLAGS:
-        raw = getattr(args, name, None)
-        if raw is not None:
-            try:
-                updates[name] = tuple(float(p) for p in raw.split(",") if p.strip())
-            except ValueError:
-                raise ConfigError(f"--{name}: expected comma-separated numbers") from None
-    if getattr(args, "output_format", None) is not None:
-        updates["output_format"] = args.output_format
+            updates[name] = parse_list(value, _flag(name)) if name in LIST_KEYS else value
     return dataclasses.replace(config, **updates) if updates else config
-
-
-def _scenario(config: RunConfig, theta: float, g_ai: float, rho: float) -> ScenarioSpec:
-    return ScenarioSpec(
-        c0=config.resolved_c0(),
-        g_ai=g_ai,
-        g_baseline=config.g_baseline,
-        prefs=Preferences(rho=rho, theta_rra=theta),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -125,46 +96,25 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-_SOLVE_TARGETS = (
-    "extinction-time", "p3-immediate", "p3-delayed", "p4-delayed",
-    "T-delayed", "epsilon",
-)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    spec = _scenario(config, args.theta, args.g_ai, args.rho)
-    if args.target == "extinction-time":
-        outcome = solve_extinction_time(spec)
-    elif args.target == "p3-immediate":
-        outcome = solve_p3_immediate(spec)
-    elif args.target == "p3-delayed":
-        outcome = solve_p3_delayed(spec, p4=config.p4, T=config.T)
-    elif args.target == "p4-delayed":
-        outcome = solve_p4_delayed(spec, p3=config.p3, T=config.T)
-    elif args.target == "T-delayed":
-        outcome = solve_T_delayed(spec, p3=config.p3, p4=config.p4)
-    else:
-        outcome = solve_epsilon_mounting(spec, quad_tol=config.quad_tol)
+    spec = scenario(config, args.theta, args.g_ai, args.rho)
+    outcome = SOLVE_TARGETS[args.target](
+        spec, p3=config.p3, p4=config.p4, T=config.T, quad_tol=config.quad_tol
+    )
     print(format_cell(outcome))
     return 0
 
 
 def _cmd_ev(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    spec = _scenario(config, 1.0, args.g_ai, args.rho)
-    epsilon = config.epsilon
-    if args.panel == "d" and getattr(args, "epsilon", None) is None:
-        solved = solve_epsilon_mounting(
-            _scenario(config, 1.0001, args.g_ai, args.rho), quad_tol=config.quad_tol
-        )
-        if not solved.is_value:
-            print(format_cell(solved))
-            return 0
-        epsilon = solved.value
-    result = ev_panel(
-        spec, args.panel, T=config.T, p3=config.p3, p4=config.p4, epsilon=epsilon
-    )
+    spec = scenario(config, 1.0, args.g_ai, args.rho)
+    # panel d re-solves its slope unless --epsilon gives one
+    values = {"p3": config.p3, "p4": config.p4, "T": config.T}
+    result = ev_cell(spec, config, args.panel, values, args.epsilon)
+    if isinstance(result, SolveOutcome):
+        print(format_cell(result))
+        return 0
     print(f"ev,{format_number(result.ev)}")
     print(f"log_ev,{format_number(result.log_ev)}")
     print(f"wtp_fraction,{format_number(result.wtp_fraction)}")
@@ -249,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("solve", help="one indifference cell")
-    p.add_argument("--target", choices=_SOLVE_TARGETS, required=True)
+    p.add_argument("--target", choices=tuple(SOLVE_TARGETS), required=True)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
@@ -304,6 +254,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse turns a ValueError from a type function into its own usage
+        # error, so the finiteness of every float flag is checked here instead
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                parse_finite(value, _flag(name))
         return args.handler(args)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

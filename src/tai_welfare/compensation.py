@@ -28,6 +28,7 @@ from .rootfind import brent
 from .welfare import (
     ScenarioSpec,
     WelfareResult,
+    lottery_value,
     welfare_cornucopia,
     welfare_mounting,
     welfare_truncated,
@@ -106,13 +107,12 @@ def ev_panel(
     elif panel == "b":
         if p3 is None:
             raise DomainError("panel b needs p3")
-        risky = WelfareResult((1.0 - p3) * w_a.value, "closed_form")
+        risky = WelfareResult(lottery_value(w_a.value, 0.0, p3, 0.0), "closed_form")
     elif panel == "c":
         if T is None or p3 is None or p4 is None:
             raise DomainError("panel c needs p3, p4 and T")
         w_b = welfare_truncated(spec, T).value
-        value = (1.0 - p3) * (p4 * w_b + (1.0 - p4) * w_a.value)
-        risky = WelfareResult(value, "closed_form")
+        risky = WelfareResult(lottery_value(w_a.value, w_b, p3, p4), "closed_form")
     elif panel == "d":
         if epsilon is None:
             raise DomainError("panel d needs epsilon (a solved hazard slope)")

@@ -7,7 +7,8 @@ rejected with their line number; every value is range-checked on parse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
@@ -52,30 +53,23 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.c0 is not None and not self.c0 >= 1.0:
             raise ConfigError(f"c0 must be >= 1, got {self.c0!r}")
-        if self.g_baseline < 0.0:
-            raise ConfigError(f"g_baseline must be >= 0, got {self.g_baseline!r}")
         for name in ("g_ai_grid", "rho_grid"):
             grid = getattr(self, name)
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing, got {grid!r}")
+        for name in ("g_baseline", "T", "epsilon", "delta", "tech_growth"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("p1", "p2", "p3", "p4"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.T < 0.0:
-            raise ConfigError(f"T must be >= 0, got {self.T!r}")
-        if self.epsilon < 0.0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not 0.0 <= self.saving_rate < 1.0:
             raise ConfigError(
                 f"saving_rate must lie in [0, 1), got {self.saving_rate!r}"
             )
-        if self.delta < 0.0:
-            raise ConfigError(f"delta must be >= 0, got {self.delta!r}")
-        if self.tech_growth < 0.0:
-            raise ConfigError(f"tech_growth must be >= 0, got {self.tech_growth!r}")
         if self.output_format not in ("csv", "markdown"):
             raise ConfigError(
                 f"output_format must be csv or markdown, got {self.output_format!r}"
@@ -87,30 +81,30 @@ class RunConfig:
         return _default_c0() if self.c0 is None else self.c0
 
 
-_SCALAR_KEYS = {
-    "c0": "c0",
-    "g_baseline": "g_baseline",
-    "p1": "p1",
-    "p2": "p2",
-    "p3": "p3",
-    "p4": "p4",
-    "T": "T",
-    "epsilon": "epsilon",
-    "saving_rate": "saving_rate",
-    "delta": "delta",
-    "tech_growth": "tech_growth",
-    "quad_tol": "quad_tol",
-}
-_LIST_KEYS = {"g_ai_grid", "rho_grid", "theta_set"}
+# the config keys are RunConfig's numeric fields; annotations are strings here
+SCALAR_KEYS = tuple(
+    f.name for f in fields(RunConfig) if "float" in f.type and "tuple" not in f.type
+)
+LIST_KEYS = tuple(f.name for f in fields(RunConfig) if "tuple" in f.type)
 
 
-def _parse_float(raw: str, key: str, line_no: int) -> float:
+def parse_finite(raw: str | float, key: str) -> float:
+    """raw as a finite float; ConfigError naming key for text, NaN or +-inf."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(
-            f"line {line_no}: value for {key} is not a number: {raw!r}"
-        ) from None
+        raise ConfigError(f"value for {key} is not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"value for {key} must be finite, got {raw!r}")
+    return value
+
+
+def parse_list(raw: str, key: str) -> tuple[float, ...]:
+    """Comma-separated finite numbers; blank items are skipped."""
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ConfigError(f"{key} needs at least one value")
+    return tuple(parse_finite(p, key) for p in parts)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -125,18 +119,15 @@ def parse_config(text: str) -> RunConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key in _SCALAR_KEYS:
-            updates[_SCALAR_KEYS[key]] = _parse_float(raw_value, key, line_no)
-        elif key in _LIST_KEYS:
-            parts = [p for p in raw_value.split(",") if p.strip()]
-            if not parts:
-                raise ConfigError(f"line {line_no}: {key} needs at least one value")
-            updates[key] = tuple(_parse_float(p.strip(), key, line_no) for p in parts)
-        elif key == "output_format":
-            updates["output_format"] = raw_value
-        else:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-    try:
-        return RunConfig(**updates)
-    except ConfigError:
-        raise
+        try:
+            if key in SCALAR_KEYS:
+                updates[key] = parse_finite(raw_value, key)
+            elif key in LIST_KEYS:
+                updates[key] = parse_list(raw_value, key)
+            elif key == "output_format":
+                updates[key] = raw_value
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+    return RunConfig(**updates)

@@ -63,8 +63,7 @@ class ProductionParams:
     alpha: hardware efficiency of capital
     gamma: software efficiency of human cognition when it bottlenecks output
     A: disembodied technology level (grows at tech_growth during simulation)
-    h: average human capital; N: population; L: human physical labor,
-    abstracted to 0 at singularity scale
+    h: average human capital; N: population
     psi: algorithmic efficiency; chi: compute share of capital
     sigma: CES exponent (< 1, nonzero; negative means complements)
     share_hw: CES weight on hardware
@@ -77,7 +76,6 @@ class ProductionParams:
     A: float = 1.0
     h: float = 1.0
     N: float = 1.0
-    L: float = 0.0
     psi: float = 1.0
     chi: float = 1.0
     sigma: float = -1.0
@@ -89,8 +87,6 @@ class ProductionParams:
         for name in positive:
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.L < 0.0:
-            raise DomainError(f"L must be >= 0, got {self.L!r}")
         if not (self.sigma < 1.0 and self.sigma != 0.0):
             raise DomainError(f"sigma must be < 1 and nonzero, got {self.sigma!r}")
         if not 0.0 < self.share_hw < 1.0:

@@ -37,7 +37,6 @@ __all__ = [
     "MountingLogHazard",
     "SafetyGoodsHazard",
     "HazardModel",
-    "SurvivalCurve",
     "hazard_rate",
     "cumulative_hazard",
     "survival",
@@ -271,19 +270,6 @@ def survival(model: HazardModel, t: float) -> float:
     """Unconditional survival probability M(t) = exp(-cumulative hazard)."""
     h = cumulative_hazard(model, t)
     return math.exp(-h) if h != math.inf else 0.0
-
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Bound evaluators M(t) and the cumulative hazard for one model."""
-
-    model: HazardModel
-
-    def __call__(self, t: float) -> float:
-        return survival(self.model, t)
-
-    def cumulative_hazard(self, t: float) -> float:
-        return cumulative_hazard(self.model, t)
 
 
 def _mounting_expected_lifespan(model: MountingLogHazard) -> float:

@@ -1,11 +1,9 @@
-"""Flow utility, social-welfare aggregators, and discount-rate adjustments.
+"""Planner preferences and the effective discount rate.
 
 Consumption is normalized so that the subsistence threshold sits at 1: flow
 utility is zero at subsistence, positive above it, and death contributes
-exactly zero.  Risk aversion (theta_rra, the curvature of flow utility) and
-inequality aversion (theta_ineq, the curvature of the cross-individual
-aggregator) are deliberately kept as two separate parameters even though both
-are conventionally written theta.
+exactly zero.  theta_rra is the curvature of that flow utility; the utility
+itself is evaluated inside the welfare integrals (welfare._flow_from_log).
 
 Population growth n with size elasticity nu, and a constant background hazard
 m, both act through a single effective discount rate rho - nu * n + m; the
@@ -14,24 +12,11 @@ welfare engine consumes only that combined rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DomainError
 
-__all__ = [
-    "Preferences",
-    "SwfKind",
-    "RAWLSIAN_THETA",
-    "crra_utility",
-    "crra_utility_from_log",
-    "crra_upper_bound",
-    "ces_aggregate",
-    "effective_discount",
-]
-
-RAWLSIAN_THETA = -math.inf  # exact min-aggregator marker, not a large negative
+__all__ = ["Preferences", "effective_discount"]
 
 
 @dataclass(frozen=True)
@@ -62,99 +47,6 @@ class Preferences:
             raise DomainError(
                 f"m_background must be >= 0, got {self.m_background!r}"
             )
-
-
-@dataclass(frozen=True)
-class SwfKind:
-    """Social welfare aggregator: inequality aversion plus size elasticity.
-
-    theta_ineq = 1, nu = 1 is the total-welfare (Benthamite) case;
-    theta_ineq = 1, nu = 0 the average-welfare (Millian) case; and
-    theta_ineq = -inf, nu = 0 the min-aggregator (Rawlsian) limit.
-    """
-
-    theta_ineq: float = 1.0
-    nu: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.theta_ineq <= 1.0:
-            raise DomainError(f"theta_ineq must be <= 1, got {self.theta_ineq!r}")
-        if not 0.0 <= self.nu <= 1.0:
-            raise DomainError(f"nu must lie in [0, 1], got {self.nu!r}")
-
-    @classmethod
-    def benthamite(cls) -> "SwfKind":
-        return cls(theta_ineq=1.0, nu=1.0)
-
-    @classmethod
-    def millian(cls) -> "SwfKind":
-        return cls(theta_ineq=1.0, nu=0.0)
-
-    @classmethod
-    def rawlsian(cls) -> "SwfKind":
-        return cls(theta_ineq=RAWLSIAN_THETA, nu=0.0)
-
-
-def crra_utility(c: float, theta_rra: float) -> float:
-    """Isoelastic flow utility (c^(1-theta) - 1) / (1-theta), log at theta=1.
-
-    Requires c >= 1 (consumption at or above subsistence) so the flow is
-    nonnegative and death, valued at zero, is never preferred to life.
-    """
-    if not c >= 1.0:
-        raise DomainError(f"consumption must be >= 1 (subsistence), got {c!r}")
-    return crra_utility_from_log(math.log(c), theta_rra)
-
-
-def crra_utility_from_log(log_c: float, theta_rra: float) -> float:
-    """Same utility evaluated from log consumption; safe when c overflows."""
-    if theta_rra < 0.0:
-        raise DomainError(f"theta_rra must be >= 0, got {theta_rra!r}")
-    q = 1.0 - theta_rra
-    if q == 0.0:
-        return log_c
-    if abs(q) < 1e-8:
-        # series in q: log c + q (log c)^2 / 2; direct expm1 loses all digits here
-        return log_c + 0.5 * q * log_c * log_c
-    x = q * log_c
-    if x > 700.0:
-        raise DomainError(
-            "flow utility overflows: (1-theta) * log c = "
-            f"{x:.3g}; this parameter region has no finite welfare"
-        )
-    return math.expm1(x) / q
-
-
-def crra_upper_bound(theta_rra: float) -> float:
-    """Supremum of the flow utility: 1/(theta-1) for theta > 1, else +inf."""
-    if theta_rra > 1.0:
-        return 1.0 / (theta_rra - 1.0)
-    return math.inf
-
-
-def ces_aggregate(allocation: Sequence[float], theta_ineq: float) -> float:
-    """CES consumption index [sum_i c_i^theta]^(1/theta); min at theta = -inf.
-
-    The sum is not normalized by population, matching the aggregator inside
-    the generalized social welfare function.  Entries must be positive.
-    """
-    values = [float(c) for c in allocation]
-    if not values:
-        raise DomainError("allocation must be nonempty")
-    for i, c in enumerate(values):
-        if not c > 0.0:
-            raise DomainError(f"allocation[{i}] must be > 0, got {c!r}")
-    if theta_ineq == RAWLSIAN_THETA:
-        return min(values)
-    if theta_ineq > 1.0 or theta_ineq == 0.0:
-        raise DomainError(
-            f"theta_ineq must be <= 1 and nonzero (or -inf), got {theta_ineq!r}"
-        )
-    # factor out the dominant entry so c^theta never overflows:
-    # for theta < 0 the min dominates, for theta > 0 the max does
-    ref = min(values) if theta_ineq < 0.0 else max(values)
-    total = sum((c / ref) ** theta_ineq for c in values)
-    return ref * total ** (1.0 / theta_ineq)
 
 
 def effective_discount(prefs: Preferences) -> float:

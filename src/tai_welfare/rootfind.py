@@ -16,6 +16,9 @@ from .errors import BracketError, ConvergenceError, DomainError
 __all__ = ["RootResult", "expand_bracket", "brent"]
 
 _EPS = 2.220446049250313e-16
+BRACKET_FACTOR = 2.0  # geometric growth of the bracket step
+BRACKET_MAX_STEPS = 200
+BRENT_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -30,9 +33,6 @@ def expand_bracket(
     guess: float,
     lo_limit: float,
     hi_limit: float,
-    *,
-    factor: float = 2.0,
-    max_steps: int = 200,
 ) -> tuple[float, float, float, float]:
     """Grow [a, b] geometrically around guess until f changes sign.
 
@@ -41,14 +41,12 @@ def expand_bracket(
     """
     if not lo_limit <= guess <= hi_limit:
         guess = min(max(guess, lo_limit), hi_limit)
-    if factor <= 1.0:
-        raise DomainError(f"expansion factor must exceed 1, got {factor!r}")
     a = b = guess
     fa = fb = f(guess)
     if fa == 0.0:
         return a, b, fa, fb
     step = abs(guess) * 0.5 or 0.5
-    for _ in range(max_steps):
+    for _ in range(BRACKET_MAX_STEPS):
         moved = False
         if a > lo_limit:
             a = max(a - step, lo_limit)
@@ -64,7 +62,7 @@ def expand_bracket(
                 return a, b, fa, fb
         if not moved:
             break
-        step *= factor
+        step *= BRACKET_FACTOR
     raise BracketError(
         f"no sign change in [{a!r}, {b!r}] (f(a)={fa!r}, f(b)={fb!r})"
     )
@@ -79,7 +77,6 @@ def brent(
     fb: float | None = None,
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
-    max_iterations: int = 200,
 ) -> RootResult:
     """Brent's method on a sign-change interval [a, b].
 
@@ -97,7 +94,7 @@ def brent(
         raise DomainError(f"f(a) and f(b) must differ in sign, got {fa!r}, {fb!r}")
     c, fc = a, fa
     d = e = b - a
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, BRENT_MAX_ITERATIONS + 1):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -135,4 +132,4 @@ def brent(
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    raise ConvergenceError(f"Brent failed to converge in {max_iterations} iterations")
+    raise ConvergenceError(f"Brent failed to converge in {BRENT_MAX_ITERATIONS} iterations")

@@ -22,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 from .rootfind import brent, expand_bracket
+from .taxonomy import _check_probability
 from .welfare import (
     ScenarioSpec,
+    lottery_value,
     welfare_cornucopia,
     welfare_mounting,
     welfare_no_takeover,
@@ -78,19 +80,19 @@ class SolveOutcome:
         return cls("no_solution")
 
 
-def _classify_probability(p: float, iterations: int = 0) -> SolveOutcome:
+def _classify_probability(p: float) -> SolveOutcome:
     """Map a linear probability solution onto the outcome taxonomy."""
     if p < -BOUNDARY_BAND:
         return SolveOutcome.no_tai_preferred()
     if p > 1.0 + BOUNDARY_BAND:
         return SolveOutcome.tai_preferred()
-    return SolveOutcome.of(min(max(p, 0.0), 1.0), iterations)
+    return SolveOutcome.of(min(max(p, 0.0), 1.0))
 
 
 def _residual_ok(w_at_root: float, w0: float) -> float:
     resid = abs(w_at_root - w0)
     if resid > RESIDUAL_REL_TOL * max(1.0, abs(w0)):
-        raise DomainError(
+        raise ConvergenceError(
             f"indifference residual {resid!r} exceeds tolerance; solver bug"
         )
     return resid
@@ -142,11 +144,10 @@ def solve_p3_immediate(spec: ScenarioSpec) -> SolveOutcome:
 
 def solve_p3_delayed(spec: ScenarioSpec, p4: float, T: float) -> SolveOutcome:
     """p3 in the delayed-doom lottery, holding p4 and T fixed; closed form."""
-    _check_probability("p4", p4)
     w0 = welfare_no_takeover(spec).value
     w_a = welfare_cornucopia(spec).value
     w_b = welfare_truncated(spec, T).value
-    mix = p4 * w_b + (1.0 - p4) * w_a
+    mix = lottery_value(w_a, w_b, 0.0, p4)
     if mix <= 0.0:
         return SolveOutcome.no_tai_preferred()
     return _classify_probability(1.0 - w0 / mix)
@@ -213,8 +214,3 @@ def solve_epsilon_mounting(spec: ScenarioSpec, *, quad_tol: float = 1e-10) -> So
     result = brent(f, 0.0, eps_hi, fa=w_a - w0, rel_tol=1e-10)
     resid = _residual_ok(welfare_mounting(spec, result.root, tol=quad_tol).value, w0)
     return SolveOutcome.of(result.root, result.iterations, resid)
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")

@@ -15,19 +15,19 @@ slope), t5a-t5d (equivalent variation panels).  Layout is one row per g_ai
 and one column per (theta, rho) pair.  Sentinel outcomes render as the
 tokens NO_TAI_PREFERRED (a negative implied threshold), TAI_PREFERRED (an
 implied probability above one) and NO_SOLUTION (no root in the admissible
-domain); per-cell solver failures render as ERROR:<reason> without aborting
-the rest of the table.
+domain); a per-cell solver failure renders as ERROR:<ExceptionClassName>
+without aborting the rest of the table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
-from .compensation import ev_panel
+from .compensation import EvResult, ev_panel
 from .config import DEFAULT_G_AI_GRID, DEFAULT_RHO_GRID, RunConfig
-from .errors import ConfigError, DomainError, QuadratureError, TaiWelfareError
+from .errors import ConfigError, DomainError, TaiWelfareError
 from .preferences import Preferences
 from .solvers import (
     SolveOutcome,
@@ -45,11 +45,13 @@ __all__ = [
     "table_spec",
     "calibrate_c0",
     "emit_table",
+    "scenario",
+    "ev_cell",
+    "SOLVE_TARGETS",
+    "TABLES",
     "TABLE_IDS",
     "SENTINEL_TOKENS",
 ]
-
-TABLE_IDS = ("t1", "t2", "t3a", "t3b", "t3c", "t4", "t5a", "t5b", "t5c", "t5d")
 
 SENTINEL_TOKENS = {
     "no_tai_preferred": "NO_TAI_PREFERRED",  # published tables print "-"
@@ -60,29 +62,39 @@ SENTINEL_TOKENS = {
 DEFAULT_ANCHOR = {"theta": 1.0, "g_ai": 0.05, "rho": 0.05}
 DEFAULT_ANCHOR_TARGET = 0.055282
 
-# fixed lottery/horizon constants per panel
-_PANEL_FIXED = {
-    "t3a": {"p4": 3e-5, "T": 50.0},
-    "t3b": {"p3": 3e-5, "T": 50.0},
-    "t3c": {"p3": 0.3, "p4": 0.3},
-    "t5a": {"T": 100.0},
-    "t5b": {"p3": 0.1},
-    "t5c": {"p3": 0.1, "p4": 0.1, "T": 50.0},
-    "t5d": {},
+# Every solver takes spec plus the keywords p3, p4, T and quad_tol and reads
+# only the ones its indifference condition holds fixed.
+SOLVE_TARGETS = {
+    "extinction-time": lambda spec, **_: solve_extinction_time(spec),
+    "p3-immediate": lambda spec, **_: solve_p3_immediate(spec),
+    "p3-delayed": lambda spec, *, p4, T, **_: solve_p3_delayed(spec, p4=p4, T=T),
+    "p4-delayed": lambda spec, *, p3, T, **_: solve_p4_delayed(spec, p3=p3, T=T),
+    "T-delayed": lambda spec, *, p3, p4, **_: solve_T_delayed(spec, p3=p3, p4=p4),
+    "epsilon": lambda spec, *, quad_tol, **_: solve_epsilon_mounting(
+        spec, quad_tol=quad_tol
+    ),
 }
 
-_THETA_DEFAULTS = {
-    "t1": (1.0, 2.0),
-    "t2": (1.0, 2.0),
-    "t3a": (1.0, 2.0),
-    "t3b": (1.0, 2.0),
-    "t3c": (1.0, 2.0),
-    "t4": (1.0001, 2.0),
-    "t5a": (1.0,),
-    "t5b": (1.0,),
-    "t5c": (1.0,),
-    "t5d": (1.0,),
+
+class Table(NamedTuple):
+    target: str  # a SOLVE_TARGETS name, or an EV panel letter
+    theta_set: tuple[float, ...]
+    fixed: dict  # lottery/horizon values that override the config's
+
+
+TABLES = {
+    "t1": Table("extinction-time", (1.0, 2.0), {}),
+    "t2": Table("p3-immediate", (1.0, 2.0), {}),
+    "t3a": Table("p3-delayed", (1.0, 2.0), {"p4": 3e-5, "T": 50.0}),
+    "t3b": Table("p4-delayed", (1.0, 2.0), {"p3": 3e-5, "T": 50.0}),
+    "t3c": Table("T-delayed", (1.0, 2.0), {"p3": 0.3, "p4": 0.3}),
+    "t4": Table("epsilon", (1.0001, 2.0), {}),
+    "t5a": Table("a", (1.0,), {"T": 100.0}),
+    "t5b": Table("b", (1.0,), {"p3": 0.1}),
+    "t5c": Table("c", (1.0,), {"p3": 0.1, "p4": 0.1, "T": 50.0}),
+    "t5d": Table("d", (1.0,), {}),
 }
+TABLE_IDS = tuple(TABLES)
 
 
 @dataclass(frozen=True)
@@ -91,32 +103,18 @@ class TableSpec:
     g_ai_grid: tuple[float, ...] = DEFAULT_G_AI_GRID
     rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID
     theta_set: tuple[float, ...] = (1.0, 2.0)
-    fixed_params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.table_id not in TABLE_IDS:
-            raise ConfigError(f"unknown table id {self.table_id!r}")
-        for name in ("g_ai_grid", "rho_grid"):
-            grid = getattr(self, name)
-            if not grid:
-                raise ConfigError(f"{name} must be nonempty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{name} must be strictly increasing")
 
 
 def table_spec(table_id: str, config: Optional[RunConfig] = None) -> TableSpec:
     """TableSpec for a table id, honouring grid/theta overrides in config."""
     config = config or RunConfig()
-    if table_id not in TABLE_IDS:
+    if table_id not in TABLES:
         raise ConfigError(f"unknown table id {table_id!r}")
-    theta_set = config.theta_set or _THETA_DEFAULTS[table_id]
-    fixed = dict(_PANEL_FIXED.get(table_id, {}))
     return TableSpec(
         table_id=table_id,
         g_ai_grid=config.g_ai_grid,
         rho_grid=config.rho_grid,
-        theta_set=tuple(theta_set),
-        fixed_params=fixed,
+        theta_set=tuple(config.theta_set or TABLES[table_id].theta_set),
     )
 
 
@@ -155,7 +153,8 @@ def calibrate_c0(
 # ---------------------------------------------------------------------------
 
 
-def _scenario(config: RunConfig, theta: float, g_ai: float, rho: float) -> ScenarioSpec:
+def scenario(config: RunConfig, theta: float, g_ai: float, rho: float) -> ScenarioSpec:
+    """The scenario of one (theta, g_ai, rho) cell under a run config."""
     return ScenarioSpec(
         c0=config.resolved_c0(),
         g_ai=g_ai,
@@ -164,51 +163,43 @@ def _scenario(config: RunConfig, theta: float, g_ai: float, rho: float) -> Scena
     )
 
 
+def ev_cell(
+    spec: ScenarioSpec,
+    config: RunConfig,
+    panel: str,
+    values: dict,
+    epsilon: Optional[float] = None,
+) -> Union[EvResult, SolveOutcome]:
+    """EV of one panel at the given p3, p4 and T.
+
+    Without an epsilon, panel d re-solves its hazard slope at the log-like
+    curvature theta = 1.0001 and evaluates the EV at the spec's theta; when
+    that solve finds no slope its sentinel outcome is returned instead.
+    """
+    if panel == "d" and epsilon is None:
+        eps_spec = scenario(config, 1.0001, spec.g_ai, spec.prefs.rho)
+        solved = solve_epsilon_mounting(eps_spec, quad_tol=config.quad_tol)
+        if not solved.is_value:
+            return solved
+        epsilon = solved.value
+    return ev_panel(spec, panel, epsilon=epsilon, **values)
+
+
 def solve_cell(
     table_id: str,
     config: RunConfig,
     theta: float,
     g_ai: float,
     rho: float,
-    fixed: dict,
+    values: dict,
 ) -> SolveOutcome:
     """One grid cell of an indifference or EV table."""
-    spec = _scenario(config, theta, g_ai, rho)
-    if table_id == "t1":
-        return solve_extinction_time(spec)
-    if table_id == "t2":
-        return solve_p3_immediate(spec)
-    if table_id == "t3a":
-        return solve_p3_delayed(spec, p4=fixed["p4"], T=fixed["T"])
-    if table_id == "t3b":
-        return solve_p4_delayed(spec, p3=fixed["p3"], T=fixed["T"])
-    if table_id == "t3c":
-        return solve_T_delayed(spec, p3=fixed["p3"], p4=fixed["p4"])
-    if table_id == "t4":
-        return solve_epsilon_mounting(spec, quad_tol=config.quad_tol)
-    if table_id in ("t5a", "t5b", "t5c", "t5d"):
-        return _ev_cell(table_id, spec, config, fixed)
-    raise ConfigError(f"unknown table id {table_id!r}")
-
-
-def _ev_cell(
-    table_id: str, spec: ScenarioSpec, config: RunConfig, fixed: dict
-) -> SolveOutcome:
-    panel = table_id[-1]
-    if panel == "d":
-        # the hazard slope is re-solved in-pipeline at the log-like curvature
-        eps_spec = _scenario(config, 1.0001, spec.g_ai, spec.prefs.rho)
-        solved = solve_epsilon_mounting(eps_spec, quad_tol=config.quad_tol)
-        if not solved.is_value:
-            return solved
-        result = ev_panel(spec, "d", epsilon=solved.value)
-    elif panel == "a":
-        result = ev_panel(spec, "a", T=fixed["T"])
-    elif panel == "b":
-        result = ev_panel(spec, "b", p3=fixed["p3"])
-    else:
-        result = ev_panel(spec, "c", p3=fixed["p3"], p4=fixed["p4"], T=fixed["T"])
-    return SolveOutcome.of(result.ev)
+    spec = scenario(config, theta, g_ai, rho)
+    target = TABLES[table_id].target
+    if target in SOLVE_TARGETS:
+        return SOLVE_TARGETS[target](spec, quad_tol=config.quad_tol, **values)
+    result = ev_cell(spec, config, target, values)
+    return SolveOutcome.of(result.ev) if isinstance(result, EvResult) else result
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +226,12 @@ def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:
     """Render one table as CSV or markdown text, deterministically.
 
     Cells are evaluated in a fixed row-major order; a solver error in one
-    cell becomes an ERROR:<reason> token and the rest of the table proceeds.
+    cell becomes an ERROR:<ExceptionClassName> token, free of the commas and
+    pipes that delimit cells, and the rest of the table proceeds.
     """
     config = config or RunConfig()
+    values = {"p3": config.p3, "p4": config.p4, "T": config.T}
+    values.update(TABLES[spec.table_id].fixed)
     header = ["g_ai"]
     for theta in spec.theta_set:
         for rho in spec.rho_grid:
@@ -248,14 +242,10 @@ def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:
         for theta in spec.theta_set:
             for rho in spec.rho_grid:
                 try:
-                    outcome = solve_cell(
-                        spec.table_id, config, theta, g_ai, rho, spec.fixed_params
-                    )
+                    outcome = solve_cell(spec.table_id, config, theta, g_ai, rho, values)
                     row.append(format_cell(outcome))
-                except QuadratureError as exc:
-                    row.append(f"ERROR:quadrature:{exc}")
                 except TaiWelfareError as exc:
-                    row.append(f"ERROR:{exc}")
+                    row.append(f"ERROR:{type(exc).__name__}")
         rows.append(row)
     if config.output_format == "markdown":
         return _render_markdown(header, rows)

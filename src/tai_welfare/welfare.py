@@ -33,7 +33,6 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .hazards import HazardModel, ZeroHazard
 from .preferences import Preferences, effective_discount
 from .quadrature import (
     DEFAULT_MAX_INTERVALS,
@@ -41,39 +40,21 @@ from .quadrature import (
     integrate_finite,
     integrate_transformed,
 )
+from .taxonomy import _check_probability
 
 __all__ = [
-    "Lottery",
     "ScenarioSpec",
     "WelfareResult",
     "welfare_no_takeover",
     "welfare_cornucopia",
     "welfare_truncated",
     "welfare_mounting",
-    "welfare_lottery_immediate",
-    "welfare_lottery_delayed",
+    "lottery_value",
     "integrate_discounted",
 ]
 
 DEFAULT_G_BASELINE = 0.0175
 DEFAULT_QUAD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Lottery:
-    """Takeover lottery: immediate doom with p3, delayed doom at T with p4."""
-
-    p3: float = 0.0
-    p4: float = 0.0
-    T_delayed: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("p3", "p4"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.T_delayed < 0.0:
-            raise DomainError(f"T_delayed must be >= 0, got {self.T_delayed!r}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +69,6 @@ class ScenarioSpec:
     g_ai: float
     prefs: Preferences
     g_baseline: float = DEFAULT_G_BASELINE
-    hazard: HazardModel = ZeroHazard()
-    lottery: Lottery | None = None
 
     def __post_init__(self) -> None:
         if not self.c0 >= 1.0:
@@ -102,11 +81,6 @@ class ScenarioSpec:
     @property
     def log_c0(self) -> float:
         return math.log(self.c0)
-
-    def require_lottery(self) -> Lottery:
-        if self.lottery is None:
-            raise DomainError("this scenario needs a lottery (p3/p4/T_delayed)")
-        return self.lottery
 
 
 @dataclass(frozen=True)
@@ -160,6 +134,18 @@ def discounted_crra_closed_form(
     return (math.exp(q * log_c0) * _exp_decay_integral(a, horizon) - e_rho) / q
 
 
+def lottery_value(w_a: float, w_b: float, p3: float, p4: float) -> float:
+    """Takeover-lottery welfare (1-p3) (p4 W_b + (1-p4) W_a).
+
+    Doom comes at once with probability p3; otherwise it comes at a delayed
+    date with probability p4, where w_b is the welfare truncated at that date,
+    and the cornucopia value w_a is kept with the remaining probability.
+    """
+    _check_probability("p3", p3)
+    _check_probability("p4", p4)
+    return (1.0 - p3) * (p4 * w_b + (1.0 - p4) * w_a)
+
+
 def _closed(value: float) -> WelfareResult:
     return WelfareResult(value=value, method="closed_form")
 
@@ -195,7 +181,7 @@ def welfare_truncated(spec: ScenarioSpec, horizon: float) -> WelfareResult:
 
 
 def _flow_from_log(log_c0: float, g: float, theta: float) -> Callable[[np.ndarray], np.ndarray]:
-    # vectorized twin of crra_utility_from_log, same branch structure
+    # isoelastic flow utility (C^(1-theta) - 1) / (1-theta) on log C = log c0 + g t
     q = 1.0 - theta
 
     def flow(t: np.ndarray) -> np.ndarray:
@@ -214,7 +200,6 @@ def welfare_mounting(
     epsilon: float,
     *,
     tol: float = DEFAULT_QUAD_TOL,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
 ) -> WelfareResult:
     """Welfare under a hazard rising with log consumption on the g_ai path.
 
@@ -238,41 +223,13 @@ def welfare_mounting(
     def excess(t: np.ndarray) -> np.ndarray:
         return np.exp(-epsilon * (lam * t + 0.5 * g * t * t))
 
-    result = integrate_transformed(
-        flow, excess, r, abs_tol=tol, rel_tol=tol, max_intervals=max_intervals
-    )
+    result = integrate_transformed(flow, excess, r, abs_tol=tol, rel_tol=tol)
     return WelfareResult(
         value=result.value,
         method="quadrature",
         abs_error_estimate=result.abs_error_estimate,
         truncation_time=result.truncation_time,
     )
-
-
-def welfare_lottery_immediate(spec: ScenarioSpec) -> WelfareResult:
-    """Takeover lottery with immediate doom only: (1 - p3) * cornucopia."""
-    lottery = spec.require_lottery()
-    w_a = welfare_cornucopia(spec)
-    return _closed((1.0 - lottery.p3) * w_a.value)
-
-
-def welfare_lottery_delayed(spec: ScenarioSpec) -> WelfareResult:
-    """Full takeover lottery: immediate doom p3, delayed doom p4 at T_delayed.
-
-    Value is (1-p3) p4 W_trunc(T) + (1-p3)(1-p4) W_cornucopia; the long-run
-    survival probability of this lottery is (1-p3)(1-p4).
-    """
-    lottery = spec.require_lottery()
-    w_a = welfare_cornucopia(spec).value
-    w_b = welfare_truncated(spec, lottery.T_delayed).value
-    keep = 1.0 - lottery.p3
-    value = keep * lottery.p4 * w_b + keep * (1.0 - lottery.p4) * w_a
-    return _closed(value)
-
-
-def lottery_survival_probability(spec: ScenarioSpec) -> float:
-    lottery = spec.require_lottery()
-    return (1.0 - lottery.p3) * (1.0 - lottery.p4)
 
 
 def integrate_discounted(

@@ -1,6 +1,9 @@
 import pytest
 
+from tai_welfare import ConvergenceError, solvers
 from tai_welfare.cli import main
+from tai_welfare.rootfind import RootResult
+from conftest import make_spec
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +134,54 @@ def test_non_convergence_exits_3(capsys):
         capsys, "solve", "--target", "epsilon",
         "--theta", "1.0001", "--g-ai", "0.2", "--rho", "0.05",
         "--quad-tol", "1e-30",
+    )
+    assert code == 3
+    assert "non-convergence" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--target", "p3-immediate", "--g-ai", "0.1", "--rho", "nan"),
+    ("et", "--hazard", "constant", "--m", "nan"),
+])
+def test_non_finite_flag_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "finite" in err
+
+
+def test_non_finite_config_grid_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text("rho_grid=0.01,nan\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "table", "t2", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: line 1:") and "rho_grid" in err
+
+
+@pytest.mark.parametrize("output_format, sep", [("csv", ","), ("markdown", "|")])
+def test_error_cells_keep_the_column_count(capsys, output_format, sep):
+    # theta = 0.5 makes every cell's welfare integral diverge
+    code, out, _ = run_cli(
+        capsys, "table", "t4", "--theta-set", "0.5", "--g-ai-grid", "0.4",
+        "--rho-grid", "0.002,0.05", "--output-format", output_format,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len({line.count(sep) for line in lines}) == 1
+    assert lines[-1].count("ERROR:DivergenceError") == 2
+
+
+def test_solver_bug_is_a_convergence_error(c0, capsys, monkeypatch):
+    def wrong_root(f, a, b, **kwargs):
+        return RootResult(root=0.5 * (a + b), iterations=1, residual=0.0)
+
+    monkeypatch.setattr(solvers, "brent", wrong_root)
+    with pytest.raises(ConvergenceError, match="solver bug"):
+        solvers.solve_extinction_time(make_spec(c0, theta=2.0))
+    code, _, err = run_cli(
+        capsys, "solve", "--target", "extinction-time",
+        "--theta", "2", "--g-ai", "0.05", "--rho", "0.05",
     )
     assert code == 3
     assert "non-convergence" in err

@@ -155,17 +155,6 @@ def _lifespan_by_simpson(model, n=200_001):
     return h / 3.0 * (m[0] + m[-1] + 4.0 * m[1:-1:2].sum() + 2.0 * m[2:-1:2].sum())
 
 
-class TestSurvivalCurve:
-    def test_bound_evaluators_match_functions(self):
-        from tai_welfare import SurvivalCurve
-
-        model = MountingLogHazard(1e-3, ExponentialPath(1.0, 0.2))
-        curve = SurvivalCurve(model)
-        for t in (0.0, 5.0, 50.0):
-            assert curve(t) == survival(model, t)
-            assert curve.cumulative_hazard(t) == cumulative_hazard(model, t)
-
-
 class TestCrashPath:
     def test_clamps_at_subsistence(self):
         path = CrashPath(c0=1.0, g_pre=0.05, t_stop=10.0, crash_factor=0.1, g_post=0.0175)

@@ -3,118 +3,58 @@ import math
 import numpy as np
 import pytest
 
-from tai_welfare import (
-    RAWLSIAN_THETA,
-    DomainError,
-    Preferences,
-    SwfKind,
-    ces_aggregate,
-    crra_upper_bound,
-    crra_utility,
-    crra_utility_from_log,
-    effective_discount,
-)
+from tai_welfare import DomainError, Preferences, ScenarioSpec, effective_discount
+from tai_welfare.welfare import _flow_from_log
+
+
+def utility(log_c: float, theta: float) -> float:
+    """Flow utility at consumption e^log_c, as the welfare integrals use it."""
+    return float(_flow_from_log(log_c, 0.0, theta)(0.0))
 
 
 class TestCrraUtility:
     def test_zero_at_subsistence(self):
-        for theta in (0.0, 0.5, 1.0, 2.0, 5.0):
-            assert crra_utility(1.0, theta) == 0.0
+        for theta in (0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 5.0):
+            assert utility(0.0, theta) == 0.0
 
     def test_log_case(self):
-        assert crra_utility(math.e, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert utility(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_theta_two(self):
-        assert crra_utility(2.0, 2.0) == pytest.approx(0.5, rel=1e-14)
+        assert utility(math.log(2.0), 2.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_rejects_sub_subsistence(self):
         with pytest.raises(DomainError):
-            crra_utility(0.99, 1.0)
+            ScenarioSpec(c0=0.99, g_ai=0.05, prefs=Preferences())
 
     def test_continuous_in_theta_near_one(self, rng):
         # the theta-derivative of utility at theta = 1 is (log c)^2 / 2, so a
-        # 1e-6 window must stay within that first-order envelope
-        for c in np.exp(rng.uniform(0.0, math.log(1e6), size=200)):
-            c = max(float(c), 1.0)
-            envelope = 1e-6 * math.log(c) ** 2 / 2.0
-            for theta in (1.0 - 1e-6, 1.0 + 1e-6):
-                diff = abs(crra_utility(c, theta) - math.log(c))
-                assert diff <= envelope * 1.001 + 1e-12
+        # 1e-6 window must stay within that first-order envelope; 1 +- 1e-9
+        # takes the series branch for |1 - theta| < 1e-8
+        for log_c in rng.uniform(0.0, math.log(1e6), size=200):
+            log_c = float(log_c)
+            for delta in (1e-6, 1e-9):
+                envelope = delta * log_c**2 / 2.0
+                for theta in (1.0 - delta, 1.0 + delta):
+                    diff = abs(utility(log_c, theta) - log_c)
+                    assert diff <= envelope * 1.001 + 1e-12
 
     def test_bounded_above_for_theta_gt_one(self):
-        # evaluated in log space, consumption up to 1e300; the bound is
-        # approached within one ulp once (theta-1) log c exceeds ~745, so the
-        # strict inequality is checked where it is representable
+        # consumption up to 1e300; the supremum 1/(theta-1) is approached
+        # within one ulp once (theta-1) log c exceeds ~745, so the strict
+        # inequality is checked where it is representable
         for theta in (1.5, 2.0, 4.0):
-            bound = crra_upper_bound(theta)
-            for log_c in np.linspace(0.0, math.log(1e300), 50):
-                u = crra_utility_from_log(float(log_c), theta)
-                assert u <= bound
-                if (theta - 1.0) * log_c < 30.0:
-                    assert u < bound
+            bound = 1.0 / (theta - 1.0)
+            log_c = np.linspace(0.0, math.log(1e300), 50)
+            u = _flow_from_log(0.0, 1.0, theta)(log_c)
+            assert np.all(u <= bound)
+            assert np.all(u[(theta - 1.0) * log_c < 30.0] < bound)
 
     def test_strictly_increasing(self, rng):
         for theta in (0.5, 1.0, 2.0):
-            c = np.sort(np.exp(rng.uniform(0, 10, size=50)))
-            u = [crra_utility(float(max(x, 1.0)), theta) for x in c]
-            assert all(b >= a for a, b in zip(u, u[1:]))
-
-
-class TestCesAggregate:
-    def test_theta_one_is_sum(self):
-        assert ces_aggregate((2, 2, 2, 2), 1.0) == pytest.approx(8.0, rel=1e-14)
-
-    def test_rawlsian_marker_is_exact_min(self):
-        assert ces_aggregate((1, 2, 3), RAWLSIAN_THETA) == 1.0
-
-    def test_large_negative_theta_approaches_min(self):
-        assert ces_aggregate((1, 2, 3), -50.0) == pytest.approx(1.0, abs=1e-3)
-
-    def test_near_min_on_random_allocations(self, rng):
-        # entries separated by >= 15% in ratio, so (c_i/c_min)^-50 is tiny
-        for _ in range(50):
-            base = float(rng.uniform(0.5, 2.0))
-            ratios = np.cumprod(rng.uniform(1.15, 1.6, size=5))
-            alloc = tuple(base * r for r in ratios)
-            value = ces_aggregate(alloc, -50.0)
-            assert value == pytest.approx(min(alloc), rel=1e-3)
-
-    def test_normalized_mean_nondecreasing_in_theta(self, rng):
-        # the power-mean inequality applies to the N-normalized mean; the raw
-        # index [sum c^theta]^(1/theta) additionally carries N^(1/theta)
-        thetas = (-50.0, -5.0, -1.0, 0.5, 1.0)
-        for _ in range(50):
-            alloc = tuple(rng.uniform(0.1, 5.0, size=4))
-            n = len(alloc)
-            means = [ces_aggregate(alloc, th) / n ** (1.0 / th) for th in thetas]
-            assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
-
-    def test_negative_theta_below_sum(self, rng):
-        for _ in range(50):
-            alloc = tuple(rng.uniform(0.1, 5.0, size=4))
-            assert ces_aggregate(alloc, -2.0) <= ces_aggregate(alloc, 1.0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            ces_aggregate((), 1.0)
-        with pytest.raises(DomainError):
-            ces_aggregate((1.0, 0.0), 1.0)
-        with pytest.raises(DomainError):
-            ces_aggregate((1.0, 2.0), 0.0)
-
-    def test_no_overflow_at_extreme_curvature(self):
-        assert ces_aggregate((1e-6, 1e6), -1000.0) == pytest.approx(1e-6, rel=1e-6)
-
-
-class TestSwfKind:
-    def test_polar_cases(self):
-        assert SwfKind.benthamite() == SwfKind(theta_ineq=1.0, nu=1.0)
-        assert SwfKind.millian() == SwfKind(theta_ineq=1.0, nu=0.0)
-        assert SwfKind.rawlsian().theta_ineq == RAWLSIAN_THETA
-
-    def test_rejects_theta_above_one(self):
-        with pytest.raises(DomainError):
-            SwfKind(theta_ineq=1.5)
+            log_c = np.sort(rng.uniform(0, 10, size=50))
+            u = _flow_from_log(0.0, 1.0, theta)(log_c)
+            assert np.all(np.diff(u) >= 0.0)
 
 
 class TestEffectiveDiscount:

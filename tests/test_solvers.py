@@ -1,17 +1,17 @@
 import pytest
 
 from tai_welfare import (
+    lottery_value,
     solve_T_delayed,
     solve_epsilon_mounting,
     solve_extinction_time,
     solve_p3_delayed,
     solve_p3_immediate,
     solve_p4_delayed,
-    welfare_lottery_delayed,
+    welfare_cornucopia,
     welfare_no_takeover,
     welfare_truncated,
 )
-from tai_welfare.welfare import Lottery, ScenarioSpec
 from conftest import make_spec
 
 
@@ -124,13 +124,12 @@ class TestDelayedLottery:
         spec = make_spec(c0, theta=1.0, g_ai=0.3, rho=0.05)
         out = solve_T_delayed(spec, p3=0.3, p4=0.3)
         assert out.is_value
-        risky = welfare_lottery_delayed(
-            ScenarioSpec(
-                c0=spec.c0, g_ai=spec.g_ai, prefs=spec.prefs,
-                g_baseline=spec.g_baseline,
-                lottery=Lottery(p3=0.3, p4=0.3, T_delayed=out.value),
-            )
-        ).value
+        risky = lottery_value(
+            welfare_cornucopia(spec).value,
+            welfare_truncated(spec, out.value).value,
+            p3=0.3,
+            p4=0.3,
+        )
         w0 = welfare_no_takeover(spec).value
         assert abs(risky - w0) <= 1e-8 * max(1.0, abs(w0))
 

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from tai_welfare import ConfigError, DomainError, RunConfig, parse_config
 from tai_welfare.tables import (
     SENTINEL_TOKENS,
+    TABLE_IDS,
     calibrate_c0,
     emit_table,
     format_number,
@@ -113,7 +115,16 @@ class TestEmitTable:
         text = emit_table(table_spec("t4", config), config)
         rows = text.strip().split("\n")
         assert len(rows) == 2
-        assert rows[1].split(",")[1].startswith("ERROR:quadrature")
+        assert rows[1].split(",")[1] == "ERROR:QuadratureError"
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_default_tables_match_golden_bytes(table_id):
+    golden = (GOLDEN_DIR / f"{table_id}.csv").read_text(encoding="utf-8")
+    assert emit_table(table_spec(table_id)) == golden
 
 
 class TestParseConfig:

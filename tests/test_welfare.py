@@ -6,13 +6,12 @@ import pytest
 from tai_welfare import (
     DivergenceError,
     DomainError,
-    Lottery,
     Preferences,
     ScenarioSpec,
+    ev_panel,
     integrate_discounted,
+    lottery_value,
     welfare_cornucopia,
-    welfare_lottery_delayed,
-    welfare_lottery_immediate,
     welfare_mounting,
     welfare_no_takeover,
     welfare_truncated,
@@ -168,52 +167,51 @@ class TestMounting:
             assert welfare_cornucopia(spec).value < bound
 
 
+def lottery(spec, p3, p4=0.0, T=0.0):
+    w_a = welfare_cornucopia(spec).value
+    return lottery_value(w_a, welfare_truncated(spec, T).value, p3, p4)
+
+
 class TestLotteries:
     def test_immediate_lottery_endpoints(self, c0):
         for p3, factor in ((0.0, 1.0), (1.0, 0.0)):
-            spec = make_spec(c0, lottery=Lottery(p3=p3))
+            spec = make_spec(c0)
             w_a = welfare_cornucopia(spec).value
-            assert welfare_lottery_immediate(spec).value == pytest.approx(
-                factor * w_a, abs=1e-12
-            )
+            assert lottery(spec, p3) == pytest.approx(factor * w_a, abs=1e-12)
 
     def test_immediate_lottery_reference_cell(self, c0):
-        spec = make_spec(c0, g_ai=0.05, rho=0.05, lottery=Lottery(p3=0.055282))
+        spec = make_spec(c0, g_ai=0.05, rho=0.05)
         w0 = welfare_no_takeover(spec).value
-        assert welfare_lottery_immediate(spec).value == pytest.approx(w0, rel=1e-6)
+        assert lottery(spec, 0.055282) == pytest.approx(w0, rel=1e-6)
 
     def test_delayed_lottery_endpoints(self, c0):
-        spec = make_spec(c0, lottery=Lottery(p3=0.0, p4=0.0, T_delayed=10.0))
-        assert welfare_lottery_delayed(spec).value == pytest.approx(
+        spec = make_spec(c0)
+        assert lottery(spec, 0.0, 0.0, 10.0) == pytest.approx(
             welfare_cornucopia(spec).value, rel=1e-14
         )
-        spec = make_spec(c0, lottery=Lottery(p3=0.0, p4=1.0, T_delayed=10.0))
-        assert welfare_lottery_delayed(spec).value == pytest.approx(
+        assert lottery(spec, 0.0, 1.0, 10.0) == pytest.approx(
             welfare_truncated(spec, 10.0).value, rel=1e-14
         )
 
     def test_delayed_lottery_reference_cell(self, c0):
-        spec = make_spec(
-            c0, g_ai=0.05, rho=0.002,
-            lottery=Lottery(p3=0.3, p4=0.3, T_delayed=355.307),
-        )
+        # t3c reference cell: doom at T = 355.307 makes the lottery worth W0
+        spec = make_spec(c0, g_ai=0.05, rho=0.002)
         w0 = welfare_no_takeover(spec).value
-        assert welfare_lottery_delayed(spec).value == pytest.approx(w0, rel=1e-5)
+        assert lottery(spec, 0.3, 0.3, 355.307) == pytest.approx(w0, rel=1e-5)
 
     def test_decreasing_in_lottery_probabilities(self, c0, rng):
+        spec = make_spec(c0, g_ai=0.2, rho=0.03)
         for _ in range(30):
             p3, p4 = rng.uniform(0.0, 0.9, size=2)
             T = float(rng.uniform(1.0, 200.0))
-            spec = lambda a, b: make_spec(
-                c0, g_ai=0.2, rho=0.03, lottery=Lottery(p3=a, p4=b, T_delayed=T)
-            )
-            base = welfare_lottery_delayed(spec(p3, p4)).value
-            assert welfare_lottery_delayed(spec(min(p3 + 0.05, 1.0), p4)).value < base
-            assert welfare_lottery_delayed(spec(p3, min(p4 + 0.05, 1.0))).value < base
+            base = lottery(spec, p3, p4, T)
+            assert lottery(spec, min(p3 + 0.05, 1.0), p4, T) < base
+            assert lottery(spec, p3, min(p4 + 0.05, 1.0), T) < base
 
     def test_missing_lottery_raises(self, c0):
+        spec = make_spec(c0)
         with pytest.raises(DomainError):
-            welfare_lottery_immediate(make_spec(c0))
+            ev_panel(spec, "c", p3=0.1, T=50.0)  # no p4
 
 
 class TestValidation:
@@ -225,8 +223,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             ScenarioSpec(c0=2.0, g_ai=-0.01, prefs=Preferences())
 
-    def test_lottery_validation(self):
+    def test_lottery_validation(self, c0):
         with pytest.raises(DomainError):
-            Lottery(p3=1.2)
+            lottery_value(1.0, 0.5, p3=1.2, p4=0.0)
         with pytest.raises(DomainError):
-            Lottery(T_delayed=-1.0)
+            lottery_value(1.0, 0.5, p3=0.0, p4=-0.1)
+        with pytest.raises(DomainError):
+            welfare_truncated(make_spec(c0), -1.0)  # a doom date before now
