@@ -1,9 +1,12 @@
 """Social welfare under transformative-AI scenarios.
 
-A numpy-based library for valuing growth-versus-extinction-risk tradeoffs:
+A library for valuing growth-versus-extinction-risk tradeoffs:
 outcome-tree probabilities, isoelastic welfare integrals with hazard
 weighting, indifference-threshold solving, equivalent variation, and a
 hardware-software growth simulator, plus a small CLI (`tai-welfare`).
+
+numpy is the one dependency, but importing the package does not load it: it
+is imported on first use by the adaptive quadrature and the growth simulator.
 """
 
 from .compensation import (

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Optional
 
 from .errors import DomainError
 from .hazards import (
@@ -39,6 +37,9 @@ from .hazards import (
     OneOffHazard,
     ZeroHazard,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProductionParams",
@@ -54,6 +55,11 @@ __all__ = [
 
 Regime = Literal["full_automation", "bottlenecked"]
 FailureMode = Literal["fm1", "fm2", "fm3", "fm4", "fm5"]
+
+# largest horizon / dt that simulate accepts, checked before any array is
+# allocated; each step makes four Python-level output calls, so a million
+# steps already runs for seconds
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,8 @@ def simulate(
     C = (1 - s) Y.  A step that would drive capital nonpositive raises a
     domain error naming the offending time.
     """
+    import numpy as np
+
     if not K0 > 0.0:
         raise DomainError(f"K0 must be > 0, got {K0!r}")
     if not 0.0 <= saving_rate < 1.0:
@@ -177,6 +185,10 @@ def simulate(
         raise DomainError(f"tech_growth must be >= 0, got {tech_growth!r}")
     if not (dt > 0.0 and horizon > 0.0):
         raise DomainError("dt and horizon must be > 0")
+    if not horizon / dt <= MAX_STEPS:
+        raise DomainError(
+            f"horizon / dt = {horizon / dt:.6g} steps exceeds the limit of {MAX_STEPS}"
+        )
 
     steps = int(round(horizon / dt))
     times = np.arange(steps + 1) * dt
@@ -231,6 +243,8 @@ def asymptotic_growth_rate(trajectory: Trajectory, window: float = 0.25) -> floa
     The window must leave at least a handful of points; transients from the
     initial capital level should have died out by then.
     """
+    import numpy as np
+
     n = len(trajectory.times)
     start = int(n * (1.0 - window))
     if n - start < 5:

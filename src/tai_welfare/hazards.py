@@ -143,8 +143,8 @@ class ConstantHazard:
     m: float
 
     def __post_init__(self) -> None:
-        if self.m < 0.0:
-            raise DomainError(f"m must be >= 0, got {self.m!r}")
+        if not 0.0 <= self.m < math.inf:
+            raise DomainError(f"m must be finite and >= 0, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ class OneOffHazard:
     t_ext: float
 
     def __post_init__(self) -> None:
-        if self.t_ext < 0.0:
-            raise DomainError(f"t_ext must be >= 0, got {self.t_ext!r}")
+        if not 0.0 <= self.t_ext < math.inf:
+            raise DomainError(f"t_ext must be finite and >= 0, got {self.t_ext!r}")
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,10 @@ class MountingLogHazard:
     path: ConsumptionPath
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise DomainError(
+                f"epsilon must be finite and >= 0, got {self.epsilon!r}"
+            )
 
 
 @dataclass(frozen=True)

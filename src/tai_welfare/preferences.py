@@ -12,6 +12,7 @@ welfare engine consumes only that combined rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -37,15 +38,19 @@ class Preferences:
     m_background: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rho < 0.0:
-            raise DomainError(f"rho must be >= 0, got {self.rho!r}")
-        if self.theta_rra < 0.0:
-            raise DomainError(f"theta_rra must be >= 0, got {self.theta_rra!r}")
+        if not 0.0 <= self.rho < math.inf:
+            raise DomainError(f"rho must be finite and >= 0, got {self.rho!r}")
+        if not 0.0 <= self.theta_rra < math.inf:
+            raise DomainError(
+                f"theta_rra must be finite and >= 0, got {self.theta_rra!r}"
+            )
         if not 0.0 <= self.nu <= 1.0:
             raise DomainError(f"nu must lie in [0, 1], got {self.nu!r}")
-        if self.m_background < 0.0:
+        if not -math.inf < self.n_pop_growth < math.inf:
+            raise DomainError(f"n_pop_growth must be finite, got {self.n_pop_growth!r}")
+        if not 0.0 <= self.m_background < math.inf:
             raise DomainError(
-                f"m_background must be >= 0, got {self.m_background!r}"
+                f"m_background must be finite and >= 0, got {self.m_background!r}"
             )
 
 

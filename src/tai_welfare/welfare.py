@@ -28,19 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Literal
 
 from .errors import DivergenceError, DomainError
 from .preferences import Preferences, effective_discount
-from .quadrature import (
-    DEFAULT_MAX_INTERVALS,
-    QuadratureResult,
-    integrate_finite,
-    integrate_transformed,
-)
 from .taxonomy import _check_probability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ScenarioSpec",
@@ -71,12 +66,14 @@ class ScenarioSpec:
     g_baseline: float = DEFAULT_G_BASELINE
 
     def __post_init__(self) -> None:
-        if not self.c0 >= 1.0:
-            raise DomainError(f"c0 must be >= 1, got {self.c0!r}")
-        if self.g_ai < 0.0:
-            raise DomainError(f"g_ai must be >= 0, got {self.g_ai!r}")
-        if self.g_baseline < 0.0:
-            raise DomainError(f"g_baseline must be >= 0, got {self.g_baseline!r}")
+        if not 1.0 <= self.c0 < math.inf:
+            raise DomainError(f"c0 must be finite and >= 1, got {self.c0!r}")
+        if not 0.0 <= self.g_ai < math.inf:
+            raise DomainError(f"g_ai must be finite and >= 0, got {self.g_ai!r}")
+        if not 0.0 <= self.g_baseline < math.inf:
+            raise DomainError(
+                f"g_baseline must be finite and >= 0, got {self.g_baseline!r}"
+            )
 
     @property
     def log_c0(self) -> float:
@@ -178,10 +175,14 @@ def welfare_truncated(spec: ScenarioSpec, horizon: float) -> WelfareResult:
 # ---------------------------------------------------------------------------
 # quadrature route
 # ---------------------------------------------------------------------------
+# numpy and the quadrature module are imported inside these functions, so that
+# the closed forms, and every CLI command that uses only them, never load numpy.
 
 
 def _flow_from_log(log_c0: float, g: float, theta: float) -> Callable[[np.ndarray], np.ndarray]:
     # isoelastic flow utility (C^(1-theta) - 1) / (1-theta) on log C = log c0 + g t
+    import numpy as np
+
     q = 1.0 - theta
 
     def flow(t: np.ndarray) -> np.ndarray:
@@ -208,6 +209,10 @@ def welfare_mounting(
     quadrature.  eps = 0 reproduces the cornucopia value through the same
     quadrature path.
     """
+    import numpy as np
+
+    from .quadrature import integrate_transformed
+
     if epsilon < 0.0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
     r = effective_discount(spec.prefs)
@@ -239,7 +244,6 @@ def integrate_discounted(
     *,
     tol: float = DEFAULT_QUAD_TOL,
     horizon: float | None = None,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
 ) -> WelfareResult:
     """Shared kernel: int flow(t) * weight(t) dt with weight ~ e^(-rate t).
 
@@ -248,23 +252,20 @@ def integrate_discounted(
     with a horizon it runs over [0, horizon] directly.  Non-convergence
     raises QuadratureError rather than returning a silently wrong value.
     """
+    import numpy as np
+
+    from .quadrature import integrate_finite, integrate_transformed
+
     if horizon is not None:
-        res: QuadratureResult = integrate_finite(
-            lambda t: flow(t) * weight(t),
-            0.0,
-            horizon,
-            abs_tol=tol,
-            rel_tol=tol,
-            max_intervals=max_intervals,
+        res = integrate_finite(
+            lambda t: flow(t) * weight(t), 0.0, horizon, abs_tol=tol, rel_tol=tol
         )
         return WelfareResult(res.value, "quadrature", res.abs_error_estimate, horizon)
 
     def excess(t: np.ndarray) -> np.ndarray:
         return weight(t) * np.exp(rate * t)
 
-    res = integrate_transformed(
-        flow, excess, rate, abs_tol=tol, rel_tol=tol, max_intervals=max_intervals
-    )
+    res = integrate_transformed(flow, excess, rate, abs_tol=tol, rel_tol=tol)
     return WelfareResult(
         res.value, "quadrature", res.abs_error_estimate, res.truncation_time
     )

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import tai_welfare
 from tai_welfare import ConvergenceError, solvers
 from tai_welfare.cli import main
 from tai_welfare.rootfind import RootResult
@@ -185,3 +193,47 @@ def test_solver_bug_is_a_convergence_error(c0, capsys, monkeypatch):
     )
     assert code == 3
     assert "non-convergence" in err
+
+
+def test_huge_simulation_is_refused_before_allocating(capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    monkeypatch.setattr(np, "empty", no_allocation)
+    code, out, err = run_cli(capsys, "simulate-growth", "--horizon", "1e6", "--dt", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "steps" in err
+
+
+def test_numpy_loads_only_for_quadrature():
+    child = textwrap.dedent("""
+        import contextlib, io, sys
+        from tai_welfare import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["pdoom"],
+                ["calibrate-c0"],
+                ["table", "t2"],
+                ["solve", "--target", "p3-immediate", "--g-ai", "0.1", "--rho", "0.05"],
+                ["et", "--hazard", "mounting"],
+                ["ev", "--panel", "c", "--g-ai", "0.1", "--rho", "0.05"],
+            ):
+                assert cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, "numpy loaded without quadrature"
+        code = cli.main(["table", "t4", "--g-ai-grid", "0.1", "--rho-grid", "0.05",
+                         "--theta-set", "2"])
+        assert code == 0
+        assert "numpy" in sys.modules, "quadrature ran without numpy"
+    """)
+    src = str(Path(tai_welfare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header == "g_ai,theta=2/rho=0.05"
+    assert float(row.split(",")[1]) > 0.0

@@ -125,6 +125,15 @@ class TestSimulate:
         with pytest.raises(DomainError, match="t ="):
             simulate(ProductionParams(), 1e-2, 0.0, 5.0, 0.0, 10.0, 0.5)
 
+    def test_step_cap_raises_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(DomainError, match="steps exceeds"):
+            simulate(ProductionParams(), 1.0, 0.3, 0.05, 0.0, 1e6, 1e-6)
+
 
 class TestAsymptoticGrowthRate:
     def test_exact_exponential(self):

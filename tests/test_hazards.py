@@ -143,6 +143,16 @@ class TestExpectedLifespan:
         with pytest.raises(DomainError):
             OneOffHazard(-1.0)
 
+    @pytest.mark.parametrize("make", [
+        ConstantHazard,
+        OneOffHazard,
+        lambda eps: MountingLogHazard(eps, ExponentialPath(1.0, 0.2)),
+    ], ids=["constant", "one-off", "mounting"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameter(self, make, value):
+        with pytest.raises(DomainError, match="finite"):
+            make(value)
+
 
 def _lifespan_by_simpson(model, n=200_001):
     # brute-force oracle: fixed-step Simpson over [0, T] with M(T) ~ 0

@@ -77,3 +77,9 @@ class TestEffectiveDiscount:
             Preferences(nu=1.5)
         with pytest.raises(DomainError):
             Preferences(m_background=-1e-9)
+
+    def test_rejects_non_finite(self):
+        for name in ("rho", "theta_rra", "nu", "n_pop_growth", "m_background"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=name):
+                    Preferences(**{name: value})

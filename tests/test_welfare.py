@@ -157,6 +157,16 @@ class TestMounting:
         simpson = h / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
         assert welfare_mounting(spec, eps).value == pytest.approx(simpson, rel=1e-7)
 
+    @pytest.mark.parametrize("theta", [1.0, 1.0001, 2.0])
+    def test_against_mpmath_oracle(self, c0, theta):
+        for g_ai in (0.05, 0.4):
+            for rho in (0.002, 0.05):
+                spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+                for eps in (1e-11, 1e-8, 1e-5, 1e-3):
+                    assert welfare_mounting(spec, eps).value == pytest.approx(
+                        _mounting_oracle(spec, eps), rel=1e-10
+                    ), (g_ai, rho, eps)
+
     def test_boundedness_theta_above_one(self, c0, rng):
         for _ in range(20):
             theta = float(rng.uniform(1.2, 3.0))
@@ -165,6 +175,32 @@ class TestMounting:
             bound = 1.0 / ((theta - 1.0) * rho)
             assert welfare_mounting(spec, 1e-4).value < bound
             assert welfare_cornucopia(spec).value < bound
+
+
+def _mounting_oracle(spec, epsilon):
+    """40-digit W = int e^(-rho t) u(c0 e^(g t)) e^(-eps (lam t + g t^2 / 2)) dt.
+
+    With b = eps g, a0 = rho + eps lam and the Gaussian-tail primitive
+    G(a, b) = sqrt(pi / 2b) erfcx(a / sqrt(2b)), W = [e^(q lam) G(a0 - q g, b)
+    - G(a0, b)] / q for q = 1 - theta, and lam G + g (1 - a0 G) / b at q = 0.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        lam, g = mp.log(mpf(spec.c0)), mpf(spec.g_ai)
+        q = 1 - mpf(spec.prefs.theta_rra)
+        b = mpf(epsilon) * g
+        a0 = mpf(spec.prefs.rho) + mpf(epsilon) * lam
+
+        def G(a):
+            z = a / mp.sqrt(2 * b)
+            return mp.sqrt(mp.pi / (2 * b)) * mp.exp(z * z) * mp.erfc(z)
+
+        if q == 0:
+            w = lam * G(a0) + g * (1 - a0 * G(a0)) / b
+        else:
+            w = (mp.exp(q * lam) * G(a0 - q * g) - G(a0)) / q
+        return float(w)
 
 
 def lottery(spec, p3, p4=0.0, T=0.0):
@@ -222,6 +258,13 @@ class TestValidation:
     def test_rejects_negative_growth(self):
         with pytest.raises(DomainError):
             ScenarioSpec(c0=2.0, g_ai=-0.01, prefs=Preferences())
+
+    def test_rejects_non_finite(self):
+        for name in ("c0", "g_ai", "g_baseline"):
+            for value in (math.nan, math.inf):
+                fields = {"c0": 2.0, "g_ai": 0.05, name: value}
+                with pytest.raises(DomainError, match=name):
+                    ScenarioSpec(prefs=Preferences(), **fields)
 
     def test_lottery_validation(self, c0):
         with pytest.raises(DomainError):
