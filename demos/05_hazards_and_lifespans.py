@@ -6,8 +6,6 @@ faster growth means a shorter expected lifespan, with a closed form built on
 the scaled complementary error function.
 """
 
-import numpy as np
-
 from tai_welfare import (
     ConstantHazard,
     ExponentialPath,
@@ -40,5 +38,5 @@ print()
 
 model = MountingLogHazard(2e-4, ExponentialPath(1.0, 0.2))
 print("survival curve for the (c0=1, g=0.2, eps=2e-4) model:")
-for t in np.array([0.0, 50.0, 100.0, 198.17, 400.0, 800.0]):
-    print(f"  M({t:6.1f}) = {survival(model, float(t)):.4f}")
+for t in (0.0, 50.0, 100.0, 198.17, 400.0, 800.0):
+    print(f"  M({t:6.1f}) = {survival(model, t):.4f}")

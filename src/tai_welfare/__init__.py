@@ -6,12 +6,12 @@ weighting, indifference-threshold solving, equivalent variation, and a
 hardware-software growth simulator, plus a small CLI (`tai-welfare`).
 
 numpy is the one dependency, but importing the package does not load it: it
-is imported on first use by the adaptive quadrature and the growth simulator.
+is imported on first use by the adaptive quadrature, which only mounting-hazard
+welfare runs.  The growth simulator and every other evaluator are pure Python.
 """
 
 from .compensation import (
     EvResult,
-    compensating_fraction_general,
     equivalent_variation,
     ev_panel,
     wtp_per_period,
@@ -42,11 +42,9 @@ from .hazards import (
     ExponentialPath,
     MountingLogHazard,
     OneOffHazard,
-    SafetyGoodsHazard,
     ZeroHazard,
     cumulative_hazard,
     expected_lifespan,
-    hazard_rate,
     survival,
 )
 from .preferences import Preferences, effective_discount

@@ -7,10 +7,8 @@ a safe cornucopia exactly as good as a risky scenario is
     EV = exp(-(W_cornucopia - W_risky) * r),
 
 and 1 - EV is the fraction of consumption a planner would pay, every period
-forever, to trade the risky world for the safe one.  That identity is what
-restricts the closed form to theta = 1; for other curvatures the scaling
-factor is still well defined but must be found by root finding, which
-compensating_fraction_general does.
+forever, to trade the risky world for the safe one.  That identity holds only
+at theta = 1, so EV is defined here for log utility only.
 
 EV values here range down to ~1e-90, so results carry log_ev alongside ev
 and comparisons should happen on the log scale.
@@ -22,9 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .errors import DomainError, TaiWelfareError
+from .errors import DomainError
 from .preferences import Preferences, effective_discount
-from .rootfind import brent
 from .welfare import (
     ScenarioSpec,
     WelfareResult,
@@ -39,7 +36,6 @@ __all__ = [
     "equivalent_variation",
     "ev_panel",
     "wtp_per_period",
-    "compensating_fraction_general",
 ]
 
 
@@ -60,13 +56,12 @@ def equivalent_variation(
     """EV = exp(-(W_cornucopia - W_risky) * r); requires log utility.
 
     The consumption-scaling reading of EV is exact only at theta = 1; other
-    curvatures raise a domain error and should go through
-    compensating_fraction_general instead.
+    curvatures raise a domain error.
     """
     if prefs.theta_rra != 1.0:
         raise DomainError(
-            "equivalent variation is defined here for theta = 1 only; "
-            "use compensating_fraction_general for other curvatures"
+            "equivalent variation is defined here for theta = 1 only, "
+            f"got theta = {prefs.theta_rra!r}"
         )
     w_c, w_r = cornucopia.value, risky.value
     if not (math.isfinite(w_c) and math.isfinite(w_r)):
@@ -129,40 +124,3 @@ def wtp_per_period(ev: EvResult, consumption_level: float) -> float:
             f"consumption_level must be > 0, got {consumption_level!r}"
         )
     return ev.wtp_fraction * consumption_level
-
-
-def compensating_fraction_general(
-    spec: ScenarioSpec, risky_welfare: float
-) -> float:
-    """Consumption scale k with W_cornucopia(k * c0) = risky_welfare, any theta.
-
-    Welfare is strictly increasing in the scale factor, so the root is
-    unique.  k is searched in [1/c0, 1]: scaling below 1/c0 would start the
-    path under subsistence, and a risky welfare below that floor has no
-    compensating scale at all.
-    """
-    w_a = welfare_cornucopia(spec).value
-    if risky_welfare > w_a:
-        raise DomainError("risky welfare exceeds the cornucopia value")
-    if risky_welfare == w_a:
-        return 1.0
-
-    def shifted(log_k: float) -> float:
-        scaled = ScenarioSpec(
-            c0=math.exp(spec.log_c0 + log_k),
-            g_ai=spec.g_ai,
-            prefs=spec.prefs,
-            g_baseline=spec.g_baseline,
-        )
-        return welfare_cornucopia(scaled).value - risky_welfare
-
-    floor = -spec.log_c0  # k c0 = 1
-    f_floor = shifted(floor)
-    if f_floor > 0.0:
-        raise TaiWelfareError(
-            "no compensating scale: risky welfare lies below the welfare of "
-            "the minimal (subsistence-start) path"
-        )
-    result = brent(shifted, floor, 0.0, fa=f_floor, fb=w_a - risky_welfare,
-                   rel_tol=1e-14, abs_tol=1e-14)
-    return math.exp(result.root)

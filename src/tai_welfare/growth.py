@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Optional
+from typing import Literal, Optional
 
 from .errors import DomainError
 from .hazards import (
@@ -37,9 +37,6 @@ from .hazards import (
     OneOffHazard,
     ZeroHazard,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ProductionParams",
@@ -56,9 +53,9 @@ __all__ = [
 Regime = Literal["full_automation", "bottlenecked"]
 FailureMode = Literal["fm1", "fm2", "fm3", "fm4", "fm5"]
 
-# largest horizon / dt that simulate accepts, checked before any array is
-# allocated; each step makes four Python-level output calls, so a million
-# steps already runs for seconds
+# largest horizon / dt that simulate accepts, checked before the first step;
+# each step makes four Python-level output calls, so a million steps already
+# runs for seconds
 MAX_STEPS = 1_000_000
 
 
@@ -73,8 +70,6 @@ class ProductionParams:
     psi: algorithmic efficiency; chi: compute share of capital
     sigma: CES exponent (< 1, nonzero; negative means complements)
     share_hw: CES weight on hardware
-    a_K: asymptotic output-capital ratio of the full-automation regime; by
-        default the CES limit F(alpha, inf)/alpha resolved from the weights
     """
 
     alpha: float = 1.0
@@ -86,21 +81,18 @@ class ProductionParams:
     chi: float = 1.0
     sigma: float = -1.0
     share_hw: float = 0.5
-    a_K: Optional[float] = None
 
     def __post_init__(self) -> None:
-        positive = ("alpha", "gamma", "A", "h", "N", "psi", "chi")
-        for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if not (self.sigma < 1.0 and self.sigma != 0.0):
-            raise DomainError(f"sigma must be < 1 and nonzero, got {self.sigma!r}")
+        for name in ("alpha", "gamma", "A", "h", "N", "psi", "chi"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        if not (-math.inf < self.sigma < 1.0 and self.sigma != 0.0):
+            raise DomainError(
+                f"sigma must be finite, < 1 and nonzero, got {self.sigma!r}"
+            )
         if not 0.0 < self.share_hw < 1.0:
             raise DomainError(f"share_hw must lie in (0, 1), got {self.share_hw!r}")
-        if self.a_K is None:
-            object.__setattr__(self, "a_K", self.ces_asymptote())
-        elif not self.a_K > 0.0:
-            raise DomainError(f"a_K must be > 0, got {self.a_K!r}")
 
     def ces_asymptote(self) -> float:
         """lim_{S->inf} F(alpha, S) / alpha for sigma < 0; +inf for sigma > 0."""
@@ -111,16 +103,12 @@ class ProductionParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated paths on a fixed grid, with the closure that produced them."""
+    """Simulated paths on a fixed time grid, one float per grid point."""
 
-    times: np.ndarray
-    K: np.ndarray
-    Y: np.ndarray
-    C: np.ndarray
-    regime: Regime
-    saving_rate: float
-    delta: float
-    tech_growth: float
+    times: tuple[float, ...]
+    K: tuple[float, ...]
+    Y: tuple[float, ...]
+    C: tuple[float, ...]
 
 
 def ces(x: float, s: float, weight: float, sigma: float) -> float:
@@ -173,25 +161,25 @@ def simulate(
     C = (1 - s) Y.  A step that would drive capital nonpositive raises a
     domain error naming the offending time.
     """
-    import numpy as np
-
-    if not K0 > 0.0:
-        raise DomainError(f"K0 must be > 0, got {K0!r}")
+    if not 0.0 < K0 < math.inf:
+        raise DomainError(f"K0 must be finite and > 0, got {K0!r}")
     if not 0.0 <= saving_rate < 1.0:
         raise DomainError(f"saving_rate must lie in [0, 1), got {saving_rate!r}")
-    if delta < 0.0:
-        raise DomainError(f"delta must be >= 0, got {delta!r}")
-    if tech_growth < 0.0:
-        raise DomainError(f"tech_growth must be >= 0, got {tech_growth!r}")
-    if not (dt > 0.0 and horizon > 0.0):
-        raise DomainError("dt and horizon must be > 0")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"delta must be finite and >= 0, got {delta!r}")
+    if not 0.0 <= tech_growth < math.inf:
+        raise DomainError(f"tech_growth must be finite and >= 0, got {tech_growth!r}")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be finite and > 0, got {horizon!r}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     if not horizon / dt <= MAX_STEPS:
         raise DomainError(
             f"horizon / dt = {horizon / dt:.6g} steps exceeds the limit of {MAX_STEPS}"
         )
 
-    steps = int(round(horizon / dt))
-    times = np.arange(steps + 1) * dt
+    def tech(t: float) -> float:
+        return params.A * math.exp(tech_growth * t)
 
     def kdot(t: float, K: float) -> float:
         # a Runge-Kutta stage can undershoot zero when delta * dt is large
@@ -200,40 +188,33 @@ def simulate(
                 f"capital became nonpositive at t = {t:.6g}; "
                 "reduce dt or the depreciation rate"
             )
-        A_t = params.A * math.exp(tech_growth * t)
-        return saving_rate * output(params, K, regime, A=A_t) - delta * K
+        return saving_rate * output(params, K, regime, A=tech(t)) - delta * K
 
-    K_path = np.empty(steps + 1)
-    K_path[0] = K0
+    times = [0.0]
+    K_path = [K0]
     K = K0
-    for i in range(steps):
-        t = times[i]
+    for i in range(int(round(horizon / dt))):
+        t = i * dt
         k1 = kdot(t, K)
         k2 = kdot(t + 0.5 * dt, K + 0.5 * dt * k1)
         k3 = kdot(t + 0.5 * dt, K + 0.5 * dt * k2)
         k4 = kdot(t + dt, K + dt * k3)
         K = K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_next = (i + 1) * dt
         if not K > 0.0:
             raise DomainError(
-                f"capital became nonpositive at t = {times[i + 1]:.6g}; "
+                f"capital became nonpositive at t = {t_next:.6g}; "
                 "reduce dt or the depreciation rate"
             )
-        K_path[i + 1] = K
+        times.append(t_next)
+        K_path.append(K)
 
-    A_path = params.A * np.exp(tech_growth * times)
-    Y_path = np.array(
-        [output(params, float(k), regime, A=float(a)) for k, a in zip(K_path, A_path)]
-    )
-    C_path = (1.0 - saving_rate) * Y_path
+    Y_path = tuple(output(params, k, regime, A=tech(t)) for t, k in zip(times, K_path))
     return Trajectory(
-        times=times,
-        K=K_path,
+        times=tuple(times),
+        K=tuple(K_path),
         Y=Y_path,
-        C=C_path,
-        regime=regime,
-        saving_rate=saving_rate,
-        delta=delta,
-        tech_growth=tech_growth,
+        C=tuple((1.0 - saving_rate) * y for y in Y_path),
     )
 
 
@@ -243,8 +224,6 @@ def asymptotic_growth_rate(trajectory: Trajectory, window: float = 0.25) -> floa
     The window must leave at least a handful of points; transients from the
     initial capital level should have died out by then.
     """
-    import numpy as np
-
     n = len(trajectory.times)
     start = int(n * (1.0 - window))
     if n - start < 5:
@@ -252,9 +231,13 @@ def asymptotic_growth_rate(trajectory: Trajectory, window: float = 0.25) -> floa
             f"trajectory too short: {n - start} points in the fitted window"
         )
     t = trajectory.times[start:]
-    log_y = np.log(trajectory.Y[start:])
-    slope, _ = np.polyfit(t, log_y, 1)
-    return float(slope)
+    log_y = [math.log(y) for y in trajectory.Y[start:]]
+    t_mean = math.fsum(t) / len(t)
+    log_y_mean = math.fsum(log_y) / len(t)
+    dev = [s - t_mean for s in t]
+    return math.fsum(d * (v - log_y_mean) for d, v in zip(dev, log_y)) / math.fsum(
+        d * d for d in dev
+    )
 
 
 def failure_mode_path(

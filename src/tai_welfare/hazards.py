@@ -1,11 +1,12 @@
 """Extinction-hazard models, survival curves, and expected lifespan.
 
-A hazard model supplies the instantaneous extinction rate m(t) >= 0 and the
-survival probability M(t) = exp(-int_0^t m).  Expected lifespan is
-ET = int_0^inf M(t) dt, possibly infinite.
+A hazard model defines an extinction rate m(t) >= 0.  This module evaluates
+its cumulative hazard, the survival probability M(t) = exp(-int_0^t m) and the
+expected lifespan ET = int_0^inf M(t) dt, possibly infinite, each in closed
+form.
 
 The mounting-risk model ties the hazard to log consumption, m(t) = eps *
-log C(t).  On an exponential path C(t) = c0 e^(g t) the cumulative hazard is
+log C(t), on an exponential path C(t) = c0 e^(g t).  Its cumulative hazard is
 the exact quadratic eps * (log(c0) t + g t^2 / 2), survival is a Gaussian
 tail, and expected lifespan has the closed form
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .errors import DomainError
 from .special import erfcx
@@ -35,9 +36,7 @@ __all__ = [
     "ConstantHazard",
     "OneOffHazard",
     "MountingLogHazard",
-    "SafetyGoodsHazard",
     "HazardModel",
-    "hazard_rate",
     "cumulative_hazard",
     "survival",
     "expected_lifespan",
@@ -57,8 +56,10 @@ class ExponentialPath:
     growth: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.c0 >= 1.0:
-            raise DomainError(f"c0 must be >= 1, got {self.c0!r}")
+        if not 1.0 <= self.c0 < math.inf:
+            raise DomainError(f"c0 must be finite and >= 1, got {self.c0!r}")
+        if not -math.inf < self.growth < math.inf:
+            raise DomainError(f"growth must be finite, got {self.growth!r}")
 
     def log_c(self, t: float) -> float:
         return math.log(self.c0) + self.growth * t
@@ -77,7 +78,8 @@ class CrashPath:
 
     The post-crash level is crash_factor * C(t_stop-), clamped at the
     subsistence level 1.  Used for the scenario where the automated economy
-    stops working and humanity restarts from whatever is left.
+    stops working and humanity restarts from whatever is left; that scenario
+    pairs it with the zero or the one-off hazard.
     """
 
     c0: float
@@ -87,40 +89,35 @@ class CrashPath:
     g_post: float
 
     def __post_init__(self) -> None:
-        if not self.c0 >= 1.0:
-            raise DomainError(f"c0 must be >= 1, got {self.c0!r}")
-        if self.t_stop < 0.0:
-            raise DomainError(f"t_stop must be >= 0, got {self.t_stop!r}")
+        if not 1.0 <= self.c0 < math.inf:
+            raise DomainError(f"c0 must be finite and >= 1, got {self.c0!r}")
+        if not 0.0 <= self.t_stop < math.inf:
+            raise DomainError(f"t_stop must be finite and >= 0, got {self.t_stop!r}")
+        for name in ("g_pre", "g_post"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.crash_factor <= 1.0:
             raise DomainError(
                 f"crash_factor must lie in (0, 1], got {self.crash_factor!r}"
             )
 
+    def _log_crashed(self) -> float:
+        # log of crash_factor * C(t_stop-), before the subsistence clamp
+        return math.log(self.c0) + self.g_pre * self.t_stop + math.log(self.crash_factor)
+
     @property
     def crash_clamped(self) -> bool:
         """True when the crash would push consumption below subsistence."""
-        raw = math.log(self.c0) + self.g_pre * self.t_stop + math.log(self.crash_factor)
-        return raw < 0.0
-
-    def _log_restart(self) -> float:
-        raw = math.log(self.c0) + self.g_pre * self.t_stop + math.log(self.crash_factor)
-        return max(raw, 0.0)
+        return self._log_crashed() < 0.0
 
     def log_c(self, t: float) -> float:
         if t < self.t_stop:
             return math.log(self.c0) + self.g_pre * t
-        return self._log_restart() + self.g_post * (t - self.t_stop)
+        return max(self._log_crashed(), 0.0) + self.g_post * (t - self.t_stop)
 
     def consumption(self, t: float) -> float:
         return math.exp(self.log_c(t))
-
-    def cumulative_log_c(self, t: float) -> float:
-        lam = math.log(self.c0)
-        if t <= self.t_stop:
-            return lam * t + 0.5 * self.g_pre * t * t
-        head = lam * self.t_stop + 0.5 * self.g_pre * self.t_stop**2
-        dt = t - self.t_stop
-        return head + self._log_restart() * dt + 0.5 * self.g_post * dt * dt
 
 
 ConsumptionPath = Union[ExponentialPath, CrashPath]
@@ -162,81 +159,33 @@ class OneOffHazard:
 class MountingLogHazard:
     """Hazard proportional to log consumption: m(t) = eps * log C(t).
 
-    Valid only while C(t) >= 1, which keeps the rate nonnegative.
+    The path is exponential with growth >= 0, so the rate stays nonnegative
+    and the cumulative hazard is the exact quadratic eps * (log(c0) t +
+    g t^2 / 2).
     """
 
     epsilon: float
-    path: ConsumptionPath
+    path: ExponentialPath
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon < math.inf:
             raise DomainError(
                 f"epsilon must be finite and >= 0, got {self.epsilon!r}"
             )
+        if not isinstance(self.path, ExponentialPath):
+            raise DomainError(
+                f"mounting hazard needs an ExponentialPath, got {self.path!r}"
+            )
+        if self.path.growth < 0.0:
+            raise DomainError("mounting hazard with negative growth is not supported")
 
 
-@dataclass(frozen=True)
-class SafetyGoodsHazard:
-    """Hazard m(t) = m_bar * C(t)^eps * H(t)^(-beta) with caller-supplied paths.
-
-    C and H are callables of time.  This is an evaluator only: no optimal
-    safety-goods path is computed here, and the cumulative hazard falls back
-    to numeric integration.
-    """
-
-    m_bar: float
-    epsilon: float
-    beta: float
-    consumption: Callable[[float], float]
-    safety: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        if self.m_bar < 0.0:
-            raise DomainError(f"m_bar must be >= 0, got {self.m_bar!r}")
-
-
-HazardModel = Union[
-    ZeroHazard, ConstantHazard, OneOffHazard, MountingLogHazard, SafetyGoodsHazard
-]
+HazardModel = Union[ZeroHazard, ConstantHazard, OneOffHazard, MountingLogHazard]
 
 
 # ---------------------------------------------------------------------------
 # evaluators
 # ---------------------------------------------------------------------------
-
-
-def hazard_rate(model: HazardModel, t: float) -> float:
-    """Instantaneous extinction rate m(t) >= 0 at time t >= 0.
-
-    The one-off model returns 0 for t < t_ext; its step lives in the survival
-    function, not in a finite rate.
-    """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    if isinstance(model, ZeroHazard):
-        return 0.0
-    if isinstance(model, ConstantHazard):
-        return model.m
-    if isinstance(model, OneOffHazard):
-        return 0.0
-    if isinstance(model, MountingLogHazard):
-        log_c = model.path.log_c(t)
-        if log_c < 0.0:
-            raise DomainError(
-                f"mounting hazard needs C(t) >= 1; log C({t!r}) = {log_c!r}"
-            )
-        return model.epsilon * log_c
-    if isinstance(model, SafetyGoodsHazard):
-        c = model.consumption(t)
-        h = model.safety(t)
-        if c < 0.0:
-            raise DomainError(f"consumption path negative at t={t!r}")
-        if h <= 0.0 and model.beta > 0.0:
-            raise DomainError(
-                f"safety path must be > 0 when beta > 0; H({t!r}) = {h!r}"
-            )
-        return model.m_bar * c**model.epsilon * h ** (-model.beta)
-    raise TypeError(f"unknown hazard model {model!r}")
 
 
 def cumulative_hazard(model: HazardModel, t: float) -> float:
@@ -251,21 +200,7 @@ def cumulative_hazard(model: HazardModel, t: float) -> float:
         return 0.0 if t < model.t_ext else math.inf
     if isinstance(model, MountingLogHazard):
         return model.epsilon * model.path.cumulative_log_c(t)
-    if isinstance(model, SafetyGoodsHazard):
-        from .quadrature import integrate_finite
-
-        if t == 0.0:
-            return 0.0
-        rate_vec = _vectorize(lambda s: hazard_rate(model, s))
-        result = integrate_finite(rate_vec, 0.0, t, abs_tol=1e-12, rel_tol=1e-10)
-        return result.value
     raise TypeError(f"unknown hazard model {model!r}")
-
-
-def _vectorize(f: Callable[[float], float]):
-    import numpy as np
-
-    return lambda xs: np.array([f(float(x)) for x in np.atleast_1d(xs)])
 
 
 def survival(model: HazardModel, t: float) -> float:
@@ -276,35 +211,16 @@ def survival(model: HazardModel, t: float) -> float:
 
 def _mounting_expected_lifespan(model: MountingLogHazard) -> float:
     eps = model.epsilon
-    path = model.path
-    if not isinstance(path, ExponentialPath):
-        return _expected_lifespan_by_quadrature(model)
-    lam = math.log(path.c0)
-    g = path.growth
+    lam = math.log(model.path.c0)
+    g = model.path.growth
     if eps == 0.0:
         return math.inf
-    if g < 0.0:
-        raise DomainError("mounting hazard with negative growth is not supported")
     if g == 0.0:
         # constant hazard eps * log c0
         return math.inf if lam == 0.0 else 1.0 / (eps * lam)
     # ET = sqrt(pi / (2 eps g)) * erfcx(sqrt(eps) lam / sqrt(2 g))
     z = math.sqrt(eps) * lam / math.sqrt(2.0 * g)
     return math.sqrt(math.pi / (2.0 * eps * g)) * erfcx(z)
-
-
-def _expected_lifespan_by_quadrature(model: HazardModel) -> float:
-    # generic fallback: integrate M(t) out to where it is negligible
-    from .quadrature import integrate_finite
-
-    upper = 1.0
-    while survival(model, upper) > 1e-16:
-        upper *= 2.0
-        if upper > 1e12:
-            return math.inf
-    surv_vec = _vectorize(lambda s: survival(model, s))
-    result = integrate_finite(surv_vec, 0.0, upper, abs_tol=1e-10, rel_tol=1e-9)
-    return result.value
 
 
 def expected_lifespan(model: HazardModel) -> float:
@@ -317,6 +233,4 @@ def expected_lifespan(model: HazardModel) -> float:
         return model.t_ext
     if isinstance(model, MountingLogHazard):
         return _mounting_expected_lifespan(model)
-    if isinstance(model, SafetyGoodsHazard):
-        return _expected_lifespan_by_quadrature(model)
     raise TypeError(f"unknown hazard model {model!r}")

@@ -213,8 +213,8 @@ def welfare_mounting(
 
     from .quadrature import integrate_transformed
 
-    if epsilon < 0.0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     r = effective_discount(spec.prefs)
     theta = spec.prefs.theta_rra
     q = 1.0 - theta

@@ -4,11 +4,10 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tai_welfare
-from tai_welfare import ConvergenceError, solvers
+from tai_welfare import ConvergenceError, growth, solvers
 from tai_welfare.cli import main
 from tai_welfare.rootfind import RootResult
 from conftest import make_spec
@@ -196,11 +195,11 @@ def test_solver_bug_is_a_convergence_error(c0, capsys, monkeypatch):
 
 
 def test_huge_simulation_is_refused_before_allocating(capsys, monkeypatch):
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("an array was allocated")
+    # the paths grow one step at a time, so no step means nothing allocated
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
 
-    monkeypatch.setattr(np, "arange", no_allocation)
-    monkeypatch.setattr(np, "empty", no_allocation)
+    monkeypatch.setattr(growth, "output", no_step)
     code, out, err = run_cli(capsys, "simulate-growth", "--horizon", "1e6", "--dt", "1e-6")
     assert code == 2
     assert out == ""
@@ -218,8 +217,12 @@ def test_numpy_loads_only_for_quadrature():
                 ["calibrate-c0"],
                 ["table", "t2"],
                 ["solve", "--target", "p3-immediate", "--g-ai", "0.1", "--rho", "0.05"],
-                ["et", "--hazard", "mounting"],
+                ["et", "--hazard", "zero"],
+                ["et", "--hazard", "constant", "--m", "0.01"],
+                ["et", "--hazard", "one-off", "--t-ext", "50"],
+                ["et", "--hazard", "mounting", "--normalized"],
                 ["ev", "--panel", "c", "--g-ai", "0.1", "--rho", "0.05"],
+                ["simulate-growth", "--print-growth-rate", "--horizon", "50"],
             ):
                 assert cli.main(argv) == 0, argv
         assert "numpy" not in sys.modules, "numpy loaded without quadrature"
@@ -228,12 +231,32 @@ def test_numpy_loads_only_for_quadrature():
         assert code == 0
         assert "numpy" in sys.modules, "quadrature ran without numpy"
     """)
-    src = str(Path(tai_welfare.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = _run_child(child)
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()
     assert header == "g_ai,theta=2/rho=0.05"
     assert float(row.split(",")[1]) > 0.0
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+NUMPY_FREE_DEMOS = {"01_outcome_tree.py", "05_hazards_and_lifespans.py",
+                    "06_growth_regimes.py"}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    # a demo that needs no quadrature must run with numpy unimportable
+    block = 'sys.modules["numpy"] = None\n' if demo.name in NUMPY_FREE_DEMOS else ""
+    proc = _run_child(f"import runpy, sys\n{block}"
+                      f"runpy.run_path({str(demo)!r}, run_name='__main__')\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout
+
+
+def _run_child(code):
+    src = str(Path(tai_welfare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)

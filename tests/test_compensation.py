@@ -5,7 +5,6 @@ import pytest
 from tai_welfare import (
     DomainError,
     ScenarioSpec,
-    compensating_fraction_general,
     equivalent_variation,
     ev_panel,
     welfare_cornucopia,
@@ -95,36 +94,3 @@ class TestWtp:
         assert wtp_per_period(result, 2.0) == pytest.approx(
             2.0 * result.wtp_fraction
         )
-
-
-class TestCompensatingFractionGeneral:
-    def test_no_risk_means_unit_scale(self, c0):
-        spec = make_spec(c0, theta=2.0)
-        w_a = welfare_cornucopia(spec).value
-        assert compensating_fraction_general(spec, w_a) == 1.0
-
-    def test_matches_log_closed_form(self, c0, rng):
-        for _ in range(10):
-            spec = make_spec(
-                c0, g_ai=float(rng.uniform(0.05, 0.3)), rho=float(rng.uniform(0.01, 0.06))
-            )
-            w_a = welfare_cornucopia(spec).value
-            gap = float(rng.uniform(0.1, 20.0))
-            k = compensating_fraction_general(spec, w_a - gap)
-            assert k == pytest.approx(math.exp(-gap * spec.prefs.rho), rel=1e-8)
-
-    def test_theta_two_residual(self, c0):
-        spec = make_spec(c0, theta=2.0, g_ai=0.1, rho=0.03)
-        w_a = welfare_cornucopia(spec).value
-        target = w_a - 1e-4
-        k = compensating_fraction_general(spec, target)
-        assert k < 1.0
-        scaled = ScenarioSpec(
-            c0=c0 * k, g_ai=0.1, prefs=spec.prefs, g_baseline=spec.g_baseline
-        )
-        assert abs(welfare_cornucopia(scaled).value - target) <= 1e-10
-
-    def test_unreachable_target_raises(self, c0):
-        spec = make_spec(c0, theta=2.0)
-        with pytest.raises(Exception, match="no compensating scale"):
-            compensating_fraction_general(spec, -1.0)

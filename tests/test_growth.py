@@ -17,6 +17,7 @@ from tai_welfare import (
     simulate,
     trajectory_csv,
 )
+from tai_welfare import growth
 
 
 class TestCes:
@@ -62,8 +63,8 @@ class TestOutput:
         assert (y2 - y1) / y1 < 0.01
 
     def test_full_automation_becomes_linear_in_capital(self):
-        # at fixed technology, Y/K tends to F(alpha, A psi chi); the declared
-        # a_K field is the further limit where technology also diverges
+        # at fixed technology, Y/K tends to F(alpha, A psi chi); the CES
+        # asymptote is the further limit where technology also diverges
         params = ProductionParams()
         r1 = output(params, 1e6, "full_automation") / 1e6
         r2 = output(params, 1e8, "full_automation") / 1e8
@@ -75,7 +76,7 @@ class TestOutput:
     def test_declared_asymptote_reached_with_high_technology(self):
         params = ProductionParams(A=1e9)
         ratio = output(params, 1e8, "full_automation") / 1e8
-        assert ratio == pytest.approx(params.alpha * params.a_K, rel=1e-2)
+        assert ratio == pytest.approx(params.alpha * params.ces_asymptote(), rel=1e-2)
 
     def test_rejects_nonpositive_capital(self):
         with pytest.raises(DomainError):
@@ -88,7 +89,7 @@ class TestSimulate:
         assert np.allclose(traj.K, 2.0)
 
     def test_ak_regime_growth_rate(self):
-        # alpha * a_K = 1 via alpha = 0.5 against the CES asymptote of 2
+        # alpha times the CES asymptote of 2 is 1 via alpha = 0.5
         params = ProductionParams(alpha=0.5)
         for s, delta in ((0.3, 0.05), (0.2, 0.02), (0.4, 0.1)):
             traj = simulate(params, 100.0, s, delta, 0.0, 200.0, 0.05)
@@ -113,7 +114,9 @@ class TestSimulate:
 
     def test_consumption_closes_accounts(self):
         traj = simulate(ProductionParams(), 1.0, 0.25, 0.03, 0.01, 20.0, 0.1)
-        assert np.allclose(traj.C, 0.75 * traj.Y)
+        assert len(traj.C) == len(traj.Y) == 201
+        for c, y in zip(traj.C, traj.Y):
+            assert c == pytest.approx(0.75 * y, rel=1e-15)
 
     def test_halving_dt_barely_moves_terminal_capital(self):
         params = ProductionParams(alpha=0.5)
@@ -121,16 +124,26 @@ class TestSimulate:
         fine = simulate(params, 10.0, 0.3, 0.05, 0.0, 50.0, 0.05)
         assert abs(fine.K[-1] - coarse.K[-1]) / fine.K[-1] < 1e-6
 
+    @pytest.mark.parametrize("name", ["K0", "delta", "tech_growth", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_input_by_name(self, name, value):
+        run = {"K0": 1.0, "delta": 0.05, "tech_growth": 0.01}
+        params = {}
+        (params if name == "alpha" else run)[name] = value
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            simulate(ProductionParams(**params), saving_rate=0.3, horizon=10.0,
+                     dt=0.5, **run)
+
     def test_collapse_reports_time(self):
         with pytest.raises(DomainError, match="t ="):
             simulate(ProductionParams(), 1e-2, 0.0, 5.0, 0.0, 10.0, 0.5)
 
     def test_step_cap_raises_before_allocating(self, monkeypatch):
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("an array was allocated")
+        # the paths grow one step at a time, so no step means nothing allocated
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
 
-        monkeypatch.setattr(np, "arange", no_allocation)
-        monkeypatch.setattr(np, "empty", no_allocation)
+        monkeypatch.setattr(growth, "output", no_step)
         with pytest.raises(DomainError, match="steps exceeds"):
             simulate(ProductionParams(), 1.0, 0.3, 0.05, 0.0, 1e6, 1e-6)
 
@@ -141,7 +154,7 @@ class TestAsymptoticGrowthRate:
 
         t = np.linspace(0.0, 100.0, 2001)
         y = np.exp(0.2 * t)
-        traj = Trajectory(t, y, y, y, "full_automation", 0.3, 0.05, 0.0)
+        traj = Trajectory(t, y, y, y)
         assert asymptotic_growth_rate(traj) == pytest.approx(0.2, abs=1e-12)
 
     def test_needs_enough_points(self):
@@ -149,7 +162,7 @@ class TestAsymptoticGrowthRate:
 
         t = np.linspace(0.0, 1.0, 8)
         y = np.exp(t)
-        traj = Trajectory(t, y, y, y, "full_automation", 0.3, 0.05, 0.0)
+        traj = Trajectory(t, y, y, y)
         with pytest.raises(DomainError):
             asymptotic_growth_rate(traj)
 

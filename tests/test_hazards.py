@@ -10,11 +10,9 @@ from tai_welfare import (
     ExponentialPath,
     MountingLogHazard,
     OneOffHazard,
-    SafetyGoodsHazard,
     ZeroHazard,
     cumulative_hazard,
     expected_lifespan,
-    hazard_rate,
     survival,
 )
 
@@ -25,37 +23,6 @@ ALL_MODELS = [
     MountingLogHazard(2e-4, ExponentialPath(1.0, 0.2)),
     MountingLogHazard(1e-3, ExponentialPath(47000.0, 0.05)),
 ]
-
-
-class TestHazardRate:
-    def test_zero_model(self):
-        assert hazard_rate(ZeroHazard(), 1e6) == 0.0
-
-    def test_one_off_rate_is_zero_before_step(self):
-        assert hazard_rate(OneOffHazard(50.0), 49.9) == 0.0
-        assert hazard_rate(OneOffHazard(50.0), 1e4) == 0.0
-
-    def test_mounting_at_subsistence_start(self):
-        model = MountingLogHazard(1e-3, ExponentialPath(1.0, 0.2))
-        assert hazard_rate(model, 0.0) == 0.0
-
-    def test_mounting_linear_in_time(self):
-        model = MountingLogHazard(1e-3, ExponentialPath(1.0, 0.2))
-        assert hazard_rate(model, 10.0) == pytest.approx(0.002, rel=1e-12)
-
-    def test_safety_goods_unit_factors(self):
-        model = SafetyGoodsHazard(1.0, 1.0, 1.0, lambda t: 1.0, lambda t: 1.0)
-        assert hazard_rate(model, 3.0) == 1.0
-
-    def test_safety_goods_rejects_nonpositive_safety(self):
-        model = SafetyGoodsHazard(1.0, 1.0, 1.0, lambda t: 1.0, lambda t: 0.0)
-        with pytest.raises(DomainError):
-            hazard_rate(model, 1.0)
-
-    def test_mounting_rejects_sub_subsistence_path(self):
-        path = CrashPath(c0=1.0, g_pre=0.0, t_stop=0.0, crash_factor=1.0, g_post=0.0)
-        model = MountingLogHazard(1e-3, path)
-        assert hazard_rate(model, 1.0) == 0.0  # clamped exactly at subsistence
 
 
 class TestSurvival:
@@ -86,12 +53,13 @@ class TestSurvival:
 
     def test_mounting_cumulative_matches_quadrature(self):
         # closed-form quadratic exponent vs direct integration of the rate
+        # eps * log C(s) = eps * (log c0 + g s)
         model = MountingLogHazard(3e-4, ExponentialPath(20.0, 0.1))
         from tai_welfare.quadrature import integrate_finite
 
         for t in (5.0, 40.0, 120.0):
             direct = integrate_finite(
-                lambda s: np.array([hazard_rate(model, float(v)) for v in s]),
+                lambda s: 3e-4 * (math.log(20.0) + 0.1 * s),
                 0.0,
                 t,
                 abs_tol=1e-12,
@@ -140,6 +108,8 @@ class TestExpectedLifespan:
             ConstantHazard(-0.01)
         with pytest.raises(DomainError):
             MountingLogHazard(-1e-4, ExponentialPath(1.0, 0.2))
+        with pytest.raises(DomainError, match="negative growth"):
+            MountingLogHazard(1e-3, ExponentialPath(1.0, -0.1))
         with pytest.raises(DomainError):
             OneOffHazard(-1.0)
 
@@ -147,7 +117,14 @@ class TestExpectedLifespan:
         ConstantHazard,
         OneOffHazard,
         lambda eps: MountingLogHazard(eps, ExponentialPath(1.0, 0.2)),
-    ], ids=["constant", "one-off", "mounting"])
+        lambda c0: ExponentialPath(c0, 0.2),
+        lambda g: expected_lifespan(MountingLogHazard(1e-3, ExponentialPath(2.0, g))),
+        lambda c0: CrashPath(c0, 0.05, 10.0, 0.5, 0.0175),
+        lambda g: CrashPath(1.0, g, 10.0, 0.5, 0.0175),
+        lambda t: CrashPath(1.0, 0.05, t, 0.5, 0.0175),
+        lambda g: CrashPath(1.0, 0.05, 10.0, 0.5, g),
+    ], ids=["constant", "one-off", "mounting", "path-c0", "path-growth",
+            "crash-c0", "crash-g_pre", "crash-t_stop", "crash-g_post"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_parameter(self, make, value):
         with pytest.raises(DomainError, match="finite"):
@@ -178,10 +155,7 @@ class TestCrashPath:
         pre = path.consumption(20.0 - 1e-9)
         assert path.consumption(20.0) == pytest.approx(0.5 * pre, rel=1e-6)
 
-    def test_cumulative_log_consumption_piecewise(self):
-        path = CrashPath(c0=math.e, g_pre=0.1, t_stop=5.0, crash_factor=1.0, g_post=0.02)
-        direct = 1.0 * 5.0 + 0.05 * 25.0  # head: lam t + g t^2 / 2
-        assert path.cumulative_log_c(5.0) == pytest.approx(direct, rel=1e-12)
-        tail = path.cumulative_log_c(8.0) - path.cumulative_log_c(5.0)
-        lam5 = path.log_c(5.0)
-        assert tail == pytest.approx(lam5 * 3.0 + 0.01 * 9.0, rel=1e-12)
+    def test_mounting_hazard_needs_exponential_path(self):
+        path = CrashPath(c0=1.0, g_pre=0.05, t_stop=10.0, crash_factor=0.5, g_post=0.0)
+        with pytest.raises(DomainError, match="ExponentialPath"):
+            MountingLogHazard(1e-3, path)

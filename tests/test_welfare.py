@@ -167,6 +167,13 @@ class TestMounting:
                         _mounting_oracle(spec, eps), rel=1e-10
                     ), (g_ai, rho, eps)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, c0, eps):
+        # the t4 cell where nan once ran the whole interval budget
+        spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05)
+        with pytest.raises(DomainError, match="epsilon must be finite"):
+            welfare_mounting(spec, eps)
+
     def test_boundedness_theta_above_one(self, c0, rng):
         for _ in range(20):
             theta = float(rng.uniform(1.2, 3.0))
