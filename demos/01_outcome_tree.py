@@ -8,7 +8,7 @@ and does an aligned takeover stay corrigible.  Two branches end in doom.
 from tai_welfare import TaxonomyProbs, leaf_distribution, p_doom
 
 # a deliberately mid-range assessment (75-year horizon)
-probs = TaxonomyProbs(p1=0.9, p2=0.8, p3=0.3, p4=0.3, horizon_years=75)
+probs = TaxonomyProbs(p1=0.9, p2=0.8, p3=0.3, p4=0.3)
 
 print(f"branch probabilities: p1={probs.p1} p2={probs.p2} p3={probs.p3} p4={probs.p4}")
 print(f"p(doom) = {p_doom(probs):.4f}")

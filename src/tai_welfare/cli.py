@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: pdoom, table, solve, ev, et, simulate-growth, calibrate-c0.
-Every numeric config key is exposed as a flag; a --config file supplies
-defaults and flags override it.  Exit codes: 0 success, 2 bad config or
-domain input, 3 numerical non-convergence.
+Each subcommand has a flag for each config key its handler reads; a --config
+file supplies defaults and flags override it.  Exit codes: 0 success, 2 bad
+config, domain input or float overflow, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import LIST_KEYS, SCALAR_KEYS, RunConfig, parse_config, parse_finite, parse_list
+from .config import LIST_KEYS, RunConfig, parse_config, parse_finite, parse_list
 from .errors import ConfigError, ConvergenceError, DomainError, TaiWelfareError
 from .growth import ProductionParams, asymptotic_growth_rate, simulate, trajectory_csv
 from .hazards import (
@@ -27,6 +27,8 @@ from .hazards import (
 )
 from .solvers import SolveOutcome
 from .tables import (
+    DEFAULT_ANCHOR,
+    DEFAULT_ANCHOR_TARGET,
     SOLVE_TARGETS,
     TABLE_IDS,
     calibrate_c0,
@@ -44,14 +46,24 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# the RunConfig keys read by solve and ev
+CELL_KEYS = ("c0", "g_baseline", "p3", "p4", "T", "quad_tol")
+# the ProductionParams fields simulate-growth exposes, at the dataclass defaults
+PRODUCTION_KEYS = ("alpha", "gamma", "sigma", "share_hw", "psi", "chi")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """--config, plus one flag for each of the RunConfig keys the handler reads."""
     parser.add_argument("--config", type=Path, help="key=value config file")
-    for name in SCALAR_KEYS:
-        parser.add_argument(_flag(name), type=float, default=None)
-    for name in LIST_KEYS:
-        parser.add_argument(_flag(name), type=str, default=None,
-                            help="comma-separated numbers")
-    parser.add_argument("--output-format", choices=("csv", "markdown"), default=None)
+    for name in keys:
+        if name in LIST_KEYS:
+            parser.add_argument(_flag(name), type=str, default=None,
+                                help="comma-separated numbers")
+        elif name == "output_format":
+            parser.add_argument(_flag(name), choices=("csv", "markdown"), default=None)
+        else:
+            parser.add_argument(_flag(name), type=float, default=None)
+    parser.set_defaults(config_keys=keys)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -63,8 +75,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         config = parse_config(text)
     updates: dict = {}
-    for name in SCALAR_KEYS + LIST_KEYS + ("output_format",):
-        value = getattr(args, name, None)
+    for name in args.config_keys:
+        value = getattr(args, name)
         if value is not None:
             updates[name] = parse_list(value, _flag(name)) if name in LIST_KEYS else value
     return dataclasses.replace(config, **updates) if updates else config
@@ -77,15 +89,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_pdoom(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    probs = TaxonomyProbs(
-        p1=config.p1, p2=config.p2, p3=config.p3, p4=config.p4,
-        horizon_years=args.horizon,
-    )
+    probs = TaxonomyProbs(p1=config.p1, p2=config.p2, p3=config.p3, p4=config.p4)
     leaves = leaf_distribution(probs)
     print(f"p_doom,{format_number(p_doom(probs))}")
-    for name in ("no_tai", "tai_no_takeover", "cornucopia",
-                 "doom_immediate", "doom_delayed"):
-        print(f"{name},{format_number(getattr(leaves, name))}")
+    for field in dataclasses.fields(leaves):
+        print(f"{field.name},{format_number(getattr(leaves, field.name))}")
     return 0
 
 
@@ -108,16 +116,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_ev(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if args.epsilon is not None and args.panel != "d":
+        raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
     spec = scenario(config, 1.0, args.g_ai, args.rho)
-    # panel d re-solves its slope unless --epsilon gives one
     values = {"p3": config.p3, "p4": config.p4, "T": config.T}
     result = ev_cell(spec, config, args.panel, values, args.epsilon)
     if isinstance(result, SolveOutcome):
         print(format_cell(result))
         return 0
-    print(f"ev,{format_number(result.ev)}")
-    print(f"log_ev,{format_number(result.log_ev)}")
-    print(f"wtp_fraction,{format_number(result.wtp_fraction)}")
+    for name in ("ev", "log_ev", "wtp_fraction"):
+        print(f"{name},{format_number(getattr(result, name))}")
     return 0
 
 
@@ -144,18 +152,10 @@ def _cmd_et(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_growth(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    params = ProductionParams(
-        alpha=args.alpha, gamma=args.gamma, sigma=args.sigma,
-        share_hw=args.share_hw, psi=args.psi, chi=args.chi,
-    )
+    params = ProductionParams(**{name: getattr(args, name) for name in PRODUCTION_KEYS})
     trajectory = simulate(
-        params,
-        K0=args.k0,
-        saving_rate=config.saving_rate,
-        delta=config.delta,
-        tech_growth=config.tech_growth,
-        horizon=args.horizon,
-        dt=args.dt,
+        params, K0=args.k0, saving_rate=config.saving_rate, delta=config.delta,
+        tech_growth=config.tech_growth, horizon=args.horizon, dt=args.dt,
         regime=args.regime,
     )
     sys.stdout.write(trajectory_csv(trajectory))
@@ -167,10 +167,8 @@ def _cmd_simulate_growth(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate_c0(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    c0 = calibrate_c0(
-        args.target, g_ai=args.anchor_g_ai, rho=args.anchor_rho,
-        g_baseline=config.g_baseline,
-    )
+    c0 = calibrate_c0(args.target, g_ai=args.anchor_g_ai, rho=args.anchor_rho,
+                      g_baseline=config.g_baseline)
     print(format_number(c0))
     return 0
 
@@ -189,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pdoom", help="outcome-tree probabilities")
-    _add_config_flags(p)
-    p.add_argument("--horizon", type=float, default=75.0)
+    _add_config_flags(p, "p1", "p2", "p3", "p4")
     p.set_defaults(handler=_cmd_pdoom)
 
     p = sub.add_parser("table", help="emit one reference table")
     p.add_argument("table_id", choices=TABLE_IDS)
-    _add_config_flags(p)
+    _add_config_flags(p, "c0", "g_baseline", "g_ai_grid", "rho_grid", "theta_set",
+                      "p3", "p4", "T", "quad_tol", "output_format")
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("solve", help="one indifference cell")
@@ -203,14 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, *CELL_KEYS)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("ev", help="one equivalent-variation cell")
     p.add_argument("--panel", choices=("a", "b", "c", "d"), required=True)
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
-    _add_config_flags(p)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="panel d's hazard slope (default: re-solved as in table t5d)")
+    _add_config_flags(p, *CELL_KEYS)
     p.set_defaults(handler=_cmd_ev)
 
     p = sub.add_parser("et", help="expected lifespan of a hazard model")
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-ai", type=float, default=0.2, dest="g_ai")
     p.add_argument("--normalized", action="store_true",
                    help="use the calibrated c0 instead of c0 = 1")
-    _add_config_flags(p)
+    _add_config_flags(p, "c0", "g_baseline", "epsilon")
     p.set_defaults(handler=_cmd_et)
 
     p = sub.add_parser("simulate-growth", help="capital-accumulation trajectory CSV")
@@ -230,21 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k0", type=float, default=1.0)
     p.add_argument("--horizon", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=-1.0)
-    p.add_argument("--share-hw", type=float, default=0.5)
-    p.add_argument("--psi", type=float, default=1.0)
-    p.add_argument("--chi", type=float, default=1.0)
+    for name in PRODUCTION_KEYS:
+        p.add_argument(_flag(name), type=float, default=getattr(ProductionParams, name))
     p.add_argument("--print-growth-rate", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, "saving_rate", "delta", "tech_growth")
     p.set_defaults(handler=_cmd_simulate_growth)
 
     p = sub.add_parser("calibrate-c0", help="invert the anchor cell for c0")
-    p.add_argument("--target", type=float, default=0.055282)
-    p.add_argument("--anchor-g-ai", type=float, default=0.05)
-    p.add_argument("--anchor-rho", type=float, default=0.05)
-    _add_config_flags(p)
+    p.add_argument("--target", type=float, default=DEFAULT_ANCHOR_TARGET)
+    p.add_argument("--anchor-g-ai", type=float, default=DEFAULT_ANCHOR["g_ai"])
+    p.add_argument("--anchor-rho", type=float, default=DEFAULT_ANCHOR["rho"])
+    _add_config_flags(p, "g_baseline")
     p.set_defaults(handler=_cmd_calibrate_c0)
 
     return parser
@@ -266,8 +262,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
-    except TaiWelfareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TaiWelfareError, ArithmeticError) as exc:
+        # a diverging integral, or a float overflow or zero divisor at extreme inputs
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -23,6 +23,7 @@ from typing import Literal, Optional
 from .errors import DomainError
 from .preferences import Preferences, effective_discount
 from .welfare import (
+    DEFAULT_QUAD_TOL,
     ScenarioSpec,
     WelfareResult,
     lottery_value,
@@ -86,6 +87,7 @@ def ev_panel(
     p3: Optional[float] = None,
     p4: Optional[float] = None,
     epsilon: Optional[float] = None,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> EvResult:
     """EV of one risky scenario against the cornucopia on the same growth path.
 
@@ -111,7 +113,7 @@ def ev_panel(
     elif panel == "d":
         if epsilon is None:
             raise DomainError("panel d needs epsilon (a solved hazard slope)")
-        risky = welfare_mounting(spec, epsilon)
+        risky = welfare_mounting(spec, epsilon, tol=quad_tol)
     else:
         raise DomainError(f"unknown panel {panel!r}")
     return equivalent_variation(w_a, risky, spec.prefs)

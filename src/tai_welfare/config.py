@@ -12,17 +12,12 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
+from .welfare import DEFAULT_G_BASELINE, DEFAULT_QUAD_TOL
 
 __all__ = ["RunConfig", "parse_config", "DEFAULT_G_AI_GRID", "DEFAULT_RHO_GRID"]
 
 DEFAULT_G_AI_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_RHO_GRID = (0.002, 0.01, 0.03, 0.05)
-
-
-def _default_c0() -> float:
-    from .tables import calibrate_c0
-
-    return calibrate_c0()
 
 
 @dataclass(frozen=True)
@@ -33,8 +28,8 @@ class RunConfig:
     tables.calibrate_c0.
     """
 
-    c0: Optional[float] = None  # None = calibrate on first use
-    g_baseline: float = 0.0175
+    c0: Optional[float] = None  # None = calibrate at g_baseline on first use
+    g_baseline: float = DEFAULT_G_BASELINE
     g_ai_grid: tuple[float, ...] = DEFAULT_G_AI_GRID
     rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID
     theta_set: Optional[tuple[float, ...]] = None  # None = per-table default
@@ -46,9 +41,9 @@ class RunConfig:
     epsilon: float = 1e-4
     saving_rate: float = 0.3
     delta: float = 0.05
-    tech_growth: float = 0.0175
+    tech_growth: float = DEFAULT_G_BASELINE  # a bottlenecked economy's growth rate
     output_format: str = "csv"
-    quad_tol: float = 1e-10
+    quad_tol: float = DEFAULT_QUAD_TOL
 
     def __post_init__(self) -> None:
         if self.c0 is not None and not self.c0 >= 1.0:
@@ -78,7 +73,11 @@ class RunConfig:
             raise ConfigError(f"quad_tol must be > 0, got {self.quad_tol!r}")
 
     def resolved_c0(self) -> float:
-        return _default_c0() if self.c0 is None else self.c0
+        if self.c0 is not None:
+            return self.c0
+        from .tables import calibrate_c0
+
+        return calibrate_c0(g_baseline=self.g_baseline)
 
 
 # the config keys are RunConfig's numeric fields; annotations are strings here

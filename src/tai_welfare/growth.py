@@ -37,6 +37,7 @@ from .hazards import (
     OneOffHazard,
     ZeroHazard,
 )
+from .welfare import DEFAULT_G_BASELINE
 
 __all__ = [
     "ProductionParams",
@@ -57,6 +58,8 @@ FailureMode = Literal["fm1", "fm2", "fm3", "fm4", "fm5"]
 # each step makes four Python-level output calls, so a million steps already
 # runs for seconds
 MAX_STEPS = 1_000_000
+
+FIT_WINDOW = 0.25  # the final fraction of a run asymptotic_growth_rate fits
 
 
 @dataclass(frozen=True)
@@ -218,14 +221,14 @@ def simulate(
     )
 
 
-def asymptotic_growth_rate(trajectory: Trajectory, window: float = 0.25) -> float:
-    """Least-squares slope of log Y over the final fraction of the run.
+def asymptotic_growth_rate(trajectory: Trajectory) -> float:
+    """Least-squares slope of log Y over the final FIT_WINDOW of the run.
 
     The window must leave at least a handful of points; transients from the
     initial capital level should have died out by then.
     """
     n = len(trajectory.times)
-    start = int(n * (1.0 - window))
+    start = int(n * (1.0 - FIT_WINDOW))
     if n - start < 5:
         raise DomainError(
             f"trajectory too short: {n - start} points in the fitted window"
@@ -245,7 +248,7 @@ def failure_mode_path(
     *,
     c0: float = 1.0,
     g_ai: float = 0.3,
-    g_baseline: float = 0.0175,
+    g_baseline: float = DEFAULT_G_BASELINE,
     switch_time: float = 0.0,
     crash_factor: float = 1.0,
     epsilon: float = 0.0,

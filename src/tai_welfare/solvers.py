@@ -19,6 +19,7 @@ sentinel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
@@ -26,6 +27,7 @@ from .errors import BracketError, ConvergenceError, DomainError
 from .rootfind import brent, expand_bracket
 from .taxonomy import _check_probability
 from .welfare import (
+    DEFAULT_QUAD_TOL,
     ScenarioSpec,
     lottery_value,
     welfare_cornucopia,
@@ -82,6 +84,8 @@ class SolveOutcome:
 
 def _classify_probability(p: float) -> SolveOutcome:
     """Map a linear probability solution onto the outcome taxonomy."""
+    if math.isnan(p):
+        raise DomainError("the probability solution is NaN; inputs out of float range")
     if p < -BOUNDARY_BAND:
         return SolveOutcome.no_tai_preferred()
     if p > 1.0 + BOUNDARY_BAND:
@@ -190,7 +194,9 @@ def solve_T_delayed(spec: ScenarioSpec, p3: float, p4: float) -> SolveOutcome:
     )
 
 
-def solve_epsilon_mounting(spec: ScenarioSpec, *, quad_tol: float = 1e-10) -> SolveOutcome:
+def solve_epsilon_mounting(
+    spec: ScenarioSpec, *, quad_tol: float = DEFAULT_QUAD_TOL
+) -> SolveOutcome:
     """Hazard slope eps at which mounting extinction risk cancels the TAI gain.
 
     Solves W_mounting(eps) = W0 by growing a bracket [0, eps_hi] and running

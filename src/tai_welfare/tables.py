@@ -15,8 +15,8 @@ slope), t5a-t5d (equivalent variation panels).  Layout is one row per g_ai
 and one column per (theta, rho) pair.  Sentinel outcomes render as the
 tokens NO_TAI_PREFERRED (a negative implied threshold), TAI_PREFERRED (an
 implied probability above one) and NO_SOLUTION (no root in the admissible
-domain); a per-cell solver failure renders as ERROR:<ExceptionClassName>
-without aborting the rest of the table.
+domain); a per-cell solver failure or float overflow renders as
+ERROR:<ExceptionClassName> without aborting the rest of the table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .compensation import EvResult, ev_panel
-from .config import DEFAULT_G_AI_GRID, DEFAULT_RHO_GRID, RunConfig
+from .config import RunConfig
 from .errors import ConfigError, DomainError, TaiWelfareError
 from .preferences import Preferences
 from .solvers import (
@@ -38,7 +38,7 @@ from .solvers import (
     solve_p3_immediate,
     solve_p4_delayed,
 )
-from .welfare import ScenarioSpec
+from .welfare import DEFAULT_G_BASELINE, ScenarioSpec
 
 __all__ = [
     "TableSpec",
@@ -100,9 +100,9 @@ TABLE_IDS = tuple(TABLES)
 @dataclass(frozen=True)
 class TableSpec:
     table_id: str
-    g_ai_grid: tuple[float, ...] = DEFAULT_G_AI_GRID
-    rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID
-    theta_set: tuple[float, ...] = (1.0, 2.0)
+    g_ai_grid: tuple[float, ...]
+    rho_grid: tuple[float, ...]
+    theta_set: tuple[float, ...]
 
 
 def table_spec(table_id: str, config: Optional[RunConfig] = None) -> TableSpec:
@@ -128,7 +128,7 @@ def calibrate_c0(
     *,
     g_ai: float = DEFAULT_ANCHOR["g_ai"],
     rho: float = DEFAULT_ANCHOR["rho"],
-    g_baseline: float = 0.0175,
+    g_baseline: float = DEFAULT_G_BASELINE,
 ) -> float:
     """Baseline consumption c0 >= 1 making the anchor cell hit its target.
 
@@ -182,7 +182,7 @@ def ev_cell(
         if not solved.is_value:
             return solved
         epsilon = solved.value
-    return ev_panel(spec, panel, epsilon=epsilon, **values)
+    return ev_panel(spec, panel, epsilon=epsilon, quad_tol=config.quad_tol, **values)
 
 
 def solve_cell(
@@ -244,7 +244,7 @@ def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:
                 try:
                     outcome = solve_cell(spec.table_id, config, theta, g_ai, rho, values)
                     row.append(format_cell(outcome))
-                except TaiWelfareError as exc:
+                except (TaiWelfareError, ArithmeticError) as exc:
                     row.append(f"ERROR:{type(exc).__name__}")
         rows.append(row)
     if config.output_format == "markdown":

@@ -28,23 +28,16 @@ class TaxonomyProbs:
     p2: AI takeover, conditional on TAI
     p3: misaligned from the outset, conditional on takeover
     p4: non-corrigible, conditional on an initially aligned takeover
-    horizon_years: the assessment horizon; carried for reporting only, no
-        time-rescaling of the probabilities is performed
     """
 
     p1: float
     p2: float
     p3: float
     p4: float
-    horizon_years: float = 75.0
 
     def __post_init__(self) -> None:
         for f in ("p1", "p2", "p3", "p4"):
             _check_probability(f, getattr(self, f))
-        if not self.horizon_years > 0.0:
-            raise DomainError(
-                f"horizon_years must be positive, got {self.horizon_years!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
+import argparse
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tai_welfare
 from tai_welfare import ConvergenceError, growth, solvers
-from tai_welfare.cli import main
+from tai_welfare.cli import build_parser, main
 from tai_welfare.rootfind import RootResult
 from conftest import make_spec
 
@@ -146,6 +152,65 @@ def test_non_convergence_exits_3(capsys):
     assert "non-convergence" in err
 
 
+def test_quad_tol_reaches_panel_d_ev(capsys):
+    code, out, err = run_cli(
+        capsys, "ev", "--panel", "d", "--g-ai", "0.3", "--rho", "0.03",
+        "--epsilon", "1e-3", "--quad-tol", "1e-30",
+    )
+    assert code == 3
+    assert out == ""
+    assert "non-convergence" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pdoom", "--horizon", "5"),
+    ("pdoom", "--saving-rate", "0.9"),
+    ("table", "t1", "--epsilon", "1e-3"),
+    ("simulate-growth", "--rho-grid", "1,2"),
+    ("calibrate-c0", "--p1", "0.5"),
+    ("et", "--hazard", "zero", "--output-format", "csv"),
+])
+def test_unread_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + argv[-2] in captured.err
+
+
+def test_ev_epsilon_is_for_panel_d_only(capsys):
+    code, out, err = run_cli(
+        capsys, "ev", "--panel", "a", "--g-ai", "0.1", "--rho", "0.05", "--epsilon", "1e-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "panel d" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("calibrate-c0", "--anchor-rho", "0"),
+    ("calibrate-c0", "--target", "1e-300"),
+    ("calibrate-c0", "--anchor-rho", "1e-300"),
+    ("solve", "--target", "extinction-time", "--g-ai", "0.05", "--rho", "1e308"),
+    ("solve", "--target", "T-delayed", "--theta", "2", "--g-ai", "2.26", "--rho", "5e-324"),
+    ("solve", "--target", "p3-delayed", "--g-ai", "0.64", "--rho", "1e-160"),
+    ("et", "--hazard", "mounting", "--epsilon", "1e-300", "--g-ai", "1e-300"),
+    ("simulate-growth", "--horizon", "1", "--dt", "0.5", "--tech-growth", "1e308"),
+])
+def test_float_range_failure_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert re.match(r"(config )?error: ", err)
+
+
+def test_float_range_failure_is_an_error_cell(capsys):
+    code, out, _ = run_cli(capsys, "table", "t2", "--g-ai-grid", "0.1", "--rho-grid", "1e200")
+    assert code == 0
+    assert out.splitlines()[1] == "0.1,ERROR:OverflowError,ERROR:DomainError"
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--target", "p3-immediate", "--g-ai", "0.1", "--rho", "nan"),
     ("et", "--hazard", "constant", "--m", "nan"),
@@ -236,6 +301,75 @@ def test_numpy_loads_only_for_quadrature():
     header, row = proc.stdout.splitlines()
     assert header == "g_ai,theta=2/rho=0.05"
     assert float(row.split(",")[1]) > 0.0
+
+
+# the commands that run quadrature take up to a second per call; leave them out
+QUADRATURE_TABLES = {"t4", "t5d"}
+
+
+def _fuzz_value(action):
+    """A strategy for one value of an argparse option or positional."""
+    if action.choices is not None:
+        choices = [c for c in action.choices if c not in QUADRATURE_TABLES]
+        return st.sampled_from(choices)
+    number = st.one_of(
+        st.floats(min_value=-1e308, max_value=1e308, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308]),
+    )
+    if action.type is float:
+        return number.map(repr)
+    return st.lists(number, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
+
+
+def _fuzz_argv(command):
+    """A strategy for the argv of one subcommand, drawn from its registered flags."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices[command]._actions
+               if a.dest not in ("help", "config")]
+    positional = [a for a in actions if not a.option_strings]
+    required = [a for a in actions if a.option_strings and a.required]
+    optional = [a for a in actions if a.option_strings and not a.required]
+
+    @st.composite
+    def argv(draw):
+        out = [command] + [draw(_fuzz_value(a)) for a in positional]
+        chosen = draw(st.lists(st.sampled_from(optional), unique=True, max_size=5))
+        for action in required + chosen:
+            flag = action.option_strings[0]
+            out.append(flag if action.nargs == 0 else f"{flag}={draw(_fuzz_value(action))}")
+        return out
+
+    return argv()
+
+
+def _runs_quadrature(argv):
+    return ("--target=epsilon" in argv
+            or ("--panel=d" in argv and not any(a.startswith("--epsilon=") for a in argv)))
+
+
+@pytest.mark.parametrize("command", ["pdoom", "table", "solve", "ev", "et",
+                                     "simulate-growth", "calibrate-c0"])
+def test_cli_fuzz(command):
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(_fuzz_argv(command))
+    def check(argv):
+        assume(not _runs_quadrature(argv))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+                assert code == 2, argv
+        assert code in (0, 2, 3), argv
+        text = out.getvalue()
+        sep = "|" if "--output-format=markdown" in argv else ","
+        assert len({line.count(sep) for line in text.splitlines()}) <= 1, argv
+        assert "nan" not in re.split(r"[\s,|]+", text.lower()), argv
+
+    check()
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

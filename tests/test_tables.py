@@ -5,11 +5,13 @@ import pytest
 
 from tai_welfare import ConfigError, DomainError, RunConfig, parse_config
 from tai_welfare.tables import (
+    DEFAULT_ANCHOR_TARGET,
     SENTINEL_TOKENS,
     TABLE_IDS,
     calibrate_c0,
     emit_table,
     format_number,
+    scenario,
     table_spec,
 )
 
@@ -34,6 +36,16 @@ class TestCalibration:
         rho, g_ai, g0 = 0.05, 0.05, 0.0175
         target = 1.0 - (g0 / rho**2) / (g_ai / rho**2)
         assert calibrate_c0(target) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("g_baseline", [0.0, 0.01, 0.02, 0.04])
+    def test_anchor_cell_holds_at_any_baseline(self, g_baseline):
+        # the default c0 is calibrated at the config's own baseline growth
+        from tai_welfare import solve_p3_immediate
+
+        spec = scenario(RunConfig(g_baseline=g_baseline), 1.0, 0.05, 0.05)
+        assert solve_p3_immediate(spec).value == pytest.approx(
+            DEFAULT_ANCHOR_TARGET, rel=1e-12
+        )
 
     def test_impossible_anchor_rejected(self):
         with pytest.raises(DomainError):

@@ -68,8 +68,6 @@ def test_validation_names_offending_field():
         TaxonomyProbs(0.5, 0.5, 1.2, 0.5)
     with pytest.raises(DomainError, match="p1"):
         TaxonomyProbs(-0.1, 0.5, 0.5, 0.5)
-    with pytest.raises(DomainError, match="horizon_years"):
-        TaxonomyProbs(0.5, 0.5, 0.5, 0.5, horizon_years=0.0)
 
 
 def test_survival_complements_doom():
