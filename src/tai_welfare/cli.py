@@ -48,6 +48,8 @@ def _flag(name: str) -> str:
 
 # the RunConfig keys read by solve and ev
 CELL_KEYS = ("c0", "g_baseline", "p3", "p4", "T", "quad_tol")
+# the growth rate of et's mounting-hazard path when --g-ai is not given
+ET_G_AI = 0.2
 # the ProductionParams fields simulate-growth exposes, at the dataclass defaults
 PRODUCTION_KEYS = ("alpha", "gamma", "sigma", "share_hw", "psi", "chi")
 
@@ -131,6 +133,15 @@ def _cmd_ev(args: argparse.Namespace) -> int:
 
 def _cmd_et(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    # a flag given to a hazard that does not read it is an error, not ignored
+    needs = {"m": "--hazard constant", "t_ext": "--hazard one-off",
+             "epsilon": "--hazard mounting", "g_ai": "--hazard mounting",
+             "normalized": "--hazard mounting", "c0": "--normalized",
+             "g_baseline": "--normalized"}
+    given = {"--hazard " + args.hazard, "--normalized" if args.normalized else ""}
+    for name, need in needs.items():
+        if need not in given and getattr(args, name) not in (None, False):
+            raise ConfigError(f"et reads {_flag(name)} only with {need}")
     if args.hazard == "zero":
         model = ZeroHazard()
     elif args.hazard == "constant":
@@ -143,7 +154,7 @@ def _cmd_et(args: argparse.Namespace) -> int:
         model = OneOffHazard(args.t_ext)
     else:
         path = ExponentialPath(c0=config.resolved_c0() if args.normalized else 1.0,
-                               growth=args.g_ai)
+                               growth=ET_G_AI if args.g_ai is None else args.g_ai)
         model = MountingLogHazard(config.epsilon, path)
     et = expected_lifespan(model)
     print("inf" if et == float("inf") else format_number(et))
@@ -218,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--t-ext", type=float, default=None)
-    p.add_argument("--g-ai", type=float, default=0.2, dest="g_ai")
+    p.add_argument("--g-ai", type=float, default=None, dest="g_ai",
+                   help=f"growth of the mounting hazard's path (default {ET_G_AI})")
     p.add_argument("--normalized", action="store_true",
                    help="use the calibrated c0 instead of c0 = 1")
     _add_config_flags(p, "c0", "g_baseline", "epsilon")

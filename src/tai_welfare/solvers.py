@@ -93,8 +93,8 @@ def _classify_probability(p: float) -> SolveOutcome:
     return SolveOutcome.of(min(max(p, 0.0), 1.0))
 
 
-def _residual_ok(w_at_root: float, w0: float) -> float:
-    resid = abs(w_at_root - w0)
+def _residual_ok(resid: float, w0: float) -> float:
+    # resid is Brent's RootResult.residual, |f(root)| = |W(root) - w0| itself
     if resid > RESIDUAL_REL_TOL * max(1.0, abs(w0)):
         raise ConvergenceError(
             f"indifference residual {resid!r} exceeds tolerance; solver bug"
@@ -119,7 +119,7 @@ def _solve_monotone_time(
         # root beyond the admissible [0, 1e6] window
         return SolveOutcome.no_solution()
     result = brent(f, a, b, fa=fa, fb=fb)
-    resid = _residual_ok(wb_of_t(result.root), target)
+    resid = _residual_ok(result.residual, target)
     return SolveOutcome.of(result.root, result.iterations, resid)
 
 
@@ -213,10 +213,10 @@ def solve_epsilon_mounting(
         return welfare_mounting(spec, eps, tol=quad_tol).value - w0
 
     eps_hi = 1e-6
-    while f(eps_hi) > 0.0:
+    while (f_hi := f(eps_hi)) > 0.0:
         eps_hi *= 4.0
         if eps_hi > EPSILON_MAX:
             return SolveOutcome.no_solution()
-    result = brent(f, 0.0, eps_hi, fa=w_a - w0, rel_tol=1e-10)
-    resid = _residual_ok(welfare_mounting(spec, result.root, tol=quad_tol).value, w0)
+    result = brent(f, 0.0, eps_hi, fa=w_a - w0, fb=f_hi, rel_tol=1e-10)
+    resid = _residual_ok(result.residual, w0)
     return SolveOutcome.of(result.root, result.iterations, resid)

@@ -188,6 +188,47 @@ def test_ev_epsilon_is_for_panel_d_only(capsys):
     assert err.startswith("config error:") and "panel d" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("et", "--hazard", "mounting", "--epsilon", "1e-4", "--c0", "5"), "--c0"),
+    (("et", "--hazard", "zero", "--epsilon", "5"), "--epsilon"),
+    (("et", "--hazard", "zero", "--c0", "3"), "--c0"),
+    (("et", "--hazard", "zero", "--m", "0.1"), "--m"),
+    (("et", "--hazard", "one-off", "--t-ext", "50", "--m", "0.1"), "--m"),
+    (("et", "--hazard", "constant", "--m", "0.1", "--t-ext", "3"), "--t-ext"),
+    (("et", "--hazard", "constant", "--m", "0.1", "--g-ai", "0.3"), "--g-ai"),
+    (("et", "--hazard", "one-off", "--t-ext", "50", "--normalized"), "--normalized"),
+    (("et", "--hazard", "mounting", "--g-baseline", "0.01"), "--g-baseline"),
+])
+def test_et_rejects_a_flag_its_hazard_does_not_read(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: et reads " + flag + " only with")
+    assert "Traceback" not in err
+
+
+# the argv shapes of cli-cold's et commands, with the stdout they printed
+# before et checked its flags
+@pytest.mark.parametrize("argv, expected", [
+    (("--hazard", "zero"), "inf"),
+    (("--hazard", "constant", "--m", "0.0123"), "81.3008"),
+    (("--hazard", "one-off", "--t-ext", "123.4"), "123.4"),
+    (("--hazard", "mounting", "--epsilon", "0.0003", "--g-ai", "0.3"), "132.111"),
+    (("--hazard", "mounting", "--epsilon", "0.0003", "--g-ai", "0.3", "--normalized"),
+     "102.706"),
+    (("--hazard", "mounting", "--normalized", "--g-baseline", "0.01", "--c0", "3"),
+     "274.84"),
+])
+def test_et_accepts_the_flags_its_hazard_reads(capsys, argv, expected):
+    assert run_cli(capsys, "et", *argv) == (0, expected + "\n", "")
+
+
+def test_et_config_file_keys_stay_accepted(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("epsilon=5\nc0=3\ng_baseline=0.01\n", encoding="utf-8")
+    assert run_cli(capsys, "et", "--hazard", "zero", "--config", str(path)) == (0, "inf\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("calibrate-c0", "--anchor-rho", "0"),
     ("calibrate-c0", "--target", "1e-300"),
@@ -245,8 +286,10 @@ def test_error_cells_keep_the_column_count(capsys, output_format, sep):
 
 
 def test_solver_bug_is_a_convergence_error(c0, capsys, monkeypatch):
+    # a wrong root, reported with its own residual |f(root)| as brent reports it
     def wrong_root(f, a, b, **kwargs):
-        return RootResult(root=0.5 * (a + b), iterations=1, residual=0.0)
+        root = 0.5 * (a + b)
+        return RootResult(root=root, iterations=1, residual=abs(f(root)))
 
     monkeypatch.setattr(solvers, "brent", wrong_root)
     with pytest.raises(ConvergenceError, match="solver bug"):

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from tai_welfare import QuadratureError
-from tai_welfare.quadrature import integrate_finite, integrate_transformed
+from tai_welfare import (
+    DomainError,
+    QuadratureError,
+    quadrature,
+    welfare_mounting,
+)
+from tai_welfare.quadrature import (
+    QuadratureResult,
+    _gk15_panels,
+    integrate_finite,
+    integrate_transformed,
+)
+from conftest import make_spec
 
 
 def test_polynomial_is_exact_on_one_panel():
@@ -78,3 +89,73 @@ def test_requested_tolerance_bounds_error_estimate():
         abs_tol=1e-9, rel_tol=1e-9,
     )
     assert result.abs_error_estimate <= max(1e-9, 1e-9 * abs(result.value)) * 2.0
+
+
+def _gk15_reference(f, a, b):
+    # the one-panel reduction that _gk15_panels must reproduce bit for bit
+    half, center = 0.5 * (b - a), 0.5 * (a + b)
+    fx = f(center + half * quadrature._NODES)
+    wgk, wg = quadrature._WGK, quadrature._WG
+    pairs = fx[:7] + fx[8:][::-1]
+    resk = half * (np.dot(wgk[:7], pairs) + wgk[7] * fx[7])
+    resg = half * (np.dot(wg[:3], pairs[1::2]) + wg[3] * fx[7])
+    reskh = 0.5 * resk / half
+    resasc = half * (
+        np.dot(wgk[:7], np.abs(fx[:7] - reskh) + np.abs(fx[8:][::-1] - reskh))
+        + wgk[7] * abs(fx[7] - reskh)
+    )
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk, err
+
+
+def _mounting_legs(monkeypatch, c0):
+    """(integrand, a, b) of both legs of welfare_mounting at t4's (0.2, 2, 0.05) cell."""
+    legs = []
+
+    def capture(f, a, b, **kwargs):
+        legs.append((f, a, b))
+        return QuadratureResult(0.0, 0.0, 1)
+
+    monkeypatch.setattr(quadrature, "integrate_finite", capture)
+    spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05)
+    for eps in (3.8980450030e-08, 1e-3):
+        welfare_mounting(spec, eps)
+    return legs
+
+
+INTEGRANDS = {
+    "polynomial": lambda x: 3.0 * x**5 - x**2 + 0.5,
+    "exp": lambda x: np.exp(-x),
+}
+
+
+def _hex(panel):
+    return tuple(float(v).hex() for v in panel)
+
+
+@pytest.mark.parametrize("integrand", ["polynomial", "exp", "mounting"])
+def test_bisection_panels_match_one_panel_calls(integrand, monkeypatch, c0):
+    if integrand == "mounting":
+        legs = _mounting_legs(monkeypatch, c0)
+    else:
+        legs = [(INTEGRANDS[integrand], a, b) for a, b in ((0.0, 1.0), (0.0, 30.0), (-2.5, 7.0))]
+    rng = np.random.default_rng(3)
+    for f, a, b in legs:
+        cuts = [(a, b)] + [tuple(sorted(rng.uniform(a, b, 2))) for _ in range(20)]
+        for lo, hi in cuts:
+            mid = 0.5 * (lo + hi)
+            both = _gk15_panels(f, ((lo, mid), (mid, hi)))
+            alone = _gk15_panels(f, ((lo, mid),)) + _gk15_panels(f, ((mid, hi),))
+            reference = [_gk15_reference(f, lo, mid), _gk15_reference(f, mid, hi)]
+            assert [_hex(p) for p in both] == [_hex(p) for p in alone]
+            assert [_hex(p) for p in both] == [_hex(p) for p in reference]
+
+
+def test_integrand_of_wrong_length_raises():
+    with pytest.raises(DomainError):
+        integrate_finite(lambda x: x[:-1], 0.0, 1.0)
+    # right length for one panel, wrong for the first bisection's two
+    with pytest.raises(DomainError):
+        integrate_finite(lambda x: np.abs(x - 0.3)[:15], 0.0, 1.0)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tai_welfare import BracketError, DomainError
 from tai_welfare.rootfind import brent, expand_bracket
@@ -56,3 +58,21 @@ def test_brent_then_residual_is_tiny():
     a, b, fa, fb = expand_bracket(f, 0.1, 0.0, 100.0)
     result = brent(f, a, b, fa=fa, fb=fb)
     assert abs(f(result.root)) < 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    root=st.floats(-1e3, 1e3),
+    width=st.floats(1e-6, 1e3),
+    skew=st.floats(0.0, 1.0),
+    scale=st.floats(1e-12, 1e12),
+    curve=st.floats(0.0, 10.0),
+    pass_ends=st.booleans(),
+)
+def test_brent_residual_is_f_at_the_root(root, width, skew, scale, curve, pass_ends):
+    # the solvers check Brent's residual in place of evaluating f(root) again
+    f = lambda x: scale * (x - root) * (1.0 + curve * (x - root) ** 2)
+    a, b = root - skew * width, root + (1.0 - skew) * width
+    ends = {"fa": f(a), "fb": f(b)} if pass_ends else {}
+    result = brent(f, a, b, **ends)
+    assert result.residual == abs(f(result.root))

@@ -1,6 +1,7 @@
 import pytest
 
 from tai_welfare import (
+    solvers,
     lottery_value,
     solve_T_delayed,
     solve_epsilon_mounting,
@@ -9,6 +10,7 @@ from tai_welfare import (
     solve_p3_immediate,
     solve_p4_delayed,
     welfare_cornucopia,
+    welfare_mounting,
     welfare_no_takeover,
     welfare_truncated,
 )
@@ -161,8 +163,6 @@ class TestMountingEpsilon:
         assert out.value == pytest.approx(expected, rel=2e-2)
 
     def test_residual_check(self, c0):
-        from tai_welfare import welfare_mounting
-
         spec = make_spec(c0, theta=1.0001, g_ai=0.1, rho=0.01)
         out = solve_epsilon_mounting(spec)
         w0 = welfare_no_takeover(spec).value
@@ -171,6 +171,22 @@ class TestMountingEpsilon:
     def test_no_solution_when_growth_not_faster(self, c0):
         out = solve_epsilon_mounting(make_spec(c0, theta=1.0, g_ai=0.0175, rho=0.03))
         assert out.tag == "no_solution"
+
+    @pytest.mark.parametrize("theta,g_ai,rho,tag", [
+        (2.0, 0.2, 0.05, "value"),  # t4's cell with the largest root amplification
+        (1.0, 0.0175, 0.03, "no_solution"),
+    ])
+    def test_no_epsilon_is_evaluated_twice(self, c0, monkeypatch, theta, g_ai, rho, tag):
+        evaluated = []
+
+        def counting(spec, epsilon, **kwargs):
+            evaluated.append(epsilon)
+            return welfare_mounting(spec, epsilon, **kwargs)
+
+        monkeypatch.setattr(solvers, "welfare_mounting", counting)
+        out = solve_epsilon_mounting(make_spec(c0, theta=theta, g_ai=g_ai, rho=rho))
+        assert out.tag == tag
+        assert len(evaluated) == len(set(evaluated))
 
 
 class TestComparativeStatics:
