@@ -47,7 +47,7 @@ from .hazards import (
     expected_lifespan,
     survival,
 )
-from .preferences import Preferences, effective_discount
+from .preferences import Preferences
 from .solvers import (
     SolveOutcome,
     solve_T_delayed,

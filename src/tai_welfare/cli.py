@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .compensation import PANELS
 from .config import LIST_KEYS, RunConfig, parse_config, parse_finite, parse_list
 from .errors import ConfigError, ConvergenceError, DomainError, TaiWelfareError
 from .growth import ProductionParams, asymptotic_growth_rate, simulate, trajectory_csv
@@ -122,7 +123,7 @@ def _cmd_ev(args: argparse.Namespace) -> int:
         raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
     spec = scenario(config, 1.0, args.g_ai, args.rho)
     values = {"p3": config.p3, "p4": config.p4, "T": config.T}
-    result = ev_cell(spec, config, args.panel, values, args.epsilon)
+    result = ev_cell(spec, args.panel, values, config.quad_tol, args.epsilon)
     if isinstance(result, SolveOutcome):
         print(format_cell(result))
         return 0
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="emit one reference table")
     p.add_argument("table_id", choices=TABLE_IDS)
     _add_config_flags(p, "c0", "g_baseline", "g_ai_grid", "rho_grid", "theta_set",
-                      "p3", "p4", "T", "quad_tol", "output_format")
+                      "quad_tol", "output_format")
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("solve", help="one indifference cell")
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("ev", help="one equivalent-variation cell")
-    p.add_argument("--panel", choices=("a", "b", "c", "d"), required=True)
+    p.add_argument("--panel", choices=tuple(PANELS), required=True)
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None,

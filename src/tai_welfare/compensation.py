@@ -1,10 +1,10 @@
 """Equivalent variation and willingness to pay for removing extinction risk.
 
 Under log utility, scaling every period's consumption by a factor k shifts
-lifetime welfare by exactly log(k) / r, so the consumption factor that makes
-a safe cornucopia exactly as good as a risky scenario is
+lifetime welfare by exactly log(k) / rho, so the consumption factor that
+makes a safe cornucopia exactly as good as a risky scenario is
 
-    EV = exp(-(W_cornucopia - W_risky) * r),
+    EV = exp(-(W_cornucopia - W_risky) * rho),
 
 and 1 - EV is the fraction of consumption a planner would pay, every period
 forever, to trade the risky world for the safe one.  That identity holds only
@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .errors import DomainError
-from .preferences import Preferences, effective_discount
+from .preferences import Preferences
 from .welfare import (
     DEFAULT_QUAD_TOL,
     ScenarioSpec,
-    WelfareResult,
     lottery_value,
     welfare_cornucopia,
     welfare_mounting,
@@ -37,6 +36,7 @@ __all__ = [
     "equivalent_variation",
     "ev_panel",
     "wtp_per_period",
+    "PANELS",
 ]
 
 
@@ -47,14 +47,12 @@ class EvResult:
     ev: float
     log_ev: float
     wtp_fraction: float
-    cornucopia_welfare: float
-    risky_welfare: float
 
 
 def equivalent_variation(
-    cornucopia: WelfareResult, risky: WelfareResult, prefs: Preferences
+    w_cornucopia: float, w_risky: float, prefs: Preferences
 ) -> EvResult:
-    """EV = exp(-(W_cornucopia - W_risky) * r); requires log utility.
+    """EV = exp(-(W_cornucopia - W_risky) * rho); requires log utility.
 
     The consumption-scaling reading of EV is exact only at theta = 1; other
     curvatures raise a domain error.
@@ -64,19 +62,27 @@ def equivalent_variation(
             "equivalent variation is defined here for theta = 1 only, "
             f"got theta = {prefs.theta_rra!r}"
         )
-    w_c, w_r = cornucopia.value, risky.value
-    if not (math.isfinite(w_c) and math.isfinite(w_r)):
+    if not (math.isfinite(w_cornucopia) and math.isfinite(w_risky)):
         raise DomainError("welfare values must be finite")
-    r = effective_discount(prefs)
-    log_ev = -(w_c - w_r) * r
+    log_ev = -(w_cornucopia - w_risky) * prefs.rho
     ev = math.exp(log_ev)
-    return EvResult(
-        ev=ev,
-        log_ev=log_ev,
-        wtp_fraction=1.0 - ev,
-        cornucopia_welfare=w_c,
-        risky_welfare=w_r,
-    )
+    return EvResult(ev=ev, log_ev=log_ev, wtp_fraction=1.0 - ev)
+
+
+# Each panel letter maps to the values it reads and to the welfare of its
+# risky scenario, given the spec and the cornucopia welfare w_a:
+#   a  certain extinction at T              W_trunc(T)
+#   b  immediate doom with probability p3   (1-p3) W_cornucopia
+#   c  the full lottery (p3, p4, T)         lottery value
+#   d  mounting hazard with slope epsilon   W_mounting(epsilon)
+PANELS = {
+    "a": (("T",), lambda spec, w_a, *, T, **_: welfare_truncated(spec, T).value),
+    "b": (("p3",), lambda spec, w_a, *, p3, **_: lottery_value(w_a, 0.0, p3, 0.0)),
+    "c": (("p3", "p4", "T"), lambda spec, w_a, *, p3, p4, T, **_: lottery_value(
+        w_a, welfare_truncated(spec, T).value, p3, p4)),
+    "d": (("epsilon",), lambda spec, w_a, *, epsilon, quad_tol, **_: welfare_mounting(
+        spec, epsilon, tol=quad_tol).value),
+}
 
 
 def ev_panel(
@@ -89,34 +95,19 @@ def ev_panel(
     epsilon: Optional[float] = None,
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> EvResult:
-    """EV of one risky scenario against the cornucopia on the same growth path.
+    """EV of one PANELS scenario against the cornucopia on the same growth path.
 
-    Panel a: certain extinction at T            -> risky = W_trunc(T)
-    Panel b: immediate doom with probability p3 -> risky = (1-p3) W_cornucopia
-    Panel c: full lottery (p3, p4, T)           -> risky = lottery value
-    Panel d: mounting hazard with slope epsilon -> risky = W_mounting(eps)
+    Values the panel does not read are ignored; a missing one it reads is a
+    domain error.
     """
-    w_a = welfare_cornucopia(spec)
-    if panel == "a":
-        if T is None:
-            raise DomainError("panel a needs T")
-        risky = welfare_truncated(spec, T)
-    elif panel == "b":
-        if p3 is None:
-            raise DomainError("panel b needs p3")
-        risky = WelfareResult(lottery_value(w_a.value, 0.0, p3, 0.0), "closed_form")
-    elif panel == "c":
-        if T is None or p3 is None or p4 is None:
-            raise DomainError("panel c needs p3, p4 and T")
-        w_b = welfare_truncated(spec, T).value
-        risky = WelfareResult(lottery_value(w_a.value, w_b, p3, p4), "closed_form")
-    elif panel == "d":
-        if epsilon is None:
-            raise DomainError("panel d needs epsilon (a solved hazard slope)")
-        risky = welfare_mounting(spec, epsilon, tol=quad_tol)
-    else:
+    if panel not in PANELS:
         raise DomainError(f"unknown panel {panel!r}")
-    return equivalent_variation(w_a, risky, spec.prefs)
+    reads, risky = PANELS[panel]
+    values = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon, "quad_tol": quad_tol}
+    if any(values[name] is None for name in reads):
+        raise DomainError(f"panel {panel} needs {', '.join(reads)}")
+    w_a = welfare_cornucopia(spec).value
+    return equivalent_variation(w_a, risky(spec, w_a, **values), spec.prefs)
 
 
 def wtp_per_period(ev: EvResult, consumption_level: float) -> float:

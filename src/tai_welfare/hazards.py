@@ -190,8 +190,8 @@ HazardModel = Union[ZeroHazard, ConstantHazard, OneOffHazard, MountingLogHazard]
 
 def cumulative_hazard(model: HazardModel, t: float) -> float:
     """Integral of m over [0, t]; +inf past a one-off extinction date."""
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
     if isinstance(model, ZeroHazard):
         return 0.0
     if isinstance(model, ConstantHazard):

@@ -1,48 +1,27 @@
-"""Error-function kernel: erf, erfc, and the scaled complement erfcx.
+"""Error-function kernel: the scaled complement erfcx, plus the stdlib erf/erfc.
 
 The expected-lifespan closed form for mounting hazards multiplies a huge
 Gaussian factor exp(z^2) by a tiny tail probability (1 - erf(z)).  Evaluating
 the pair through erfcx(z) = exp(z^2) * erfc(z) keeps every intermediate on a
-sane scale, so erfcx is the primitive here and erf/erfc are derived from it.
+sane scale, so erfcx is the primitive here; erf and erfc are math.erf and
+math.erfc.
 
-Branch layout:
-  |x| <= 3           erf via its Maclaurin series (alternating, ~40 terms)
-  |x| >  3           erf = sign(x) * (1 - exp(-x^2) * erfcx(|x|))
-  0 <= x < 2.5       erfcx via exp(x^2) * (1 - erf_series(x))
-  x >= 2.5           erfcx via the Laplace continued fraction (modified Lentz)
-  x < 0              erfcx(x) = 2 exp(x^2) - erfcx(-x)
-
-Accuracy target is 1e-10 absolute for erf on the whole line; the reference
-table in the test suite was tabulated independently at 50 digits.
+Branch layout of erfcx:
+  x <  2.5           exp(x^2) * math.erfc(x), +inf once exp(x^2) overflows
+  x >= 2.5           Laplace's continued fraction (modified Lentz); the product
+                     would be 0 * inf once erfc underflows past x ~ 26.5
 """
 
 from __future__ import annotations
 
 import math
+from math import erf, erfc
 
 __all__ = ["erf", "erfc", "erfcx"]
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
-_SERIES_CUTOFF = 3.0
 _CF_CUTOFF = 2.5
-_MAX_SERIES_TERMS = 200
 _MAX_CF_ITERATIONS = 300
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1)); fine to |x|~3,
-    # where the largest term is ~170 and roundoff stays below ~1e-12.
-    x2 = x * x
-    power = x  # carries (-1)^n x^(2n+1) / n!
-    total = x
-    for n in range(1, _MAX_SERIES_TERMS):
-        power *= -x2 / n
-        term = power / (2 * n + 1)
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return _TWO_OVER_SQRT_PI * total
 
 
 def _erfcx_continued_fraction(x: float) -> float:
@@ -72,39 +51,10 @@ def _erfcx_continued_fraction(x: float) -> float:
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) * erfc(x)."""
     x = float(x)
-    if math.isnan(x):
-        return x
     if x >= _CF_CUTOFF:
         return _erfcx_continued_fraction(x)
-    if x >= 0.0:
-        return math.exp(x * x) * (1.0 - _erf_series(x))
-    # reflection; exp(x^2) overflows near x = -27, which is genuinely +inf here
+    # exp(x^2) overflows near x = -26.6, where erfcx is genuinely +inf
     try:
-        scale = math.exp(x * x)
+        return math.exp(x * x) * erfc(x)
     except OverflowError:
         return math.inf
-    return 2.0 * scale - erfcx(-x)
-
-
-def erf(x: float) -> float:
-    """Error function, odd, with range (-1, 1) for finite arguments."""
-    x = float(x)
-    if math.isnan(x):
-        return x
-    ax = abs(x)
-    if ax <= _SERIES_CUTOFF:
-        return _erf_series(x)
-    if math.isinf(x):
-        return math.copysign(1.0, x)
-    tail = math.exp(-ax * ax) * erfcx(ax)
-    return math.copysign(1.0 - tail, x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate in the upper tail."""
-    x = float(x)
-    if math.isnan(x):
-        return x
-    if x >= _CF_CUTOFF:
-        return math.exp(-x * x) * erfcx(x)
-    return 1.0 - erf(x)

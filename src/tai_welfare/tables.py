@@ -22,7 +22,7 @@ ERROR:<ExceptionClassName> without aborting the rest of the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
 from .compensation import EvResult, ev_panel
@@ -79,7 +79,7 @@ SOLVE_TARGETS = {
 class Table(NamedTuple):
     target: str  # a SOLVE_TARGETS name, or an EV panel letter
     theta_set: tuple[float, ...]
-    fixed: dict  # lottery/horizon values that override the config's
+    fixed: dict  # every lottery/horizon value the target reads
 
 
 TABLES = {
@@ -165,9 +165,9 @@ def scenario(config: RunConfig, theta: float, g_ai: float, rho: float) -> Scenar
 
 def ev_cell(
     spec: ScenarioSpec,
-    config: RunConfig,
     panel: str,
     values: dict,
+    quad_tol: float,
     epsilon: Optional[float] = None,
 ) -> Union[EvResult, SolveOutcome]:
     """EV of one panel at the given p3, p4 and T.
@@ -177,12 +177,12 @@ def ev_cell(
     that solve finds no slope its sentinel outcome is returned instead.
     """
     if panel == "d" and epsilon is None:
-        eps_spec = scenario(config, 1.0001, spec.g_ai, spec.prefs.rho)
-        solved = solve_epsilon_mounting(eps_spec, quad_tol=config.quad_tol)
+        eps_spec = replace(spec, prefs=replace(spec.prefs, theta_rra=1.0001))
+        solved = solve_epsilon_mounting(eps_spec, quad_tol=quad_tol)
         if not solved.is_value:
             return solved
         epsilon = solved.value
-    return ev_panel(spec, panel, epsilon=epsilon, quad_tol=config.quad_tol, **values)
+    return ev_panel(spec, panel, epsilon=epsilon, quad_tol=quad_tol, **values)
 
 
 def solve_cell(
@@ -198,7 +198,7 @@ def solve_cell(
     target = TABLES[table_id].target
     if target in SOLVE_TARGETS:
         return SOLVE_TARGETS[target](spec, quad_tol=config.quad_tol, **values)
-    result = ev_cell(spec, config, target, values)
+    result = ev_cell(spec, target, values, config.quad_tol)
     return SolveOutcome.of(result.ev) if isinstance(result, EvResult) else result
 
 
@@ -230,8 +230,7 @@ def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:
     pipes that delimit cells, and the rest of the table proceeds.
     """
     config = config or RunConfig()
-    values = {"p3": config.p3, "p4": config.p4, "T": config.T}
-    values.update(TABLES[spec.table_id].fixed)
+    values = TABLES[spec.table_id].fixed
     header = ["g_ai"]
     for theta in spec.theta_set:
         for rho in spec.rho_grid:

@@ -1,18 +1,18 @@
 """Scenario welfare integrals: closed forms plus an adaptive-quadrature route.
 
 All scenarios value a consumption path C(t) = c0 e^(g t) through isoelastic
-flow utility u, discounted at the effective rate r and weighted by survival:
+flow utility u, discounted at the rate rho and weighted by survival:
 
-    W = int e^(-r t) u(C(t)) M(t) dt.
+    W = int e^(-rho t) u(C(t)) M(t) dt.
 
 Closed forms exist for the no-risk and fixed-horizon cases.  Writing
 q = 1 - theta and lam = log c0, the infinite-horizon integral is
 
-    W = [r * expm1(q lam) / q + g] / (r * (r - q g)),      r > max(0, q g),
+    W = [rho * expm1(q lam) / q + g] / (rho * (rho - q g)),  rho > max(0, q g),
 
-whose q -> 0 limit is the log-utility value lam / r + g / r^2.  The grouping
-above is cancellation-free for all q, so theta arbitrarily close to 1 is
-safe; only q = 0 takes the explicit limit branch.
+whose q -> 0 limit is the log-utility value lam / rho + g / rho^2.  The
+grouping above is cancellation-free for all q, so theta arbitrarily close to
+1 is safe; only q = 0 takes the explicit limit branch.
 
 The mounting-risk scenario multiplies the integrand by the Gaussian survival
 exp(-eps (lam t + g t^2 / 2)) and is evaluated by adaptive quadrature on the
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
 from .errors import DivergenceError, DomainError
-from .preferences import Preferences, effective_discount
+from .preferences import Preferences
 from .taxonomy import _check_probability
 
 if TYPE_CHECKING:
@@ -85,7 +85,6 @@ class WelfareResult:
     value: float
     method: Literal["closed_form", "quadrature"]
     abs_error_estimate: float = 0.0
-    truncation_time: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +118,8 @@ def discounted_crra_closed_form(
         if q == 0.0:
             return log_c0 / rate + g / rate**2
         return (rate * math.expm1(q * log_c0) / q + g) / (rate * a)
-    if horizon < 0.0:
-        raise DomainError(f"horizon must be >= 0, got {horizon!r}")
+    if not 0.0 <= horizon < math.inf:
+        raise DomainError(f"horizon must be finite and >= 0, got {horizon!r}")
     e_rho = _exp_decay_integral(rate, horizon)
     if q == 0.0:
         if rate == 0.0:
@@ -143,33 +142,26 @@ def lottery_value(w_a: float, w_b: float, p3: float, p4: float) -> float:
     return (1.0 - p3) * (p4 * w_b + (1.0 - p4) * w_a)
 
 
-def _closed(value: float) -> WelfareResult:
-    return WelfareResult(value=value, method="closed_form")
+def _closed(spec: ScenarioSpec, g: float, horizon: float | None = None) -> WelfareResult:
+    value = discounted_crra_closed_form(
+        spec.log_c0, g, spec.prefs.rho, spec.prefs.theta_rra, horizon
+    )
+    return WelfareResult(value, "closed_form")
 
 
 def welfare_no_takeover(spec: ScenarioSpec) -> WelfareResult:
     """Welfare of the no-takeover world: growth g_baseline, no extinction."""
-    r = effective_discount(spec.prefs)
-    value = discounted_crra_closed_form(
-        spec.log_c0, spec.g_baseline, r, spec.prefs.theta_rra
-    )
-    return _closed(value)
+    return _closed(spec, spec.g_baseline)
 
 
 def welfare_cornucopia(spec: ScenarioSpec) -> WelfareResult:
     """Welfare under aligned, corrigible TAI: growth g_ai, no extinction."""
-    r = effective_discount(spec.prefs)
-    value = discounted_crra_closed_form(spec.log_c0, spec.g_ai, r, spec.prefs.theta_rra)
-    return _closed(value)
+    return _closed(spec, spec.g_ai)
 
 
 def welfare_truncated(spec: ScenarioSpec, horizon: float) -> WelfareResult:
     """Welfare with certain extinction at the given horizon (growth g_ai)."""
-    r = effective_discount(spec.prefs)
-    value = discounted_crra_closed_form(
-        spec.log_c0, spec.g_ai, r, spec.prefs.theta_rra, horizon=horizon
-    )
-    return _closed(value)
+    return _closed(spec, spec.g_ai, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +207,7 @@ def welfare_mounting(
 
     if not 0.0 <= epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    r = effective_discount(spec.prefs)
+    r = spec.prefs.rho
     theta = spec.prefs.theta_rra
     q = 1.0 - theta
     if epsilon == 0.0 and (r <= 0.0 or r - q * spec.g_ai <= 0.0):
@@ -229,12 +221,7 @@ def welfare_mounting(
         return np.exp(-epsilon * (lam * t + 0.5 * g * t * t))
 
     result = integrate_transformed(flow, excess, r, abs_tol=tol, rel_tol=tol)
-    return WelfareResult(
-        value=result.value,
-        method="quadrature",
-        abs_error_estimate=result.abs_error_estimate,
-        truncation_time=result.truncation_time,
-    )
+    return WelfareResult(result.value, "quadrature", result.abs_error_estimate)
 
 
 def integrate_discounted(
@@ -260,12 +247,10 @@ def integrate_discounted(
         res = integrate_finite(
             lambda t: flow(t) * weight(t), 0.0, horizon, abs_tol=tol, rel_tol=tol
         )
-        return WelfareResult(res.value, "quadrature", res.abs_error_estimate, horizon)
+        return WelfareResult(res.value, "quadrature", res.abs_error_estimate)
 
     def excess(t: np.ndarray) -> np.ndarray:
         return weight(t) * np.exp(rate * t)
 
     res = integrate_transformed(flow, excess, rate, abs_tol=tol, rel_tol=tol)
-    return WelfareResult(
-        res.value, "quadrature", res.abs_error_estimate, res.truncation_time
-    )
+    return WelfareResult(res.value, "quadrature", res.abs_error_estimate)

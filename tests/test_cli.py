@@ -169,6 +169,10 @@ def test_quad_tol_reaches_panel_d_ev(capsys):
     ("simulate-growth", "--rho-grid", "1,2"),
     ("calibrate-c0", "--p1", "0.5"),
     ("et", "--hazard", "zero", "--output-format", "csv"),
+    # each table's fixed values are every p3, p4 and T its target reads
+    ("table", "t3a", "--p4", "0.5"),
+    ("table", "t5a", "--T", "7"),
+    ("table", "t1", "--p3", "0.2"),
 ])
 def test_unread_flag_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

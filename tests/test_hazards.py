@@ -44,6 +44,17 @@ class TestSurvival:
                 expected = math.exp(-h) if h != math.inf else 0.0
                 assert abs(survival(model, t) - expected) <= 1e-12
 
+    def test_rejects_non_finite_time(self):
+        # nan compares false against every bound, and inf * 0.0 is nan
+        for model in ALL_MODELS:
+            for t in (math.nan, math.inf):
+                with pytest.raises(DomainError, match="t must be"):
+                    cumulative_hazard(model, t)
+                with pytest.raises(DomainError, match="t must be"):
+                    survival(model, t)
+        with pytest.raises(DomainError):
+            cumulative_hazard(ConstantHazard(0.0), math.inf)
+
     def test_starts_at_one_and_never_increases(self):
         grid = np.linspace(0.0, 400.0, 1000)
         for model in ALL_MODELS:

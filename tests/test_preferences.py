@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tai_welfare import DomainError, Preferences, ScenarioSpec, effective_discount
+from tai_welfare import DomainError, Preferences, ScenarioSpec
 from tai_welfare.welfare import _flow_from_log
 
 
@@ -58,28 +58,13 @@ class TestCrraUtility:
 
 
 class TestEffectiveDiscount:
-    def test_millian_no_background(self):
-        prefs = Preferences(rho=0.03, nu=0.0, n_pop_growth=0.01)
-        assert effective_discount(prefs) == pytest.approx(0.03)
-
-    def test_benthamite_subtracts_population_growth(self):
-        prefs = Preferences(rho=0.03, nu=1.0, n_pop_growth=0.01)
-        assert effective_discount(prefs) == pytest.approx(0.02)
-
-    def test_background_hazard_adds(self):
-        prefs = Preferences(rho=0.03, m_background=0.001)
-        assert effective_discount(prefs) == pytest.approx(0.031)
-
+    # rho is the one discount rate every welfare integral uses
     def test_validation(self):
         with pytest.raises(DomainError):
             Preferences(rho=-0.01)
-        with pytest.raises(DomainError):
-            Preferences(nu=1.5)
-        with pytest.raises(DomainError):
-            Preferences(m_background=-1e-9)
 
     def test_rejects_non_finite(self):
-        for name in ("rho", "theta_rra", "nu", "n_pop_growth", "m_background"):
+        for name in ("rho", "theta_rra"):
             for value in (math.nan, math.inf):
                 with pytest.raises(DomainError, match=name):
                     Preferences(**{name: value})

@@ -71,3 +71,24 @@ def test_branch_crossover_is_seamless():
         below = erf(x0 - 1e-9)
         above = erf(x0 + 1e-9)
         assert abs(above - below) < 1e-8
+
+
+def test_erfcx_matches_mpmath_oracle():
+    # 40-digit reference on [-20, 30] and far into the continued-fraction tail
+    from mpmath import mp, mpf
+
+    xs = [-20.0 + 0.1 * i for i in range(501)]
+    xs += [2.5 - 1e-10, 2.5 + 1e-10, 1e3, 3e4, 1e6, 1e8]
+    with mp.workdps(40):
+        for x in xs:
+            exact = mp.exp(mpf(x) ** 2) * mp.erfc(mpf(x))
+            assert abs(erfcx(x) - exact) <= 1e-13 * exact, f"erfcx({x!r})"
+
+
+def test_erfcx_reflection():
+    # erfcx(-x) = 2 exp(x^2) - erfcx(x), up to where exp(x^2) overflows
+    for i in range(2601):
+        x = 0.01 * i
+        expected = 2.0 * math.exp(x * x) - erfcx(x)
+        assert erfcx(-x) == pytest.approx(expected, rel=1e-15), f"erfcx({-x!r})"
+    assert erfcx(-27.0) == math.inf

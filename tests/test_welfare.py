@@ -11,6 +11,7 @@ from tai_welfare import (
     ev_panel,
     integrate_discounted,
     lottery_value,
+    solve_p3_delayed,
     welfare_cornucopia,
     welfare_mounting,
     welfare_no_takeover,
@@ -280,3 +281,11 @@ class TestValidation:
             lottery_value(1.0, 0.5, p3=0.0, p4=-0.1)
         with pytest.raises(DomainError):
             welfare_truncated(make_spec(c0), -1.0)  # a doom date before now
+        # nan and inf are no doom dates; at theta = 1 an infinite horizon
+        # would compute inf * 0, and p3-delayed would solve for a NaN
+        for theta in (1.0, 2.0):
+            for horizon in (math.nan, math.inf):
+                with pytest.raises(DomainError, match="horizon"):
+                    welfare_truncated(make_spec(c0, theta=theta), horizon)
+        with pytest.raises(DomainError, match="horizon"):
+            solve_p3_delayed(make_spec(c0), p4=0.3, T=math.inf)
