@@ -8,12 +8,15 @@ form.
 The mounting-risk model ties the hazard to log consumption, m(t) = eps *
 log C(t), on an exponential path C(t) = c0 e^(g t).  Its cumulative hazard is
 the exact quadratic eps * (log(c0) t + g t^2 / 2), survival is a Gaussian
-tail, and expected lifespan has the closed form
+tail, and expected lifespan is the Gaussian-Laplace moment
 
-    ET = sqrt(pi / (2 eps g)) * erfcx(sqrt(eps) log(c0) / sqrt(2 g)),
+    ET = G(eps log(c0), eps g) = sqrt(pi / (2 eps g)) * erfcx(z),
+    z = sqrt(eps) log(c0) / sqrt(2 g),
 
-which reduces to sqrt(pi / (2 eps g)) at c0 = 1.  The erfcx form is the
-cancellation-free way to evaluate the c0 > 1 factor exp(z^2) (1 - erf(z)).
+which reduces to sqrt(pi / (2 eps g)) at c0 = 1.  special.gauss_laplace
+evaluates it through erfcx, the cancellation-free way to evaluate the c0 > 1
+factor exp(z^2) (1 - erf(z)), and through its asymptotic series once z >= 50,
+where ET tends to 1 / (eps log c0).
 
 One-off extinction at a known date is represented as a step in M(t), not as a
 finite rate: m(t) = 0 before the date and M drops to zero at it.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
-from .special import erfcx
+from .special import gauss_laplace
 
 __all__ = [
     "ExponentialPath",
@@ -218,9 +221,7 @@ def _mounting_expected_lifespan(model: MountingLogHazard) -> float:
     if g == 0.0:
         # constant hazard eps * log c0
         return math.inf if lam == 0.0 else 1.0 / (eps * lam)
-    # ET = sqrt(pi / (2 eps g)) * erfcx(sqrt(eps) lam / sqrt(2 g))
-    z = math.sqrt(eps) * lam / math.sqrt(2.0 * g)
-    return math.sqrt(math.pi / (2.0 * eps * g)) * erfcx(z)
+    return gauss_laplace(eps * lam, eps * g)[0]
 
 
 def expected_lifespan(model: HazardModel) -> float:

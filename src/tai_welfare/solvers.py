@@ -10,7 +10,11 @@ equals the no-takeover welfare W0.  A solve can end four ways:
 
 The probability solvers are linear given the underlying welfare values, so
 they are closed-form; the time and hazard-slope solvers bracket and run
-Brent on a function that is monotone in the solved parameter.
+Brent on a function that is monotone in the solved parameter.  The hazard
+slope is solved on the quadrature welfare_mounting, in a bracket that the
+exact erfcx closed form predicts; the quadrature stays the evaluator that
+defines the root until the t4 golden, which holds its rounding in one cell,
+is re-captured from a 40-digit oracle.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -24,11 +28,12 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .rootfind import brent, expand_bracket
+from .rootfind import RootResult, brent, expand_bracket
 from .taxonomy import _check_probability
 from .welfare import (
     DEFAULT_QUAD_TOL,
     ScenarioSpec,
+    _mounting_closed_form,
     lottery_value,
     welfare_cornucopia,
     welfare_mounting,
@@ -50,6 +55,8 @@ BOUNDARY_BAND = 1e-12
 RESIDUAL_REL_TOL = 1e-8
 T_DELAYED_MAX = 1e6
 EPSILON_MAX = 10.0
+_EPSILON_START = 1e-6  # first trial slope of the geometric eps bracket
+_PREDICTION_SLACK = 1e-7  # half-width, relative, of the first bracket around eps_hat
 
 OutcomeTag = Literal["value", "no_tai_preferred", "tai_preferred", "no_solution"]
 
@@ -194,29 +201,112 @@ def solve_T_delayed(spec: ScenarioSpec, p3: float, p4: float) -> SolveOutcome:
     )
 
 
+_Bracket = tuple[float, float, float, float]  # (lo, hi, f(lo), f(hi)) with a sign change
+
+
+def _bracket_from_zero(f: Callable[[float], float], f0: float) -> Optional[_Bracket]:
+    """[0, hi] with hi = 1e-6 * 4^n, capped at EPSILON_MAX, at the first f(hi) <= 0.
+
+    f(0) = f0 > 0 is known.  None when f > 0 still at EPSILON_MAX.
+    """
+    hi = _EPSILON_START
+    while (f_hi := f(hi)) > 0.0:
+        if hi >= EPSILON_MAX:
+            return None
+        hi = min(4.0 * hi, EPSILON_MAX)
+    return 0.0, hi, f0, f_hi
+
+
+def _brent_in(f: Callable[[float], float], bracket: _Bracket) -> RootResult:
+    lo, hi, f_lo, f_hi = bracket
+    return brent(f, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
+
+
+def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[float]:
+    """Root of the exact closed form, or None when the closed form cannot give one."""
+
+    def f(eps: float) -> float:
+        w = _mounting_closed_form(spec, eps)
+        if not math.isfinite(w):
+            raise OverflowError(f"closed-form mounting welfare {w!r} at eps={eps!r}")
+        return w - w0
+
+    try:
+        bracket = _bracket_from_zero(f, f0)
+        return None if bracket is None else _brent_in(f, bracket).root
+    except ArithmeticError:
+        return None
+
+
+def _bracket_around(
+    f: Callable[[float], float], eps_hat: float, f0: float
+) -> Optional[_Bracket]:
+    """Sign-change bracket of f near its predicted root eps_hat.
+
+    Starts at eps_hat (1 -/+ _PREDICTION_SLACK) and, while the root lies
+    outside, moves the bracket across and widens its half-width four-fold,
+    with lo clamped at 0 (where f = f0 is known) and hi capped at EPSILON_MAX.
+    No point is evaluated twice.  None when f > 0 at EPSILON_MAX.
+    """
+    k = _PREDICTION_SLACK
+    lo, hi = eps_hat * (1.0 - k), min(eps_hat * (1.0 + k), EPSILON_MAX)
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        if f_lo < 0.0 and f_hi < 0.0:  # the root lies below lo
+            k *= 4.0
+            hi, f_hi = lo, f_lo
+            lo = max(eps_hat * (1.0 - k), 0.0)
+            f_lo = f0 if lo == 0.0 else f(lo)
+        elif f_lo > 0.0 and f_hi > 0.0:  # the root lies above hi
+            if hi >= EPSILON_MAX:
+                return None
+            k *= 4.0
+            lo, f_lo = hi, f_hi
+            hi = min(eps_hat * (1.0 + k), EPSILON_MAX)
+            f_hi = f(hi)
+        else:
+            return lo, hi, f_lo, f_hi
+
+
 def solve_epsilon_mounting(
     spec: ScenarioSpec, *, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> SolveOutcome:
     """Hazard slope eps at which mounting extinction risk cancels the TAI gain.
 
-    Solves W_mounting(eps) = W0 by growing a bracket [0, eps_hi] and running
-    Brent; W_mounting decreases strictly in eps from the cornucopia value, so
-    the root is unique whenever cornucopia beats the baseline.  Quadrature
-    non-convergence propagates as QuadratureError, never as no_solution.
+    Solves W_mounting(eps) = W0, where W_mounting is the quadrature
+    (welfare_mounting); it decreases strictly in eps from the cornucopia
+    value, so the root is unique whenever cornucopia beats the baseline, and
+    a root beyond EPSILON_MAX reports no_solution.
+
+    Predictor: Brent on the exact erfcx closed form (microseconds) gives
+    eps_hat, within about 1e-7 of the quadrature's root; the two differ only
+    by the quadrature's rounding, amplified by W0 / (W_cornucopia - W0).
+    Polish: the quadrature is evaluated at eps_hat (1 -/+ 1e-7), widened
+    four-fold until it brackets the root, and Brent (rel_tol 1e-10) runs on
+    the quadrature in that bracket.  When the closed form overflows or finds
+    no root, the bracket instead grows from [0, 1e-6] four-fold.  The value,
+    the tag and the residual check all come from quadrature evaluations, and
+    the outcome's iterations count only the quadrature Brent.  Once the t4
+    golden is re-captured from a 40-digit oracle, the closed form can be the
+    answer and the polish can go.  Quadrature non-convergence propagates as
+    QuadratureError, never as no_solution.
     """
     w0 = welfare_no_takeover(spec).value
     w_a = welfare_cornucopia(spec).value
     if w_a <= w0:
         return SolveOutcome.no_solution()
+    f0 = w_a - w0
 
     def f(eps: float) -> float:
         return welfare_mounting(spec, eps, tol=quad_tol).value - w0
 
-    eps_hi = 1e-6
-    while (f_hi := f(eps_hi)) > 0.0:
-        eps_hi *= 4.0
-        if eps_hi > EPSILON_MAX:
-            return SolveOutcome.no_solution()
-    result = brent(f, 0.0, eps_hi, fa=w_a - w0, fb=f_hi, rel_tol=1e-10)
+    eps_hat = _predicted_epsilon(spec, w0, f0)
+    if eps_hat is None:
+        bracket = _bracket_from_zero(f, f0)
+    else:
+        bracket = _bracket_around(f, eps_hat, f0)
+    if bracket is None:
+        return SolveOutcome.no_solution()
+    result = _brent_in(f, bracket)
     resid = _residual_ok(result.residual, w0)
     return SolveOutcome.of(result.root, result.iterations, resid)

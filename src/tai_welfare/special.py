@@ -1,15 +1,18 @@
 """Error-function kernel: the scaled complement erfcx, plus the stdlib erf/erfc.
 
-The expected-lifespan closed form for mounting hazards multiplies a huge
-Gaussian factor exp(z^2) by a tiny tail probability (1 - erf(z)).  Evaluating
-the pair through erfcx(z) = exp(z^2) * erfc(z) keeps every intermediate on a
-sane scale, so erfcx is the primitive here; erf and erfc are math.erf and
-math.erfc.
+The mounting-hazard closed forms (expected lifespan, and the welfare integral
+that the epsilon solver uses to predict its root) multiply a huge Gaussian
+factor exp(z^2) by a tiny tail probability (1 - erf(z)).  Evaluating the pair
+through erfcx(z) = exp(z^2) * erfc(z) keeps every intermediate on a sane
+scale, so erfcx is the primitive here; erf and erfc are math.erf and
+math.erfc.  gauss_laplace builds the moments of the weight
+exp(-a t - b t^2 / 2) on it.
 
 Branch layout of erfcx:
   x <  2.5           exp(x^2) * math.erfc(x), +inf once exp(x^2) overflows
   x >= 2.5           Laplace's continued fraction (modified Lentz); the product
                      would be 0 * inf once erfc underflows past x ~ 26.5
+  x = +inf           0
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 import math
 from math import erf, erfc
 
-__all__ = ["erf", "erfc", "erfcx"]
+__all__ = ["erf", "erfc", "erfcx", "gauss_laplace"]
 
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _CF_CUTOFF = 2.5
 _MAX_CF_ITERATIONS = 300
+_ASYMPTOTIC_Z = 50.0  # gauss_laplace sums the asymptotic series from here
 
 
 def _erfcx_continued_fraction(x: float) -> float:
@@ -51,6 +55,8 @@ def _erfcx_continued_fraction(x: float) -> float:
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) * erfc(x)."""
     x = float(x)
+    if x == math.inf:
+        return 0.0
     if x >= _CF_CUTOFF:
         return _erfcx_continued_fraction(x)
     # exp(x^2) overflows near x = -26.6, where erfcx is genuinely +inf
@@ -58,3 +64,38 @@ def erfcx(x: float) -> float:
         return math.exp(x * x) * erfc(x)
     except OverflowError:
         return math.inf
+
+
+def gauss_laplace(a: float, b: float) -> tuple[float, float]:
+    """Moments (G, H) of the weight exp(-a t - b t^2 / 2) on [0, inf), b > 0.
+
+    G = int exp(-a t - b t^2 / 2) dt = sqrt(pi / 2b) erfcx(a / sqrt(2b)) and
+    H = int t exp(-a t - b t^2 / 2) dt = (1 - a G) / b.  Once z = a / sqrt(2b)
+    reaches 50, 1 - a G cancels to ~2e-16 z^2 relative, so both come from the
+    asymptotic series (Abramowitz & Stegun 7.1.23) in x = b / a^2 = 1 / (2 z^2):
+
+        a G   = 1 - x + 3 x^2 - 15 x^3 + ...  = sum (-1)^m (2m-1)!! x^m
+        a^2 H = 1 - 3 x + 15 x^2 - ...        = sum (-1)^m (2m+1)!! x^m
+
+    whose terms fall below 1e-17 within ten terms there.  A b that is zero or
+    infinite, or an infinite a, is what an underflowed or overflowed product
+    of finite inputs leaves, and raises OverflowError.
+    """
+    if not 0.0 < b < math.inf or not -math.inf < a < math.inf:
+        raise OverflowError(
+            f"Gaussian-Laplace moments need finite a and 0 < b < inf, got a={a!r}, b={b!r}"
+        )
+    z = a / math.sqrt(2.0 * b)
+    if z < _ASYMPTOTIC_Z:
+        g = math.sqrt(math.pi / (2.0 * b)) * erfcx(z)
+        return g, (1.0 - a * g) / b
+    x = b / a / a
+    s0 = s1 = t0 = t1 = 1.0
+    m = 0
+    while abs(t1) >= 1e-17:
+        m += 1
+        t0 *= -(2 * m - 1) * x
+        t1 *= -(2 * m + 1) * x
+        s0 += t0
+        s1 += t1
+    return s0 / a, s1 / a / a

@@ -15,8 +15,12 @@ grouping above is cancellation-free for all q, so theta arbitrarily close to
 1 is safe; only q = 0 takes the explicit limit branch.
 
 The mounting-risk scenario multiplies the integrand by the Gaussian survival
-exp(-eps (lam t + g t^2 / 2)) and is evaluated by adaptive quadrature on the
-discount-transformed axis.
+exp(-eps (lam t + g t^2 / 2)).  It too has an exact form in erfcx (see
+_mounting_closed_form), but welfare_mounting still evaluates it by adaptive
+quadrature on the discount-transformed axis: the t4 golden table holds the
+quadrature's rounding in one cell, so the quadrature stays until that golden
+is re-captured from a 40-digit oracle.  Until then the closed form only tells
+the epsilon solver where the quadrature's root lies.
 
 Welfare conventions: consumption is normalized to subsistence (c0 >= 1), flow
 utility is nonnegative, and death contributes exactly zero, so every welfare
@@ -32,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Literal
 
 from .errors import DivergenceError, DomainError
 from .preferences import Preferences
+from .special import gauss_laplace
 from .taxonomy import _check_probability
 
 if TYPE_CHECKING:
@@ -164,6 +169,30 @@ def welfare_truncated(spec: ScenarioSpec, horizon: float) -> WelfareResult:
     return _closed(spec, spec.g_ai, horizon)
 
 
+def _mounting_closed_form(spec: ScenarioSpec, epsilon: float) -> float:
+    """Exact mounting-risk welfare for epsilon > 0, in erfcx; numpy-free.
+
+    With lam = log c0, g = g_ai, q = 1 - theta, b = eps g, a0 = rho + eps lam
+    and the Gaussian-Laplace moments (G, H) of special.gauss_laplace,
+
+        W = [e^(q lam) G(a0 - q g, b) - G(a0, b)] / q,   q != 0,
+        W = lam G(a0, b) + g H(a0, b),                   q = 0,
+
+    where H = (1 - a0 G) / b comes from its series wherever that difference
+    cancels.  Agrees with 40-digit mpmath to 1e-10 relative; an overflowed or
+    underflowed eps g raises OverflowError.
+    """
+    lam, g = spec.log_c0, spec.g_ai
+    q = 1.0 - spec.prefs.theta_rra
+    b = epsilon * g
+    a0 = spec.prefs.rho + epsilon * lam
+    g0, h0 = gauss_laplace(a0, b)
+    if q == 0.0:
+        return lam * g0 + g * h0
+    g1, _ = gauss_laplace(a0 - q * g, b)
+    return (math.exp(q * lam) * g1 - g0) / q
+
+
 # ---------------------------------------------------------------------------
 # quadrature route
 # ---------------------------------------------------------------------------
@@ -196,10 +225,11 @@ def welfare_mounting(
 ) -> WelfareResult:
     """Welfare under a hazard rising with log consumption on the g_ai path.
 
-    Survival is exp(-eps (log(c0) t + g t^2 / 2)); the integral has no
-    elementary antiderivative for general theta and is evaluated by adaptive
-    quadrature.  eps = 0 reproduces the cornucopia value through the same
-    quadrature path.
+    Survival is exp(-eps (log(c0) t + g t^2 / 2)).  The integral has an exact
+    erfcx form (_mounting_closed_form), but this evaluates it by adaptive
+    quadrature, whose rounding the t4 golden holds in one cell; it stays so
+    until that golden is re-captured.  eps = 0 reproduces the cornucopia value
+    through the same quadrature path.
     """
     import numpy as np
 

@@ -250,6 +250,36 @@ def test_float_range_failure_exits_2(capsys, argv):
     assert re.match(r"(config )?error: ", err)
 
 
+def test_et_with_an_overflowing_erfcx_argument_prints_the_exact_value(capsys):
+    # z = sqrt(eps) log(c0) / sqrt(2 g) overflows here; this once printed nan
+    from mpmath import mp, mpf
+
+    from tai_welfare.config import RunConfig
+    from tai_welfare.tables import format_number
+
+    code, out, err = run_cli(capsys, "et", "--hazard", "mounting", "--epsilon", "1e300",
+                             "--g-ai", "5e-324", "--normalized")
+    with mp.workdps(40):
+        # ET = int exp(-a t - b t^2 / 2) dt; mpmath's erfc cannot take z ~ 3e312,
+        # so integrate in u = a t instead
+        a = mpf(1e300) * mp.log(mpf(RunConfig().resolved_c0()))
+        x = mpf(1e300) * mpf(5e-324) / (a * a)
+        exact = mp.quad(lambda u: mp.exp(-u - x * u * u / 2), [0, mp.inf]) / a
+    assert (code, out, err) == (0, format_number(float(exact)) + "\n", "")
+    assert out == "9.29550e-302\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--epsilon", "1e308", "--g-ai", "0.2"),  # eps log(c0) overflows
+    ("--epsilon", "1e300", "--g-ai", "1e10"),  # eps g overflows
+])
+def test_et_with_an_overflowing_hazard_exits_2(capsys, argv):
+    # both once printed 0, a lifespan the hazard does not have
+    code, out, err = run_cli(capsys, "et", "--hazard", "mounting", "--normalized", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: OverflowError: ")
+
+
 def test_float_range_failure_is_an_error_cell(capsys):
     code, out, _ = run_cli(capsys, "table", "t2", "--g-ai-grid", "0.1", "--rho-grid", "1e200")
     assert code == 0

@@ -1,6 +1,13 @@
+import math
+
 import pytest
 
 from tai_welfare import (
+    ConvergenceError,
+    DivergenceError,
+    Preferences,
+    QuadratureError,
+    ScenarioSpec,
     solvers,
     lottery_value,
     solve_T_delayed,
@@ -187,6 +194,91 @@ class TestMountingEpsilon:
         out = solve_epsilon_mounting(make_spec(c0, theta=theta, g_ai=g_ai, rho=rho))
         assert out.tag == tag
         assert len(evaluated) == len(set(evaluated))
+
+
+    def test_each_t4_cell_makes_at_most_six_quadrature_calls(self, c0, monkeypatch):
+        # the closed form predicts each root to ~1e-7, so the quadrature sees
+        # one bracket pair and a short Brent polish (about 12 calls at
+        # theta 1.0001 before the predictor)
+        from tai_welfare.config import RunConfig
+        from tai_welfare.tables import TABLES
+
+        calls = []
+
+        def counting(spec, epsilon, **kwargs):
+            calls.append(epsilon)
+            return welfare_mounting(spec, epsilon, **kwargs)
+
+        monkeypatch.setattr(solvers, "welfare_mounting", counting)
+        config = RunConfig()
+        for theta in TABLES["t4"].theta_set:
+            for g_ai in config.g_ai_grid:
+                for rho in config.rho_grid:
+                    calls.clear()
+                    out = solve_epsilon_mounting(make_spec(c0, theta=theta, g_ai=g_ai, rho=rho))
+                    assert out.is_value
+                    assert len(calls) <= 6, (theta, g_ai, rho, len(calls))
+
+    def test_bracket_miss_cell_keeps_the_quadrature_root(self, c0):
+        # W_cornucopia - W0 is 5e-9 of W0 here, so the quadrature root lies
+        # 3.6e-5 from the closed form's and the first bracket misses it.  One
+        # ulp of W0 spans 4e-8 of eps, a band where the quadrature residual is
+        # exactly 0; Brent stops wherever it first lands in it, so the root is
+        # defined to that band, not to 1e-9.  1.0108641001632123e-11 is the
+        # value of the bracket grown from [0, 1e-6] without the predictor.
+        spec = make_spec(c0, theta=2.7, g_ai=0.206, rho=0.0337)
+        out = solve_epsilon_mounting(spec)
+        assert out.is_value
+        assert out.value == pytest.approx(1.0108641001632123e-11, rel=4e-8)
+        assert welfare_mounting(spec, out.value).value == welfare_no_takeover(spec).value
+
+    @pytest.mark.parametrize("theta,g_ai,rho,g_baseline,c0_value,expected", [
+        # what the solve without the predictor gave; the closed form diverges,
+        # overflows or has no root below EPSILON_MAX at these inputs
+        (0.5, 0.2, 0.05, 0.0175, None, DivergenceError),
+        (1.0, 1e300, 0.05, 0.0175, None, ConvergenceError),
+        (1.0, 1e308, 0.05, 0.0175, None, QuadratureError),
+        (1.0, 0.2, 0.05, 1e-6, 1.0, "no_solution"),  # root near 2500
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at g_ai = 1e308
+    def test_unusable_closed_form_keeps_the_quadrature_outcome(
+        self, c0, theta, g_ai, rho, g_baseline, c0_value, expected
+    ):
+        spec = make_spec(c0 if c0_value is None else c0_value, theta=theta, g_ai=g_ai,
+                         rho=rho, g_baseline=g_baseline)
+        if isinstance(expected, str):
+            assert solve_epsilon_mounting(spec).tag == expected
+        else:
+            with pytest.raises(expected):
+                solve_epsilon_mounting(spec)
+
+    @pytest.mark.parametrize("theta,g_ai,rho", [(1.0001, 0.2, 0.05), (2.0, 0.2, 0.05), (2.0, 0.05, 0.002)])
+    def test_fallback_bracket_gives_the_predicted_answer(self, c0, monkeypatch, theta, g_ai, rho):
+        # a closed form that overflows sends the solve down the [0, 1e-6]
+        # bracket; the root is the same to Brent's tolerance
+        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+        predicted = solve_epsilon_mounting(spec)
+
+        def overflowing(spec, epsilon):
+            raise OverflowError("closed form overflow")
+
+        monkeypatch.setattr(solvers, "_mounting_closed_form", overflowing)
+        fallback = solve_epsilon_mounting(spec)
+        assert fallback.is_value and predicted.is_value
+        assert fallback.value == pytest.approx(predicted.value, rel=1e-9)
+
+    def test_root_up_to_epsilon_max_is_a_value(self, monkeypatch):
+        # at c0 = 1 and theta = 1, W_mounting(eps) ~ 1/eps and W0 = g_baseline / rho^2;
+        # the bracket reaches EPSILON_MAX itself, so the root near 6.6 is found
+        # on both the predicted and the fallback path
+        spec = ScenarioSpec(c0=1.0, g_ai=0.2, g_baseline=0.05**2 / 7,
+                            prefs=Preferences(rho=0.05, theta_rra=1.0))
+        predicted = solve_epsilon_mounting(spec)
+        monkeypatch.setattr(solvers, "_mounting_closed_form", lambda spec, eps: math.nan)
+        fallback = solve_epsilon_mounting(spec)
+        assert predicted.is_value and fallback.is_value
+        assert 4.2 < predicted.value < solvers.EPSILON_MAX
+        assert fallback.value == pytest.approx(predicted.value, rel=1e-9)
 
 
 class TestComparativeStatics:

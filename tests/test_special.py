@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tai_welfare import erf, erfc, erfcx
+from tai_welfare.special import gauss_laplace
 from reference_data import ERF_REFERENCE, ERFCX_REFERENCE
 
 
@@ -92,3 +93,48 @@ def test_erfcx_reflection():
         expected = 2.0 * math.exp(x * x) - erfcx(x)
         assert erfcx(-x) == pytest.approx(expected, rel=1e-15), f"erfcx({-x!r})"
     assert erfcx(-27.0) == math.inf
+
+
+def test_erfcx_of_infinity_is_zero():
+    # the continued fraction once computed inf * 0 = nan here
+    assert erfcx(math.inf) == 0.0
+    assert erfcx(-math.inf) == math.inf
+
+
+def _gauss_laplace_oracle(a, b):
+    from mpmath import mp, mpf
+
+    # 60 digits: at z = 1e8 mpmath's erfc keeps too few of them for 1 - a G at 40
+    with mp.workdps(60):
+        a, b = mpf(a), mpf(b)
+        z = a / mp.sqrt(2 * b)
+        g = mp.sqrt(mp.pi / (2 * b)) * mp.exp(z * z) * mp.erfc(z)
+        return float(g), float((1 - a * g) / b)
+
+
+@pytest.mark.parametrize("z", [-5.0, 0.0, 0.3, 2.5, 10.0, 49.9, 50.0, 50.1, 300.0, 1e4, 1e8])
+@pytest.mark.parametrize("b", [1e-20, 1e-6, 2.0])
+def test_gauss_laplace_matches_mpmath_on_both_branches(z, b):
+    # H = (1 - a G) / b is the first moment; near z = 50 the plain difference
+    # keeps only ~2e-16 z^2 of it, so the series has to take over there
+    a = z * math.sqrt(2.0 * b)
+    g, h = gauss_laplace(a, b)
+    g_exact, h_exact = _gauss_laplace_oracle(a, b)
+    assert g == pytest.approx(g_exact, rel=1e-13)
+    assert h == pytest.approx(h_exact, rel=2e-12)
+
+
+def test_gauss_laplace_tends_to_the_laplace_transform():
+    # b -> 0 with a fixed: G -> 1/a and H -> 1/a^2
+    g, h = gauss_laplace(1e301, 5e-24)
+    assert g == pytest.approx(1e-301, rel=1e-15)
+    assert h == 0.0
+    g, h = gauss_laplace(0.05, 1e-30)
+    assert g == pytest.approx(20.0, rel=1e-15)
+    assert h == pytest.approx(400.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.0), (1.0, math.inf), (math.inf, 1.0)])
+def test_gauss_laplace_rejects_an_overflowed_argument(a, b):
+    with pytest.raises(OverflowError):
+        gauss_laplace(a, b)

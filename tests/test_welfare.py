@@ -17,6 +17,7 @@ from tai_welfare import (
     welfare_no_takeover,
     welfare_truncated,
 )
+from tai_welfare.welfare import _mounting_closed_form
 from conftest import make_spec
 
 
@@ -165,6 +166,18 @@ class TestMounting:
                 spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
                 for eps in (1e-11, 1e-8, 1e-5, 1e-3):
                     assert welfare_mounting(spec, eps).value == pytest.approx(
+                        _mounting_oracle(spec, eps), rel=1e-10
+                    ), (g_ai, rho, eps)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.0001, 2.0, 3.0])
+    def test_closed_form_against_mpmath_oracle(self, c0, theta):
+        # at theta = 1 and eps = 1e-13 the plain lam G + g (1 - a0 G) / b is
+        # off by 2e-5: this pins gauss_laplace's series branch
+        for g_ai in (0.05, 0.4):
+            for rho in (0.002, 0.05):
+                spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+                for eps in (1e-13, 1e-11, 1e-8, 1e-5, 1e-3):
+                    assert _mounting_closed_form(spec, eps) == pytest.approx(
                         _mounting_oracle(spec, eps), rel=1e-10
                     ), (g_ai, rho, eps)
 
