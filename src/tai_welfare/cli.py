@@ -4,6 +4,10 @@ Subcommands: pdoom, table, solve, ev, et, simulate-growth, calibrate-c0.
 Each subcommand has a flag for each config key its handler reads; a --config
 file supplies defaults and flags override it.  Exit codes: 0 success, 2 bad
 config, domain input or float overflow, 3 numerical non-convergence.
+
+Each handler imports the modules it runs, and main registers the arguments of
+the one subcommand it parses, so a cold start loads only what it runs: pdoom
+loads no evaluator, and only the quadrature commands load numpy.
 """
 
 from __future__ import annotations
@@ -12,35 +16,10 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
-from .compensation import PANELS
-from .config import LIST_KEYS, RunConfig, parse_config, parse_finite, parse_list
+from .config import LIST_KEYS, RunConfig, format_number, parse_config, parse_finite, parse_list
 from .errors import ConfigError, ConvergenceError, DomainError, TaiWelfareError
-from .growth import ProductionParams, asymptotic_growth_rate, simulate, trajectory_csv
-from .hazards import (
-    ConstantHazard,
-    ExponentialPath,
-    MountingLogHazard,
-    OneOffHazard,
-    ZeroHazard,
-    expected_lifespan,
-)
-from .solvers import SolveOutcome
-from .tables import (
-    DEFAULT_ANCHOR,
-    DEFAULT_ANCHOR_TARGET,
-    SOLVE_TARGETS,
-    TABLE_IDS,
-    calibrate_c0,
-    emit_table,
-    ev_cell,
-    format_cell,
-    format_number,
-    scenario,
-    table_spec,
-)
-from .taxonomy import TaxonomyProbs, leaf_distribution, p_doom
 
 
 def _flag(name: str) -> str:
@@ -74,7 +53,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         config = parse_config(text)
     updates: dict = {}
@@ -91,6 +70,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_pdoom(args: argparse.Namespace) -> int:
+    from .taxonomy import TaxonomyProbs, leaf_distribution, p_doom
+
     config = _load_config(args)
     probs = TaxonomyProbs(p1=config.p1, p2=config.p2, p3=config.p3, p4=config.p4)
     leaves = leaf_distribution(probs)
@@ -101,6 +82,8 @@ def _cmd_pdoom(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .tables import emit_table, table_spec
+
     config = _load_config(args)
     spec = table_spec(args.table_id, config)
     sys.stdout.write(emit_table(spec, config))
@@ -108,6 +91,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .tables import SOLVE_TARGETS, format_cell, scenario
+
     config = _load_config(args)
     spec = scenario(config, args.theta, args.g_ai, args.rho)
     outcome = SOLVE_TARGETS[args.target](
@@ -118,6 +103,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_ev(args: argparse.Namespace) -> int:
+    from .solvers import SolveOutcome
+    from .tables import ev_cell, format_cell, scenario
+
     config = _load_config(args)
     if args.epsilon is not None and args.panel != "d":
         raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
@@ -133,6 +121,9 @@ def _cmd_ev(args: argparse.Namespace) -> int:
 
 
 def _cmd_et(args: argparse.Namespace) -> int:
+    from .hazards import (ConstantHazard, ExponentialPath, MountingLogHazard,
+                          OneOffHazard, ZeroHazard, expected_lifespan)
+
     config = _load_config(args)
     # a flag given to a hazard that does not read it is an error, not ignored
     needs = {"m": "--hazard constant", "t_ext": "--hazard one-off",
@@ -163,6 +154,8 @@ def _cmd_et(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_growth(args: argparse.Namespace) -> int:
+    from .growth import ProductionParams, asymptotic_growth_rate, simulate, trajectory_csv
+
     config = _load_config(args)
     params = ProductionParams(**{name: getattr(args, name) for name in PRODUCTION_KEYS})
     trajectory = simulate(
@@ -178,6 +171,8 @@ def _cmd_simulate_growth(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_c0(args: argparse.Namespace) -> int:
+    from .tables import calibrate_c0
+
     config = _load_config(args)
     c0 = calibrate_c0(args.target, g_ai=args.anchor_g_ai, rho=args.anchor_rho,
                       g_baseline=config.g_baseline)
@@ -190,42 +185,40 @@ def _cmd_calibrate_c0(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tai-welfare",
-        description="Welfare, extinction-risk thresholds, and growth regimes "
-                    "for transformative-AI scenarios",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pdoom", help="outcome-tree probabilities")
+def _pdoom_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flags(p, "p1", "p2", "p3", "p4")
-    p.set_defaults(handler=_cmd_pdoom)
 
-    p = sub.add_parser("table", help="emit one reference table")
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
+    from .tables import TABLE_IDS
+
     p.add_argument("table_id", choices=TABLE_IDS)
     _add_config_flags(p, "c0", "g_baseline", "g_ai_grid", "rho_grid", "theta_set",
                       "quad_tol", "output_format")
-    p.set_defaults(handler=_cmd_table)
 
-    p = sub.add_parser("solve", help="one indifference cell")
+
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    from .tables import SOLVE_TARGETS
+
     p.add_argument("--target", choices=tuple(SOLVE_TARGETS), required=True)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     _add_config_flags(p, *CELL_KEYS)
-    p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("ev", help="one equivalent-variation cell")
+
+def _ev_arguments(p: argparse.ArgumentParser) -> None:
+    from .compensation import PANELS
+
     p.add_argument("--panel", choices=tuple(PANELS), required=True)
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None,
                    help="panel d's hazard slope (default: re-solved as in table t5d)")
     _add_config_flags(p, *CELL_KEYS)
-    p.set_defaults(handler=_cmd_ev)
 
-    p = sub.add_parser("et", help="expected lifespan of a hazard model")
+
+def _et_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hazard", choices=("zero", "constant", "one-off", "mounting"),
                    required=True)
     p.add_argument("--m", type=float, default=None)
@@ -235,9 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalized", action="store_true",
                    help="use the calibrated c0 instead of c0 = 1")
     _add_config_flags(p, "c0", "g_baseline", "epsilon")
-    p.set_defaults(handler=_cmd_et)
 
-    p = sub.add_parser("simulate-growth", help="capital-accumulation trajectory CSV")
+
+def _simulate_growth_arguments(p: argparse.ArgumentParser) -> None:
+    from .growth import ProductionParams
+
     p.add_argument("--regime", choices=("full_automation", "bottlenecked"),
                    default="full_automation")
     p.add_argument("--k0", type=float, default=1.0)
@@ -247,21 +242,55 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(_flag(name), type=float, default=getattr(ProductionParams, name))
     p.add_argument("--print-growth-rate", action="store_true")
     _add_config_flags(p, "saving_rate", "delta", "tech_growth")
-    p.set_defaults(handler=_cmd_simulate_growth)
 
-    p = sub.add_parser("calibrate-c0", help="invert the anchor cell for c0")
+
+def _calibrate_c0_arguments(p: argparse.ArgumentParser) -> None:
+    from .tables import DEFAULT_ANCHOR, DEFAULT_ANCHOR_TARGET
+
     p.add_argument("--target", type=float, default=DEFAULT_ANCHOR_TARGET)
     p.add_argument("--anchor-g-ai", type=float, default=DEFAULT_ANCHOR["g_ai"])
     p.add_argument("--anchor-rho", type=float, default=DEFAULT_ANCHOR["rho"])
     _add_config_flags(p, "g_baseline")
-    p.set_defaults(handler=_cmd_calibrate_c0)
 
+
+# subcommand -> (help, the function registering its arguments, handler)
+COMMANDS = {
+    "pdoom": ("outcome-tree probabilities", _pdoom_arguments, _cmd_pdoom),
+    "table": ("emit one reference table", _table_arguments, _cmd_table),
+    "solve": ("one indifference cell", _solve_arguments, _cmd_solve),
+    "ev": ("one equivalent-variation cell", _ev_arguments, _cmd_ev),
+    "et": ("expected lifespan of a hazard model", _et_arguments, _cmd_et),
+    "simulate-growth": ("capital-accumulation trajectory CSV",
+                        _simulate_growth_arguments, _cmd_simulate_growth),
+    "calibrate-c0": ("invert the anchor cell for c0", _calibrate_c0_arguments,
+                     _cmd_calibrate_c0),
+}
+
+
+def build_parser(commands: Collection[str] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser, with the arguments of the named subcommands registered.
+
+    Every subcommand is listed; registering one's arguments imports what its
+    choices and defaults name, so main registers only the one it parses.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tai-welfare",
+        description="Welfare, extinction-risk thresholds, and growth regimes "
+                    "for transformative-AI scenarios",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in commands:
+            add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so its first positional is the command
+    args = build_parser([a for a in argv if not a.startswith("-")][:1]).parse_args(argv)
     try:
         # argparse turns a ValueError from a type function into its own usage
         # error, so the finiteness of every float flag is checked here instead

@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+from .config import DEFAULT_QUAD_TOL
 from .errors import DomainError
 from .preferences import Preferences
 from .welfare import (
-    DEFAULT_QUAD_TOL,
     ScenarioSpec,
     lottery_value,
     welfare_cornucopia,

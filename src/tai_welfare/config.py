@@ -1,8 +1,11 @@
-"""Run configuration and the line-oriented key=value config format.
+"""Run configuration, the line-oriented key=value config format, and the
+six-digit number format of every printed value.
 
 Format: one `key=value` per line, `#` starts a comment, blank lines are
 ignored.  List-valued keys take comma-separated numbers.  Unknown keys are
 rejected with their line number; every value is range-checked on parse.
+The defaults of g_baseline and quad_tol live here, not in the evaluators,
+so reading a config loads no evaluator.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
-from .welfare import DEFAULT_G_BASELINE, DEFAULT_QUAD_TOL
 
-__all__ = ["RunConfig", "parse_config", "DEFAULT_G_AI_GRID", "DEFAULT_RHO_GRID"]
+__all__ = ["RunConfig", "parse_config", "format_number", "DEFAULT_G_AI_GRID",
+           "DEFAULT_RHO_GRID", "DEFAULT_G_BASELINE", "DEFAULT_QUAD_TOL"]
 
+DEFAULT_G_BASELINE = 0.0175
+DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_G_AI_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_RHO_GRID = (0.002, 0.01, 0.03, 0.05)
 
@@ -130,3 +135,12 @@ def parse_config(text: str) -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
     return RunConfig(**updates)
+
+
+def format_number(x: float) -> str:
+    """Six significant digits; scientific notation below 1e-3 in magnitude."""
+    if x == 0.0:
+        return "0"
+    if abs(x) < 1e-3:
+        return f"{x:.5e}"
+    return f"{x:.6g}"

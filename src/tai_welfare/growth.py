@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+from .config import DEFAULT_G_BASELINE
 from .errors import DomainError
 from .hazards import (
     ConsumptionPath,
@@ -37,7 +38,6 @@ from .hazards import (
     OneOffHazard,
     ZeroHazard,
 )
-from .welfare import DEFAULT_G_BASELINE
 
 __all__ = [
     "ProductionParams",

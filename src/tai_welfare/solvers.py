@@ -27,11 +27,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
+from .config import DEFAULT_QUAD_TOL
 from .errors import BracketError, ConvergenceError, DomainError
 from .rootfind import RootResult, brent, expand_bracket
 from .taxonomy import _check_probability
 from .welfare import (
-    DEFAULT_QUAD_TOL,
     ScenarioSpec,
     _mounting_closed_form,
     lottery_value,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
 from .compensation import EvResult, ev_panel
-from .config import RunConfig
+from .config import DEFAULT_G_BASELINE, RunConfig, format_number
 from .errors import ConfigError, DomainError, TaiWelfareError
 from .preferences import Preferences
 from .solvers import (
@@ -38,7 +38,7 @@ from .solvers import (
     solve_p3_immediate,
     solve_p4_delayed,
 )
-from .welfare import DEFAULT_G_BASELINE, ScenarioSpec
+from .welfare import ScenarioSpec
 
 __all__ = [
     "TableSpec",
@@ -211,15 +211,6 @@ def format_cell(outcome: SolveOutcome) -> str:
     if outcome.is_value:
         return format_number(outcome.value)
     return SENTINEL_TOKENS[outcome.tag]
-
-
-def format_number(x: float) -> str:
-    """Six significant digits; scientific notation below 1e-3 in magnitude."""
-    if x == 0.0:
-        return "0"
-    if abs(x) < 1e-3:
-        return f"{x:.5e}"
-    return f"{x:.6g}"
 
 
 def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
+from .config import DEFAULT_G_BASELINE, DEFAULT_QUAD_TOL
 from .errors import DivergenceError, DomainError
 from .preferences import Preferences
 from .special import gauss_laplace
@@ -52,9 +53,6 @@ __all__ = [
     "lottery_value",
     "integrate_discounted",
 ]
-
-DEFAULT_G_BASELINE = 0.0175
-DEFAULT_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)

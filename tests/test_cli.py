@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import tai_welfare
 from tai_welfare import ConvergenceError, growth, solvers
-from tai_welfare.cli import build_parser, main
+from tai_welfare.cli import COMMANDS, build_parser, main
 from tai_welfare.rootfind import RootResult
 from conftest import make_spec
 
@@ -123,6 +124,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "table", "t1", "--config", str(path))
     assert code == 2
     assert "c0" in err
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"\xffp1=0.5\n")
+    code, out, err = run_cli(capsys, "pdoom", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot read config file:")
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -348,36 +357,66 @@ def test_huge_simulation_is_refused_before_allocating(capsys, monkeypatch):
     assert err.startswith("config error:") and "steps" in err
 
 
-def test_numpy_loads_only_for_quadrature():
-    child = textwrap.dedent("""
-        import contextlib, io, sys
+# argv -> the package modules that its cold start must leave unloaded
+COLD_RUNS = (
+    (["pdoom"], {"welfare", "special", "solvers", "rootfind", "tables", "compensation",
+                 "growth", "hazards", "quadrature"}),
+    (["calibrate-c0"], set()),
+    (["table", "t2"], set()),
+    (["solve", "--target", "p3-immediate", "--g-ai", "0.1", "--rho", "0.05"], set()),
+    (["et", "--hazard", "zero"], {"solvers", "tables"}),
+    (["et", "--hazard", "constant", "--m", "0.01"], set()),
+    (["et", "--hazard", "one-off", "--t-ext", "50"], set()),
+    (["et", "--hazard", "mounting", "--normalized"], set()),
+    (["ev", "--panel", "c", "--g-ai", "0.1", "--rho", "0.05"], set()),
+    (["simulate-growth", "--print-growth-rate", "--horizon", "50"],
+     {"solvers", "tables", "compensation", "quadrature"}),
+)
+
+
+def _cold_run(argv):
+    """cli.main(argv) in a fresh interpreter: exit code, stdout and loaded modules."""
+    proc = _run_child(textwrap.dedent(f"""
+        import contextlib, io, json, sys
         from tai_welfare import cli
 
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv in (
-                ["pdoom"],
-                ["calibrate-c0"],
-                ["table", "t2"],
-                ["solve", "--target", "p3-immediate", "--g-ai", "0.1", "--rho", "0.05"],
-                ["et", "--hazard", "zero"],
-                ["et", "--hazard", "constant", "--m", "0.01"],
-                ["et", "--hazard", "one-off", "--t-ext", "50"],
-                ["et", "--hazard", "mounting", "--normalized"],
-                ["ev", "--panel", "c", "--g-ai", "0.1", "--rho", "0.05"],
-                ["simulate-growth", "--print-growth-rate", "--horizon", "50"],
-            ):
-                assert cli.main(argv) == 0, argv
-        assert "numpy" not in sys.modules, "numpy loaded without quadrature"
-        code = cli.main(["table", "t4", "--g-ai-grid", "0.1", "--rho-grid", "0.05",
-                         "--theta-set", "2"])
-        assert code == 0
-        assert "numpy" in sys.modules, "quadrature ran without numpy"
-    """)
-    proc = _run_child(child)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main({argv!r})
+        print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
+    """))
     assert proc.returncode == 0, proc.stderr
-    header, row = proc.stdout.splitlines()
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_only_for_quadrature():
+    for argv, unloaded in COLD_RUNS:
+        code, _, modules = _cold_run(argv)
+        assert code == 0, argv
+        assert "numpy" not in modules, f"{argv} loaded numpy without quadrature"
+        own = {m.split(".", 1)[1] for m in modules if m.startswith("tai_welfare.")}
+        assert not own & unloaded, f"{argv} loaded {sorted(own & unloaded)}"
+    code, out, modules = _cold_run(["table", "t4", "--g-ai-grid", "0.1", "--rho-grid",
+                                    "0.05", "--theta-set", "2"])
+    assert code == 0
+    assert "numpy" in modules, "quadrature ran without numpy"
+    header, row = out.splitlines()
     assert header == "g_ai,theta=2/rho=0.05"
     assert float(row.split(",")[1]) > 0.0
+
+
+@pytest.mark.parametrize("argv", [["-h"]] + [[c, "-h"] for c in COMMANDS] + [["table", "t9"]],
+                         ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, capsys):
+    # main registers only the parsed subcommand's arguments; help and usage errors
+    # must still read as from the parser with every subcommand registered
+    with pytest.raises(SystemExit) as lazy:
+        main(argv)
+    lazy_output = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    assert (lazy.value.code, lazy_output) == (full.value.code, capsys.readouterr())
+    assert lazy.value.code == (2 if argv == ["table", "t9"] else 0)
 
 
 # the commands that run quadrature take up to a second per call; leave them out

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tai_welfare import (
     ConvergenceError,
@@ -21,6 +23,7 @@ from tai_welfare import (
     welfare_no_takeover,
     welfare_truncated,
 )
+from tai_welfare.solvers import RESIDUAL_REL_TOL
 from conftest import make_spec
 
 
@@ -310,3 +313,21 @@ class TestComparativeStatics:
             for r in (0.002, 0.01, 0.03, 0.05)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+# p3 and p4 are drawn where about half the delayed lotteries have a root in T
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
+       g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
+       p3=st.floats(0.0, 0.5), p4=st.floats(0.5, 1.0))
+def test_time_roots_give_the_no_takeover_welfare(c0, theta, g_ai, rho, p3, p4):
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    w0 = welfare_no_takeover(spec).value
+    tol = RESIDUAL_REL_TOL * max(1.0, abs(w0))
+    T = solve_extinction_time(spec)
+    assert T.is_value  # g_ai above g_baseline: cornucopia beats the baseline
+    assert abs(welfare_truncated(spec, T.value).value - w0) <= tol
+    T = solve_T_delayed(spec, p3=p3, p4=p4)
+    if T.is_value:
+        w_b = welfare_truncated(spec, T.value).value
+        assert abs(lottery_value(welfare_cornucopia(spec).value, w_b, p3, p4) - w0) <= tol

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tai_welfare import (
     DivergenceError,
@@ -84,6 +86,15 @@ class TestTruncated:
         horizons = np.sort(rng.uniform(0.1, 500.0, size=40))
         values = [welfare_truncated(spec, float(T)).value for T in horizons]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
+           g_ai=st.floats(0.0, 0.5), rho=st.floats(0.001, 0.08),
+           T=st.floats(0.0, 1e4), dT=st.floats(0.0, 1e4))
+    def test_never_falls_as_the_horizon_grows(self, c0, theta, g_ai, rho, T, dT):
+        # non-decreasing: far out, both horizons round to the cornucopia value
+        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+        assert welfare_truncated(spec, T).value <= welfare_truncated(spec, T + dT).value
 
     def test_converges_to_cornucopia(self, c0):
         for theta in (1.0, 2.0):
