@@ -15,9 +15,9 @@ simulator and every other evaluator are pure Python.
 # each public name, grouped by the module that defines it
 _EXPORTS = {
     "compensation": ("EvResult", "equivalent_variation", "ev_panel", "wtp_per_period"),
-    "config": ("RunConfig", "parse_config"),
-    "errors": ("BracketError", "ConfigError", "ConvergenceError", "DivergenceError",
-               "DomainError", "QuadratureError", "TaiWelfareError"),
+    "config": ("RunConfig", "calibrate_c0", "parse_config"),
+    "errors": ("ConfigError", "ConvergenceError", "DivergenceError", "DomainError",
+               "QuadratureError", "TaiWelfareError"),
     "growth": ("ProductionParams", "Trajectory", "asymptotic_growth_rate", "ces",
                "failure_mode_path", "output", "simulate", "trajectory_csv"),
     "hazards": ("ConstantHazard", "CrashPath", "ExponentialPath", "MountingLogHazard",
@@ -28,7 +28,7 @@ _EXPORTS = {
                 "solve_extinction_time", "solve_p3_delayed", "solve_p3_immediate",
                 "solve_p4_delayed"),
     "special": ("erf", "erfc", "erfcx"),
-    "tables": ("TableSpec", "calibrate_c0", "emit_table", "table_spec"),
+    "tables": ("TableSpec", "emit_table", "table_spec"),
     "taxonomy": ("LeafDistribution", "TaxonomyProbs", "leaf_distribution", "p_doom"),
     "welfare": ("ScenarioSpec", "WelfareResult", "integrate_discounted", "lottery_value",
                 "welfare_cornucopia", "welfare_mounting", "welfare_no_takeover",

@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 from typing import Collection, Optional, Sequence
 
-from .config import LIST_KEYS, RunConfig, format_number, parse_config, parse_finite, parse_list
+from .config import (DEFAULT_ANCHOR, DEFAULT_ANCHOR_TARGET, LIST_KEYS, RunConfig,
+                     calibrate_c0, format_number, parse_config, parse_finite, parse_list)
 from .errors import ConfigError, ConvergenceError, DomainError, TaiWelfareError
 
 
@@ -171,8 +172,6 @@ def _cmd_simulate_growth(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_c0(args: argparse.Namespace) -> int:
-    from .tables import calibrate_c0
-
     config = _load_config(args)
     c0 = calibrate_c0(args.target, g_ai=args.anchor_g_ai, rho=args.anchor_rho,
                       g_baseline=config.g_baseline)
@@ -245,8 +244,6 @@ def _simulate_growth_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _calibrate_c0_arguments(p: argparse.ArgumentParser) -> None:
-    from .tables import DEFAULT_ANCHOR, DEFAULT_ANCHOR_TARGET
-
     p.add_argument("--target", type=float, default=DEFAULT_ANCHOR_TARGET)
     p.add_argument("--anchor-g-ai", type=float, default=DEFAULT_ANCHOR["g_ai"])
     p.add_argument("--anchor-rho", type=float, default=DEFAULT_ANCHOR["rho"])

@@ -1,11 +1,20 @@
-"""Run configuration, the line-oriented key=value config format, and the
-six-digit number format of every printed value.
+"""Run configuration, the calibration of its default c0, the line-oriented
+key=value config format, and the six-digit number format of every printed value.
 
 Format: one `key=value` per line, `#` starts a comment, blank lines are
 ignored.  List-valued keys take comma-separated numbers.  Unknown keys are
 rejected with their line number; every value is range-checked on parse.
 The defaults of g_baseline and quad_tol live here, not in the evaluators,
-so reading a config loads no evaluator.
+so reading a config, or resolving its default c0, loads no evaluator.
+
+The normalized baseline consumption c0 is not an observable; it is pinned by
+requiring one published anchor cell to hold exactly.  The default anchor is
+the immediate-misalignment threshold p3 = 1 - W0/W_cornucopia at theta = 1,
+g_ai = 0.05, rho = 0.05 with target 0.055282, which inverts in closed form to
+
+    log c0 = ((1 - p3) g_ai - g_baseline) / (rho * p3).
+
+Every cell of every table is then an out-of-sample check.
 """
 
 from __future__ import annotations
@@ -14,15 +23,43 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
-__all__ = ["RunConfig", "parse_config", "format_number", "DEFAULT_G_AI_GRID",
+__all__ = ["RunConfig", "parse_config", "format_number", "calibrate_c0",
+           "DEFAULT_ANCHOR", "DEFAULT_ANCHOR_TARGET", "DEFAULT_G_AI_GRID",
            "DEFAULT_RHO_GRID", "DEFAULT_G_BASELINE", "DEFAULT_QUAD_TOL"]
 
 DEFAULT_G_BASELINE = 0.0175
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_G_AI_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_RHO_GRID = (0.002, 0.01, 0.03, 0.05)
+DEFAULT_ANCHOR = {"theta": 1.0, "g_ai": 0.05, "rho": 0.05}
+DEFAULT_ANCHOR_TARGET = 0.055282
+
+
+def calibrate_c0(
+    target: float = DEFAULT_ANCHOR_TARGET,
+    *,
+    g_ai: float = DEFAULT_ANCHOR["g_ai"],
+    rho: float = DEFAULT_ANCHOR["rho"],
+    g_baseline: float = DEFAULT_G_BASELINE,
+) -> float:
+    """Baseline consumption c0 >= 1 making the anchor cell hit its target.
+
+    The anchor identity is the theta = 1 immediate-misalignment threshold
+    p3 = 1 - W0/W_cornucopia, linear in log c0, hence the closed form.  A
+    target implying log c0 < 0 has no admissible calibration.
+    """
+    if not 0.0 < target < 1.0:
+        raise DomainError(f"anchor target must lie in (0, 1), got {target!r}")
+    if not g_ai > g_baseline:
+        raise DomainError("anchor needs g_ai > g_baseline")
+    log_c0 = ((1.0 - target) * g_ai - g_baseline) / (rho * target)
+    if log_c0 < 0.0:
+        raise DomainError(
+            f"anchor target {target!r} implies c0 < 1; no admissible calibration"
+        )
+    return math.exp(log_c0)
 
 
 @dataclass(frozen=True)
@@ -30,7 +67,7 @@ class RunConfig:
     """Inputs shared by the table pipeline and the CLI; fully deterministic.
 
     c0 defaults to the value calibrated from the standard anchor cell, see
-    tables.calibrate_c0.
+    calibrate_c0.
     """
 
     c0: Optional[float] = None  # None = calibrate at g_baseline on first use
@@ -80,8 +117,6 @@ class RunConfig:
     def resolved_c0(self) -> float:
         if self.c0 is not None:
             return self.c0
-        from .tables import calibrate_c0
-
         return calibrate_c0(g_baseline=self.g_baseline)
 
 

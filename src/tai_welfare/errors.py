@@ -21,9 +21,5 @@ class QuadratureError(ConvergenceError):
     """Adaptive quadrature exhausted its subdivision budget."""
 
 
-class BracketError(ConvergenceError):
-    """Bracket expansion failed to enclose a sign change."""
-
-
 class ConfigError(TaiWelfareError, ValueError):
     """A config file or CLI flag is malformed or out of range."""

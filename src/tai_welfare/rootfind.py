@@ -1,8 +1,9 @@
-"""Bracketed scalar root finding: geometric bracket expansion plus Brent.
+"""Bracketed scalar root finding: Brent's method.
 
 Every indifference condition in this package is monotone in the solved
 parameter, so a sign-change bracket both exists and pins a unique root
-whenever there is one.  The solvers below therefore never need derivatives.
+whenever there is one.  The solvers therefore never need derivatives; each
+grows its own bracket from the end of its domain where f is known.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
-__all__ = ["RootResult", "expand_bracket", "brent"]
+__all__ = ["RootResult", "brent"]
 
 _EPS = 2.220446049250313e-16
-BRACKET_FACTOR = 2.0  # geometric growth of the bracket step
-BRACKET_MAX_STEPS = 200
 BRENT_MAX_ITERATIONS = 200
 
 
@@ -26,46 +25,6 @@ class RootResult:
     root: float
     iterations: int
     residual: float
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    guess: float,
-    lo_limit: float,
-    hi_limit: float,
-) -> tuple[float, float, float, float]:
-    """Grow [a, b] geometrically around guess until f changes sign.
-
-    Expansion is clipped to [lo_limit, hi_limit]; returns (a, b, f(a), f(b)).
-    Raises BracketError when the limits are reached without a sign change.
-    """
-    if not lo_limit <= guess <= hi_limit:
-        guess = min(max(guess, lo_limit), hi_limit)
-    a = b = guess
-    fa = fb = f(guess)
-    if fa == 0.0:
-        return a, b, fa, fb
-    step = abs(guess) * 0.5 or 0.5
-    for _ in range(BRACKET_MAX_STEPS):
-        moved = False
-        if a > lo_limit:
-            a = max(a - step, lo_limit)
-            fa = f(a)
-            moved = True
-            if fa == 0.0 or fa * fb < 0.0:
-                return a, b, fa, fb
-        if b < hi_limit:
-            b = min(b + step, hi_limit)
-            fb = f(b)
-            moved = True
-            if fb == 0.0 or fa * fb < 0.0:
-                return a, b, fa, fb
-        if not moved:
-            break
-        step *= BRACKET_FACTOR
-    raise BracketError(
-        f"no sign change in [{a!r}, {b!r}] (f(a)={fa!r}, f(b)={fb!r})"
-    )
 
 
 def brent(

@@ -10,11 +10,15 @@ equals the no-takeover welfare W0.  A solve can end four ways:
 
 The probability solvers are linear given the underlying welfare values, so
 they are closed-form; the time and hazard-slope solvers bracket and run
-Brent on a function that is monotone in the solved parameter.  The hazard
-slope is solved on the quadrature welfare_mounting, in a bracket that the
-exact erfcx closed form predicts; the quadrature stays the evaluator that
-defines the root until the t4 golden, which holds its rounding in one cell,
-is re-captured from a 40-digit oracle.
+Brent on a function that is monotone in the solved parameter.  Both know
+its value at 0, so one bracket serves both: trial points start * 4^n, capped
+at the domain's end, grow upward until the sign differs from f(0)'s, and the
+last point that kept f(0)'s sign (0 at first) is the lower end.  The time
+solves run it, and Brent, on the truncated closed form with its scalars
+bound once.  The hazard slope is solved on the quadrature welfare_mounting,
+in a bracket that the exact erfcx closed form predicts; the quadrature stays
+the evaluator that defines the root until the t4 golden, which holds its
+rounding in one cell, is re-captured from a 40-digit oracle.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -25,15 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Literal, Optional
 
 from .config import DEFAULT_QUAD_TOL
-from .errors import BracketError, ConvergenceError, DomainError
-from .rootfind import RootResult, brent, expand_bracket
+from .errors import ConvergenceError, DomainError
+from .rootfind import RootResult, brent
 from .taxonomy import _check_probability
 from .welfare import (
     ScenarioSpec,
     _mounting_closed_form,
+    discounted_crra_closed_form,
     lottery_value,
     welfare_cornucopia,
     welfare_mounting,
@@ -109,23 +115,47 @@ def _residual_ok(resid: float, w0: float) -> float:
     return resid
 
 
-def _solve_monotone_time(
-    wb_of_t: Callable[[float], float], target: float, w_sup: float
-) -> SolveOutcome:
-    """Solve W(T) = target for a W increasing from W(0)=0 toward sup W = w_sup."""
+_Bracket = tuple[float, float, float, float]  # (lo, hi, f(lo), f(hi)) with a sign change
+
+
+def _bracket_upward(
+    f: Callable[[float], float], f0: float, start: float, cap: float
+) -> Optional[_Bracket]:
+    """[lo, hi] with hi = start * 4^n, capped at cap, at the first f(hi) without f0's sign.
+
+    f(0) = f0 != 0 is known; lo is the last point that kept its sign, 0 at
+    first.  None when f keeps f0's sign up to cap.
+    """
+    sign = math.copysign(1.0, f0)
+    lo, f_lo, hi = 0.0, f0, start
+    while sign * (f_hi := f(hi)) > 0.0:
+        if hi >= cap:
+            return None
+        lo, f_lo, hi = hi, f_hi, min(4.0 * hi, cap)
+    return lo, hi, f_lo, f_hi
+
+
+def _brent_in(f: Callable[[float], float], bracket: _Bracket) -> RootResult:
+    lo, hi, f_lo, f_hi = bracket
+    return brent(f, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
+
+
+def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> SolveOutcome:
+    """Solve W_trunc(T) = target; W_trunc rises from W(0) = 0 toward sup W = w_sup."""
     if target < -BOUNDARY_BAND:
         return SolveOutcome.no_tai_preferred()
     if target >= w_sup:
         return SolveOutcome.no_solution()
-    f = lambda t: wb_of_t(t) - target
     if abs(target) <= BOUNDARY_BAND:
         return SolveOutcome.of(0.0)
-    try:
-        a, b, fa, fb = expand_bracket(f, 1.0, 0.0, T_DELAYED_MAX)
-    except BracketError:
+    w_trunc = partial(discounted_crra_closed_form, spec.log_c0, spec.g_ai,
+                      spec.prefs.rho, spec.prefs.theta_rra)
+    f = lambda t: w_trunc(t) - target
+    bracket = _bracket_upward(f, -target, 1.0, T_DELAYED_MAX)
+    if bracket is None:
         # root beyond the admissible [0, 1e6] window
         return SolveOutcome.no_solution()
-    result = brent(f, a, b, fa=fa, fb=fb)
+    result = _brent_in(f, bracket)
     resid = _residual_ok(result.residual, target)
     return SolveOutcome.of(result.root, result.iterations, resid)
 
@@ -139,9 +169,7 @@ def solve_extinction_time(spec: ScenarioSpec) -> SolveOutcome:
     """
     w0 = welfare_no_takeover(spec).value
     w_a = welfare_cornucopia(spec).value
-    return _solve_monotone_time(
-        lambda t: welfare_truncated(spec, t).value, w0, w_a
-    )
+    return _solve_monotone_time(spec, w0, w_a)
 
 
 def solve_p3_immediate(spec: ScenarioSpec) -> SolveOutcome:
@@ -196,30 +224,7 @@ def solve_T_delayed(spec: ScenarioSpec, p3: float, p4: float) -> SolveOutcome:
     w_a = welfare_cornucopia(spec).value
     keep = 1.0 - p3
     target = (w0 - keep * (1.0 - p4) * w_a) / (keep * p4)
-    return _solve_monotone_time(
-        lambda t: welfare_truncated(spec, t).value, target, w_a
-    )
-
-
-_Bracket = tuple[float, float, float, float]  # (lo, hi, f(lo), f(hi)) with a sign change
-
-
-def _bracket_from_zero(f: Callable[[float], float], f0: float) -> Optional[_Bracket]:
-    """[0, hi] with hi = 1e-6 * 4^n, capped at EPSILON_MAX, at the first f(hi) <= 0.
-
-    f(0) = f0 > 0 is known.  None when f > 0 still at EPSILON_MAX.
-    """
-    hi = _EPSILON_START
-    while (f_hi := f(hi)) > 0.0:
-        if hi >= EPSILON_MAX:
-            return None
-        hi = min(4.0 * hi, EPSILON_MAX)
-    return 0.0, hi, f0, f_hi
-
-
-def _brent_in(f: Callable[[float], float], bracket: _Bracket) -> RootResult:
-    lo, hi, f_lo, f_hi = bracket
-    return brent(f, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
+    return _solve_monotone_time(spec, target, w_a)
 
 
 def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[float]:
@@ -232,7 +237,7 @@ def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[flo
         return w - w0
 
     try:
-        bracket = _bracket_from_zero(f, f0)
+        bracket = _bracket_upward(f, f0, _EPSILON_START, EPSILON_MAX)
         return None if bracket is None else _brent_in(f, bracket).root
     except ArithmeticError:
         return None
@@ -284,7 +289,7 @@ def solve_epsilon_mounting(
     Polish: the quadrature is evaluated at eps_hat (1 -/+ 1e-7), widened
     four-fold until it brackets the root, and Brent (rel_tol 1e-10) runs on
     the quadrature in that bracket.  When the closed form overflows or finds
-    no root, the bracket instead grows from [0, 1e-6] four-fold.  The value,
+    no root, the bracket instead grows upward from 1e-6 four-fold.  The value,
     the tag and the residual check all come from quadrature evaluations, and
     the outcome's iterations count only the quadrature Brent.  Once the t4
     golden is re-captured from a 40-digit oracle, the closed form can be the
@@ -302,7 +307,7 @@ def solve_epsilon_mounting(
 
     eps_hat = _predicted_epsilon(spec, w0, f0)
     if eps_hat is None:
-        bracket = _bracket_from_zero(f, f0)
+        bracket = _bracket_upward(f, f0, _EPSILON_START, EPSILON_MAX)
     else:
         bracket = _bracket_around(f, eps_hat, f0)
     if bracket is None:

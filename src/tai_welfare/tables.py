@@ -1,13 +1,8 @@
-"""Baseline-consumption calibration and the indifference/EV table pipeline.
+"""The indifference/EV table pipeline.
 
-The normalized baseline consumption c0 is not an observable; it is pinned by
-requiring one published anchor cell to hold exactly.  The default anchor is
-the immediate-misalignment threshold p3 = 1 - W0/W_cornucopia at theta = 1,
-g_ai = 0.05, rho = 0.05 with target 0.055282, which inverts in closed form to
-
-    log c0 = ((1 - p3) g_ai - g_baseline) / (rho * p3).
-
-Every other cell of every table is then an out-of-sample check.
+Each cell is solved at the run config's c0, which defaults to the value
+calibrated from one published anchor cell (config.calibrate_c0), so every
+other cell of every table is an out-of-sample check.
 
 Table ids: t1 (extinction time), t2 (immediate misalignment probability),
 t3a/t3b/t3c (delayed lottery solved for p3/p4/T), t4 (mounting hazard
@@ -21,13 +16,12 @@ ERROR:<ExceptionClassName> without aborting the rest of the table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
 from .compensation import EvResult, ev_panel
-from .config import DEFAULT_G_BASELINE, RunConfig, format_number
-from .errors import ConfigError, DomainError, TaiWelfareError
+from .config import RunConfig, format_number
+from .errors import ConfigError, TaiWelfareError
 from .preferences import Preferences
 from .solvers import (
     SolveOutcome,
@@ -43,7 +37,6 @@ from .welfare import ScenarioSpec
 __all__ = [
     "TableSpec",
     "table_spec",
-    "calibrate_c0",
     "emit_table",
     "scenario",
     "ev_cell",
@@ -58,9 +51,6 @@ SENTINEL_TOKENS = {
     "tai_preferred": "TAI_PREFERRED",        # published tables print ">1"
     "no_solution": "NO_SOLUTION",
 }
-
-DEFAULT_ANCHOR = {"theta": 1.0, "g_ai": 0.05, "rho": 0.05}
-DEFAULT_ANCHOR_TARGET = 0.055282
 
 # Every solver takes spec plus the keywords p3, p4, T and quad_tol and reads
 # only the ones its indifference condition holds fixed.
@@ -116,36 +106,6 @@ def table_spec(table_id: str, config: Optional[RunConfig] = None) -> TableSpec:
         rho_grid=config.rho_grid,
         theta_set=tuple(config.theta_set or TABLES[table_id].theta_set),
     )
-
-
-# ---------------------------------------------------------------------------
-# calibration
-# ---------------------------------------------------------------------------
-
-
-def calibrate_c0(
-    target: float = DEFAULT_ANCHOR_TARGET,
-    *,
-    g_ai: float = DEFAULT_ANCHOR["g_ai"],
-    rho: float = DEFAULT_ANCHOR["rho"],
-    g_baseline: float = DEFAULT_G_BASELINE,
-) -> float:
-    """Baseline consumption c0 >= 1 making the anchor cell hit its target.
-
-    The anchor identity is the theta = 1 immediate-misalignment threshold
-    p3 = 1 - W0/W_cornucopia, linear in log c0, hence the closed form.  A
-    target implying log c0 < 0 has no admissible calibration.
-    """
-    if not 0.0 < target < 1.0:
-        raise DomainError(f"anchor target must lie in (0, 1), got {target!r}")
-    if not g_ai > g_baseline:
-        raise DomainError("anchor needs g_ai > g_baseline")
-    log_c0 = ((1.0 - target) * g_ai - g_baseline) / (rho * target)
-    if log_c0 < 0.0:
-        raise DomainError(
-            f"anchor target {target!r} implies c0 < 1; no admissible calibration"
-        )
-    return math.exp(log_c0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,22 @@ def _exp_decay_integral(rate: float, horizon: float) -> float:
     return -math.expm1(-rate * horizon) / rate
 
 
+_T_SERIES_MAX = 0.05  # below this rate * T the closed form of int t e^(-rate t) cancels
+
+
+def _t_exp_decay_integral(rate: float, horizon: float, e_rate: float) -> float:
+    # int_0^T t e^(-rate t) dt, given e_rate = int_0^T e^(-rate t) dt; T^2 / 2 at rate = 0
+    x = rate * horizon
+    if abs(x) >= _T_SERIES_MAX:
+        return (e_rate - horizon * math.exp(-x)) / rate
+    # T^2 sum_{k>=2} (k-1) (-x)^(k-2) / k!; the terms past k = 11 are below 1e-18
+    term = total = 0.5
+    for k in range(2, 11):
+        term *= -x * k / (k * k - 1)
+        total += term
+    return horizon * horizon * total
+
+
 def discounted_crra_closed_form(
     log_c0: float, g: float, rate: float, theta: float, horizon: float | None = None
 ) -> float:
@@ -125,11 +141,7 @@ def discounted_crra_closed_form(
         raise DomainError(f"horizon must be finite and >= 0, got {horizon!r}")
     e_rho = _exp_decay_integral(rate, horizon)
     if q == 0.0:
-        if rate == 0.0:
-            return log_c0 * horizon + 0.5 * g * horizon**2
-        # int t e^(-rate t) dt = (E - T e^(-rate T)) / rate
-        j = (e_rho - horizon * math.exp(-rate * horizon)) / rate
-        return log_c0 * e_rho + g * j
+        return log_c0 * e_rho + g * _t_exp_decay_integral(rate, horizon, e_rho)
     return (math.exp(q * log_c0) * _exp_decay_integral(a, horizon) - e_rho) / q
 
 

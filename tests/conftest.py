@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tai_welfare import Preferences, ScenarioSpec, calibrate_c0
+from tai_welfare import Preferences, ScenarioSpec
+from tai_welfare.config import calibrate_c0
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ from tai_welfare.solvers import (
     solve_p3_immediate,
     solve_p4_delayed,
 )
-from tai_welfare.tables import calibrate_c0
+from tai_welfare.config import calibrate_c0
 from tai_welfare.welfare import (
     integrate_discounted,
     welfare_cornucopia,

@@ -105,6 +105,14 @@ def test_calibrate_c0(capsys):
     assert float(out.strip()) == pytest.approx(4.70e4, rel=2e-3)
 
 
+@pytest.mark.parametrize("g_ai,expected", [("1e20", "2.74969e-09"), ("1e50", "2.74969e-24")])
+def test_extinction_time_below_a_year_at_log_utility(capsys, g_ai, expected):
+    # a 60-digit bisection puts the roots at 2.749694433e-09 and 2.749694433e-24
+    code, out, err = run_cli(capsys, "solve", "--target", "extinction-time",
+                             "--g-ai", g_ai, "--rho", "0.03")
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("p3=0.5\np4=0.25\nT=40\n", encoding="utf-8")
@@ -357,11 +365,13 @@ def test_huge_simulation_is_refused_before_allocating(capsys, monkeypatch):
     assert err.startswith("config error:") and "steps" in err
 
 
+# the modules that evaluate welfare or solve for a threshold
+EVALUATORS = {"tables", "solvers", "welfare", "compensation", "rootfind"}
 # argv -> the package modules that its cold start must leave unloaded
 COLD_RUNS = (
     (["pdoom"], {"welfare", "special", "solvers", "rootfind", "tables", "compensation",
                  "growth", "hazards", "quadrature"}),
-    (["calibrate-c0"], set()),
+    (["calibrate-c0"], EVALUATORS),
     (["table", "t2"], set()),
     (["solve", "--target", "p3-immediate", "--g-ai", "0.1", "--rho", "0.05"], set()),
     (["et", "--hazard", "zero"], {"solvers", "tables"}),
@@ -396,6 +406,13 @@ def test_numpy_loads_only_for_quadrature():
         assert "numpy" not in modules, f"{argv} loaded numpy without quadrature"
         own = {m.split(".", 1)[1] for m in modules if m.startswith("tai_welfare.")}
         assert not own & unloaded, f"{argv} loaded {sorted(own & unloaded)}"
+    proc = _run_child("import json, sys\nfrom tai_welfare.config import RunConfig\n"
+                      "RunConfig().resolved_c0()\nprint(json.dumps(sorted(sys.modules)))\n")
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert "numpy" not in modules
+    own = {m.split(".", 1)[1] for m in modules if m.startswith("tai_welfare.")}
+    assert not own & EVALUATORS, f"resolving the default c0 loaded {sorted(own & EVALUATORS)}"
     code, out, modules = _cold_run(["table", "t4", "--g-ai-grid", "0.1", "--rho-grid",
                                     "0.05", "--theta-set", "2"])
     assert code == 0

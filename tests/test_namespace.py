@@ -12,7 +12,7 @@ import pytest
 import tai_welfare
 
 PUBLIC_NAMES = {
-    "BracketError", "ConfigError", "ConstantHazard", "ConvergenceError", "CrashPath",
+    "ConfigError", "ConstantHazard", "ConvergenceError", "CrashPath",
     "DivergenceError", "DomainError", "EvResult", "ExponentialPath", "LeafDistribution",
     "MountingLogHazard", "OneOffHazard", "Preferences", "ProductionParams",
     "QuadratureError", "RunConfig", "ScenarioSpec", "SolveOutcome", "TableSpec",

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tai_welfare import BracketError, DomainError
-from tai_welfare.rootfind import brent, expand_bracket
+from tai_welfare import DomainError
+from tai_welfare.rootfind import brent
 
 
 def test_brent_polynomial_root():
@@ -34,30 +34,6 @@ def test_brent_tight_relative_tolerance():
     f = lambda x: math.expm1(x) - 1.0
     result = brent(f, 0.0, 2.0, rel_tol=1e-14)
     assert result.root == pytest.approx(math.log(2.0), rel=1e-13)
-
-
-def test_expand_bracket_finds_enclosure():
-    f = lambda x: x - 37.5
-    a, b, fa, fb = expand_bracket(f, 1.0, 0.0, 1e6)
-    assert a <= 37.5 <= b
-    assert fa * fb <= 0.0
-
-
-def test_expand_bracket_respects_limits():
-    with pytest.raises(BracketError):
-        expand_bracket(lambda x: x + 1.0, 5.0, 0.0, 10.0)  # root at -1, outside
-
-
-def test_expand_bracket_handles_zero_guess():
-    a, b, fa, fb = expand_bracket(lambda x: x - 0.25, 0.0, 0.0, 10.0)
-    assert fa * fb <= 0.0
-
-
-def test_brent_then_residual_is_tiny():
-    f = lambda x: math.exp(-x) - 0.5 * x
-    a, b, fa, fb = expand_bracket(f, 0.1, 0.0, 100.0)
-    result = brent(f, a, b, fa=fa, fb=fb)
-    assert abs(f(result.root)) < 1e-9
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

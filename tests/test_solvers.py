@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tai_welfare import (
@@ -315,11 +315,70 @@ class TestComparativeStatics:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+# (theta, g_ai, rho, p3, p4, lo, hi): inputs whose extinction-time and
+# delayed-lottery roots in T both lie in (lo, hi), at the edges of the time
+# bracket that grows upward from T = 1 in steps of 4, capped at T_DELAYED_MAX
+TIME_BRACKET_EDGES = (
+    (1.0, 1e4, 0.03, 0.5, 1.0, 0.0, 1.0),  # below 1: lo is the known W(0) end
+    (1.0, 0.1, 1e-6, 0.2, 0.9, 4.0**9, solvers.T_DELAYED_MAX),  # the capped last step
+    (1.0, 0.1, 4e-7, 0.2, 0.9, solvers.T_DELAYED_MAX, math.inf),  # beyond the domain
+)
+
+
+def _time_roots_oracle(spec, p3, p4):
+    """40-digit roots T of W_trunc(T) = W0 and of the delayed lottery = W0, by bisection."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        lam, g, rho = mp.log(mpf(spec.c0)), mpf(spec.g_ai), mpf(spec.prefs.rho)
+        q = 1 - mpf(spec.prefs.theta_rra)
+
+        def w_inf(growth):
+            if q == 0:
+                return lam / rho + growth / rho**2
+            return (rho * mp.expm1(q * lam) / q + growth) / (rho * (rho - q * growth))
+
+        def w_trunc(T):
+            e = lambda rate: -mp.expm1(-rate * T) / rate
+            if q == 0:
+                x = rho * T
+                return lam * e(rho) + g * (-mp.expm1(-x) - x * mp.exp(-x)) / rho**2
+            return (mp.exp(q * lam) * e(rho - q * g) - e(rho)) / q
+
+        def root(target):
+            lo, hi = mpf(0), mpf(1)
+            while w_trunc(hi) < target:
+                hi *= 2
+            for _ in range(150):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if w_trunc(mid) < target else (lo, mid)
+            return float(lo)
+
+        w0, w_a = w_inf(mpf(spec.g_baseline)), w_inf(g)
+        keep = 1 - mpf(p3)
+        return root(w0), root((w0 - keep * (1 - mpf(p4)) * w_a) / (keep * mpf(p4)))
+
+
+@pytest.mark.parametrize("theta,g_ai,rho,p3,p4,lo,hi", TIME_BRACKET_EDGES)
+def test_time_roots_at_the_bracket_edges(c0, theta, g_ai, rho, p3, p4, lo, hi):
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    outcomes = (solve_extinction_time(spec), solve_T_delayed(spec, p3=p3, p4=p4))
+    for out, exact in zip(outcomes, _time_roots_oracle(spec, p3, p4)):
+        assert lo < exact < hi
+        if exact > solvers.T_DELAYED_MAX:
+            assert out.tag == "no_solution"
+        else:
+            assert out.is_value
+            assert out.value == pytest.approx(exact, rel=1e-9)
+
+
 # p3 and p4 are drawn where about half the delayed lotteries have a root in T
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
        g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
        p3=st.floats(0.0, 0.5), p4=st.floats(0.5, 1.0))
+@example(**dict(zip(("theta", "g_ai", "rho", "p3", "p4"), TIME_BRACKET_EDGES[0])))
+@example(**dict(zip(("theta", "g_ai", "rho", "p3", "p4"), TIME_BRACKET_EDGES[1])))
 def test_time_roots_give_the_no_takeover_welfare(c0, theta, g_ai, rho, p3, p4):
     spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
     w0 = welfare_no_takeover(spec).value
@@ -331,3 +390,24 @@ def test_time_roots_give_the_no_takeover_welfare(c0, theta, g_ai, rho, p3, p4):
     if T.is_value:
         w_b = welfare_truncated(spec, T.value).value
         assert abs(lottery_value(welfare_cornucopia(spec).value, w_b, p3, p4) - w0) <= tol
+
+
+# drawn where most delayed lotteries have a threshold in [0, 1]
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
+       g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
+       p=st.floats(0.0, 0.5), T=st.floats(1.0, 500.0), solve_for=st.sampled_from(("p3", "p4")))
+def test_solved_probabilities_give_the_no_takeover_welfare(c0, theta, g_ai, rho, p, T, solve_for):
+    # p is the probability held fixed; at a solved p3 or p4 the lottery is worth W0
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    if solve_for == "p3":
+        out = solve_p3_delayed(spec, p4=p, T=T)
+        p3, p4 = out.value, p
+    else:
+        out = solve_p4_delayed(spec, p3=p, T=T)
+        p3, p4 = p, out.value
+    if out.is_value:
+        w0 = welfare_no_takeover(spec).value
+        w_b = welfare_truncated(spec, T).value
+        lottery = lottery_value(welfare_cornucopia(spec).value, w_b, p3, p4)
+        assert abs(lottery - w0) <= RESIDUAL_REL_TOL * max(1.0, abs(w0))

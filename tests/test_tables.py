@@ -4,11 +4,10 @@ from pathlib import Path
 import pytest
 
 from tai_welfare import ConfigError, DomainError, RunConfig, parse_config
+from tai_welfare.config import DEFAULT_ANCHOR_TARGET, calibrate_c0
 from tai_welfare.tables import (
-    DEFAULT_ANCHOR_TARGET,
     SENTINEL_TOKENS,
     TABLE_IDS,
-    calibrate_c0,
     emit_table,
     format_number,
     scenario,

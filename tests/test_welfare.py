@@ -96,6 +96,20 @@ class TestTruncated:
         spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
         assert welfare_truncated(spec, T).value <= welfare_truncated(spec, T + dT).value
 
+    @pytest.mark.parametrize("rho", [0.001, 0.03, 0.08])
+    def test_log_utility_growth_term_matches_mpmath(self, rho):
+        # at c0 = 1 and theta = 1, W = g int_0^T t e^(-rho t) dt, whose closed
+        # form (E - T e^(-rho T)) / rho cancels as rho T -> 0
+        from mpmath import mp, mpf
+
+        spec = ScenarioSpec(c0=1.0, g_ai=1.0, prefs=Preferences(rho=rho, theta_rra=1.0))
+        with mp.workdps(40):
+            for T in np.logspace(-12.0, math.log10(50.0), 120):
+                x = mpf(rho) * mpf(float(T))
+                exact = float((-mp.expm1(-x) - x * mp.exp(-x)) / mpf(rho) ** 2)
+                value = welfare_truncated(spec, float(T)).value
+                assert value == pytest.approx(exact, rel=1e-14), T
+
     def test_converges_to_cornucopia(self, c0):
         for theta in (1.0, 2.0):
             spec = make_spec(c0, theta=theta, g_ai=0.1, rho=0.03)
