@@ -28,7 +28,7 @@ def _flag(name: str) -> str:
 
 
 # the RunConfig keys read by solve and ev
-CELL_KEYS = ("c0", "g_baseline", "p3", "p4", "T", "quad_tol")
+CELL_KEYS = ("c0", "g_baseline", "p3", "p4", "T")
 # the growth rate of et's mounting-hazard path when --g-ai is not given
 ET_G_AI = 0.2
 # the ProductionParams fields simulate-growth exposes, at the dataclass defaults
@@ -96,9 +96,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     config = _load_config(args)
     spec = scenario(config, args.theta, args.g_ai, args.rho)
-    outcome = SOLVE_TARGETS[args.target](
-        spec, p3=config.p3, p4=config.p4, T=config.T, quad_tol=config.quad_tol
-    )
+    outcome = SOLVE_TARGETS[args.target](spec, p3=config.p3, p4=config.p4, T=config.T)
     print(format_cell(outcome))
     return 0
 
@@ -112,7 +110,7 @@ def _cmd_ev(args: argparse.Namespace) -> int:
         raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
     spec = scenario(config, 1.0, args.g_ai, args.rho)
     values = {"p3": config.p3, "p4": config.p4, "T": config.T}
-    result = ev_cell(spec, args.panel, values, config.quad_tol, args.epsilon)
+    result = ev_cell(spec, args.panel, values, args.epsilon)
     if isinstance(result, SolveOutcome):
         print(format_cell(result))
         return 0
@@ -193,7 +191,7 @@ def _table_arguments(p: argparse.ArgumentParser) -> None:
 
     p.add_argument("table_id", choices=TABLE_IDS)
     _add_config_flags(p, "c0", "g_baseline", "g_ai_grid", "rho_grid", "theta_set",
-                      "quad_tol", "output_format")
+                      "output_format")
 
 
 def _solve_arguments(p: argparse.ArgumentParser) -> None:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .config import DEFAULT_QUAD_TOL
 from .errors import DomainError
 from .preferences import Preferences
 from .welfare import (
@@ -80,8 +79,8 @@ PANELS = {
     "b": (("p3",), lambda spec, w_a, *, p3, **_: lottery_value(w_a, 0.0, p3, 0.0)),
     "c": (("p3", "p4", "T"), lambda spec, w_a, *, p3, p4, T, **_: lottery_value(
         w_a, welfare_truncated(spec, T).value, p3, p4)),
-    "d": (("epsilon",), lambda spec, w_a, *, epsilon, quad_tol, **_: welfare_mounting(
-        spec, epsilon, tol=quad_tol).value),
+    "d": (("epsilon",), lambda spec, w_a, *, epsilon, **_: welfare_mounting(
+        spec, epsilon).value),
 }
 
 
@@ -93,7 +92,6 @@ def ev_panel(
     p3: Optional[float] = None,
     p4: Optional[float] = None,
     epsilon: Optional[float] = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> EvResult:
     """EV of one PANELS scenario against the cornucopia on the same growth path.
 
@@ -103,7 +101,7 @@ def ev_panel(
     if panel not in PANELS:
         raise DomainError(f"unknown panel {panel!r}")
     reads, risky = PANELS[panel]
-    values = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon, "quad_tol": quad_tol}
+    values = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon}
     if any(values[name] is None for name in reads):
         raise DomainError(f"panel {panel} needs {', '.join(reads)}")
     w_a = welfare_cornucopia(spec).value

@@ -4,8 +4,8 @@ key=value config format, and the six-digit number format of every printed value.
 Format: one `key=value` per line, `#` starts a comment, blank lines are
 ignored.  List-valued keys take comma-separated numbers.  Unknown keys are
 rejected with their line number; every value is range-checked on parse.
-The defaults of g_baseline and quad_tol live here, not in the evaluators,
-so reading a config, or resolving its default c0, loads no evaluator.
+The default of g_baseline lives here, not in the evaluators, so reading a
+config, or resolving its default c0, loads no evaluator.
 
 The normalized baseline consumption c0 is not an observable; it is pinned by
 requiring one published anchor cell to hold exactly.  The default anchor is
@@ -27,10 +27,9 @@ from .errors import ConfigError, DomainError
 
 __all__ = ["RunConfig", "parse_config", "format_number", "calibrate_c0",
            "DEFAULT_ANCHOR", "DEFAULT_ANCHOR_TARGET", "DEFAULT_G_AI_GRID",
-           "DEFAULT_RHO_GRID", "DEFAULT_G_BASELINE", "DEFAULT_QUAD_TOL"]
+           "DEFAULT_RHO_GRID", "DEFAULT_G_BASELINE"]
 
 DEFAULT_G_BASELINE = 0.0175
-DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_G_AI_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_RHO_GRID = (0.002, 0.01, 0.03, 0.05)
 DEFAULT_ANCHOR = {"theta": 1.0, "g_ai": 0.05, "rho": 0.05}
@@ -85,7 +84,6 @@ class RunConfig:
     delta: float = 0.05
     tech_growth: float = DEFAULT_G_BASELINE  # a bottlenecked economy's growth rate
     output_format: str = "csv"
-    quad_tol: float = DEFAULT_QUAD_TOL
 
     def __post_init__(self) -> None:
         if self.c0 is not None and not self.c0 >= 1.0:
@@ -111,8 +109,6 @@ class RunConfig:
             raise ConfigError(
                 f"output_format must be csv or markdown, got {self.output_format!r}"
             )
-        if not self.quad_tol > 0.0:
-            raise ConfigError(f"quad_tol must be > 0, got {self.quad_tol!r}")
 
     def resolved_c0(self) -> float:
         if self.c0 is not None:

@@ -141,13 +141,13 @@ def integrate_transformed(
     *,
     abs_tol: float = 1e-10,
     rel_tol: float = 1e-10,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
 ) -> QuadratureResult:
     """int_0^inf flow(t) * excess_weight(t) * e^(-rate t) dt for rate > 0.
 
     excess_weight is the weight with the pure exponential discount divided
     out (identically 1 for plain discounting); it must stay bounded by 1-ish
-    so the transformed integrand remains O(flow).
+    so the transformed integrand remains O(flow).  Both legs share one
+    DEFAULT_MAX_INTERVALS budget.
     """
     if not rate > 0.0:
         raise DomainError(f"transform rate must be > 0, got {rate!r}")
@@ -167,12 +167,12 @@ def integrate_transformed(
 
     head = integrate_finite(
         transformed, 0.0, x_split,
-        abs_tol=0.5 * abs_tol, rel_tol=0.5 * rel_tol, max_intervals=max_intervals,
+        abs_tol=0.5 * abs_tol, rel_tol=0.5 * rel_tol, max_intervals=DEFAULT_MAX_INTERVALS,
     )
     mid = integrate_finite(
         direct, t_split, t_max,
         abs_tol=0.5 * abs_tol, rel_tol=0.5 * rel_tol,
-        max_intervals=max_intervals - head.intervals,
+        max_intervals=DEFAULT_MAX_INTERVALS - head.intervals,
     )
     # the clipped tail is below e^-60 * |flow * excess|; charge a bound
     # against the error estimate rather than pretending it is zero

@@ -35,7 +35,6 @@ def brent(
     fa: float | None = None,
     fb: float | None = None,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
 ) -> RootResult:
     """Brent's method on a sign-change interval [a, b].
 
@@ -57,7 +56,7 @@ def brent(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + max(abs_tol, rel_tol * abs(b))
+        tol = 2.0 * _EPS * abs(b) + rel_tol * abs(b)
         mid = 0.5 * (c - b)
         if abs(mid) <= tol or fb == 0.0:
             return RootResult(b, iteration, abs(fb))

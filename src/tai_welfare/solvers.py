@@ -15,9 +15,10 @@ its value at 0, so one bracket serves both: trial points start * 4^n, capped
 at the domain's end, grow upward until the sign differs from f(0)'s, and the
 last point that kept f(0)'s sign (0 at first) is the lower end.  The time
 solves run it, and Brent, on the truncated closed form with its scalars
-bound once.  The hazard slope is solved on the quadrature welfare_mounting,
-in a bracket that the exact erfcx closed form predicts; the quadrature stays
-the evaluator that defines the root until the t4 golden, which holds its
+bound once; a root below T = 1 is then closed in from above, four-fold.
+The hazard slope is solved on the quadrature welfare_mounting, in a bracket
+that the exact erfcx closed form predicts; the quadrature stays the
+evaluator that defines the root until the t4 golden, which holds its
 rounding in one cell, is re-captured from a 40-digit oracle.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Literal, Optional
 
-from .config import DEFAULT_QUAD_TOL
 from .errors import ConvergenceError, DomainError
 from .rootfind import RootResult, brent
 from .taxonomy import _check_probability
@@ -155,7 +155,14 @@ def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> Sol
     if bracket is None:
         # root beyond the admissible [0, 1e6] window
         return SolveOutcome.no_solution()
-    result = _brent_in(f, bracket)
+    lo, hi, f_lo, f_hi = bracket
+    # a root below T = 1: step down four-fold, as Brent creeps to a root decades under hi
+    while lo == 0.0 and (t := 0.25 * hi) > 0.0:
+        if (f_t := f(t)) < 0.0:
+            lo, f_lo = t, f_t
+        else:
+            hi, f_hi = t, f_t
+    result = _brent_in(f, (lo, hi, f_lo, f_hi))
     resid = _residual_ok(result.residual, target)
     return SolveOutcome.of(result.root, result.iterations, resid)
 
@@ -273,15 +280,13 @@ def _bracket_around(
             return lo, hi, f_lo, f_hi
 
 
-def solve_epsilon_mounting(
-    spec: ScenarioSpec, *, quad_tol: float = DEFAULT_QUAD_TOL
-) -> SolveOutcome:
+def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     """Hazard slope eps at which mounting extinction risk cancels the TAI gain.
 
-    Solves W_mounting(eps) = W0, where W_mounting is the quadrature
-    (welfare_mounting); it decreases strictly in eps from the cornucopia
-    value, so the root is unique whenever cornucopia beats the baseline, and
-    a root beyond EPSILON_MAX reports no_solution.
+    Solves W_mounting(eps) = W0, where W_mounting is the quadrature at its one
+    tolerance (welfare_mounting); it decreases strictly in eps from the
+    cornucopia value, so the root is unique whenever cornucopia beats the
+    baseline, and a root beyond EPSILON_MAX reports no_solution.
 
     Predictor: Brent on the exact erfcx closed form (microseconds) gives
     eps_hat, within about 1e-7 of the quadrature's root; the two differ only
@@ -303,7 +308,7 @@ def solve_epsilon_mounting(
     f0 = w_a - w0
 
     def f(eps: float) -> float:
-        return welfare_mounting(spec, eps, tol=quad_tol).value - w0
+        return welfare_mounting(spec, eps).value - w0
 
     eps_hat = _predicted_epsilon(spec, w0, f0)
     if eps_hat is None:

@@ -52,17 +52,15 @@ SENTINEL_TOKENS = {
     "no_solution": "NO_SOLUTION",
 }
 
-# Every solver takes spec plus the keywords p3, p4, T and quad_tol and reads
-# only the ones its indifference condition holds fixed.
+# Every solver takes spec plus the keywords p3, p4 and T and reads only the
+# ones its indifference condition holds fixed.
 SOLVE_TARGETS = {
     "extinction-time": lambda spec, **_: solve_extinction_time(spec),
     "p3-immediate": lambda spec, **_: solve_p3_immediate(spec),
     "p3-delayed": lambda spec, *, p4, T, **_: solve_p3_delayed(spec, p4=p4, T=T),
     "p4-delayed": lambda spec, *, p3, T, **_: solve_p4_delayed(spec, p3=p3, T=T),
     "T-delayed": lambda spec, *, p3, p4, **_: solve_T_delayed(spec, p3=p3, p4=p4),
-    "epsilon": lambda spec, *, quad_tol, **_: solve_epsilon_mounting(
-        spec, quad_tol=quad_tol
-    ),
+    "epsilon": lambda spec, **_: solve_epsilon_mounting(spec),
 }
 
 
@@ -127,7 +125,6 @@ def ev_cell(
     spec: ScenarioSpec,
     panel: str,
     values: dict,
-    quad_tol: float,
     epsilon: Optional[float] = None,
 ) -> Union[EvResult, SolveOutcome]:
     """EV of one panel at the given p3, p4 and T.
@@ -138,11 +135,11 @@ def ev_cell(
     """
     if panel == "d" and epsilon is None:
         eps_spec = replace(spec, prefs=replace(spec.prefs, theta_rra=1.0001))
-        solved = solve_epsilon_mounting(eps_spec, quad_tol=quad_tol)
+        solved = solve_epsilon_mounting(eps_spec)
         if not solved.is_value:
             return solved
         epsilon = solved.value
-    return ev_panel(spec, panel, epsilon=epsilon, quad_tol=quad_tol, **values)
+    return ev_panel(spec, panel, epsilon=epsilon, **values)
 
 
 def solve_cell(
@@ -157,8 +154,8 @@ def solve_cell(
     spec = scenario(config, theta, g_ai, rho)
     target = TABLES[table_id].target
     if target in SOLVE_TARGETS:
-        return SOLVE_TARGETS[target](spec, quad_tol=config.quad_tol, **values)
-    result = ev_cell(spec, target, values, config.quad_tol)
+        return SOLVE_TARGETS[target](spec, **values)
+    result = ev_cell(spec, target, values)
     return SolveOutcome.of(result.ev) if isinstance(result, EvResult) else result
 
 

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
-from .config import DEFAULT_G_BASELINE, DEFAULT_QUAD_TOL
+from .config import DEFAULT_G_BASELINE
 from .errors import DivergenceError, DomainError
 from .preferences import Preferences
 from .special import gauss_laplace
@@ -227,19 +227,14 @@ def _flow_from_log(log_c0: float, g: float, theta: float) -> Callable[[np.ndarra
     return flow
 
 
-def welfare_mounting(
-    spec: ScenarioSpec,
-    epsilon: float,
-    *,
-    tol: float = DEFAULT_QUAD_TOL,
-) -> WelfareResult:
+def welfare_mounting(spec: ScenarioSpec, epsilon: float) -> WelfareResult:
     """Welfare under a hazard rising with log consumption on the g_ai path.
 
     Survival is exp(-eps (log(c0) t + g t^2 / 2)).  The integral has an exact
     erfcx form (_mounting_closed_form), but this evaluates it by adaptive
-    quadrature, whose rounding the t4 golden holds in one cell; it stays so
-    until that golden is re-captured.  eps = 0 reproduces the cornucopia value
-    through the same quadrature path.
+    quadrature at the one tolerance 1e-10, whose rounding the t4 golden holds
+    in one cell; it stays so until that golden is re-captured.  eps = 0
+    reproduces the cornucopia value through the same quadrature path.
     """
     import numpy as np
 
@@ -260,7 +255,7 @@ def welfare_mounting(
     def excess(t: np.ndarray) -> np.ndarray:
         return np.exp(-epsilon * (lam * t + 0.5 * g * t * t))
 
-    result = integrate_transformed(flow, excess, r, abs_tol=tol, rel_tol=tol)
+    result = integrate_transformed(flow, excess, r)
     return WelfareResult(result.value, "quadrature", result.abs_error_estimate)
 
 
@@ -269,14 +264,13 @@ def integrate_discounted(
     weight: Callable[[np.ndarray], np.ndarray],
     rate: float,
     *,
-    tol: float = DEFAULT_QUAD_TOL,
     horizon: float | None = None,
 ) -> WelfareResult:
     """Shared kernel: int flow(t) * weight(t) dt with weight ~ e^(-rate t).
 
     weight is the full discount-times-survival factor.  With no horizon the
     integral runs over [0, inf) through the x = 1 - e^(-rate t) transform;
-    with a horizon it runs over [0, horizon] directly.  Non-convergence
+    with a horizon over [0, horizon] directly, both to 1e-10.  Non-convergence
     raises QuadratureError rather than returning a silently wrong value.
     """
     import numpy as np
@@ -284,13 +278,11 @@ def integrate_discounted(
     from .quadrature import integrate_finite, integrate_transformed
 
     if horizon is not None:
-        res = integrate_finite(
-            lambda t: flow(t) * weight(t), 0.0, horizon, abs_tol=tol, rel_tol=tol
-        )
+        res = integrate_finite(lambda t: flow(t) * weight(t), 0.0, horizon)
         return WelfareResult(res.value, "quadrature", res.abs_error_estimate)
 
     def excess(t: np.ndarray) -> np.ndarray:
         return weight(t) * np.exp(rate * t)
 
-    res = integrate_transformed(flow, excess, rate, abs_tol=tol, rel_tol=tol)
+    res = integrate_transformed(flow, excess, rate)
     return WelfareResult(res.value, "quadrature", res.abs_error_estimate)

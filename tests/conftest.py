@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tai_welfare import Preferences, ScenarioSpec
 from tai_welfare.config import calibrate_c0
+
+
+# every property test replays the same examples, keeps no example database and
+# has no per-example deadline; each sets only its own max_examples
+settings.register_profile("tai_welfare", derandomize=True, database=None, deadline=None)
+settings.load_profile("tai_welfare")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tai_welfare
-from tai_welfare import ConvergenceError, growth, solvers
+from tai_welfare import ConvergenceError, growth, quadrature, solvers
 from tai_welfare.cli import COMMANDS, build_parser, main
+from tai_welfare.config import RunConfig
 from tai_welfare.rootfind import RootResult
 from conftest import make_spec
 
@@ -150,6 +152,14 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_quad_tol_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text("# tolerance\nquad_tol=1e-10\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "table", "t4", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "config error: line 2: unknown key 'quad_tol'\n"
+
+
 def test_domain_error_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--target", "extinction-time",
@@ -158,21 +168,22 @@ def test_domain_error_exits_2(capsys):
     assert code == 2
 
 
-def test_non_convergence_exits_3(capsys):
-    # an unreachable quadrature tolerance exhausts the subdivision budget
+def test_non_convergence_exits_3(capsys, monkeypatch):
+    # a two-interval budget exhausts the quadrature's subdivision
+    monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
     code, _, err = run_cli(
         capsys, "solve", "--target", "epsilon",
         "--theta", "1.0001", "--g-ai", "0.2", "--rho", "0.05",
-        "--quad-tol", "1e-30",
     )
     assert code == 3
     assert "non-convergence" in err
 
 
-def test_quad_tol_reaches_panel_d_ev(capsys):
+def test_quadrature_failure_reaches_panel_d_ev(capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
     code, out, err = run_cli(
         capsys, "ev", "--panel", "d", "--g-ai", "0.3", "--rho", "0.03",
-        "--epsilon", "1e-3", "--quad-tol", "1e-30",
+        "--epsilon", "1e-3",
     )
     assert code == 3
     assert out == ""
@@ -190,6 +201,10 @@ def test_quad_tol_reaches_panel_d_ev(capsys):
     ("table", "t3a", "--p4", "0.5"),
     ("table", "t5a", "--T", "7"),
     ("table", "t1", "--p3", "0.2"),
+    # the quadrature runs at one fixed tolerance
+    ("table", "t4", "--quad-tol", "1e-8"),
+    ("solve", "--target", "epsilon", "--g-ai", "0.2", "--rho", "0.05", "--quad-tol", "1e-8"),
+    ("ev", "--panel", "d", "--g-ai", "0.2", "--rho", "0.05", "--quad-tol", "1e-8"),
 ])
 def test_unread_flag_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -271,7 +286,6 @@ def test_et_with_an_overflowing_erfcx_argument_prints_the_exact_value(capsys):
     # z = sqrt(eps) log(c0) / sqrt(2 g) overflows here; this once printed nan
     from mpmath import mp, mpf
 
-    from tai_welfare.config import RunConfig
     from tai_welfare.tables import format_number
 
     code, out, err = run_cli(capsys, "et", "--hazard", "mounting", "--epsilon", "1e300",
@@ -436,6 +450,14 @@ def test_main_parses_as_the_full_parser(argv, capsys):
     assert lazy.value.code == (2 if argv == ["table", "t9"] else 0)
 
 
+def test_every_config_key_is_a_flag_of_some_subcommand():
+    # a RunConfig field that no subcommand registers is a knob nothing sets
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    registered = {key for p in sub.choices.values() for key in p.get_default("config_keys")}
+    assert registered == {field.name for field in dataclasses.fields(RunConfig)}
+
+
 # the commands that run quadrature take up to a second per call; leave them out
 QUADRATURE_TABLES = {"t4", "t5d"}
 
@@ -485,7 +507,7 @@ def _runs_quadrature(argv):
 @pytest.mark.parametrize("command", ["pdoom", "table", "solve", "ev", "et",
                                      "simulate-growth", "calibrate-c0"])
 def test_cli_fuzz(command):
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(_fuzz_argv(command))
     def check(argv):
         assume(not _runs_quadrature(argv))

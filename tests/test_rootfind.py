@@ -36,7 +36,7 @@ def test_brent_tight_relative_tolerance():
     assert result.root == pytest.approx(math.log(2.0), rel=1e-13)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     root=st.floats(-1e3, 1e3),
     width=st.floats(1e-6, 1e3),

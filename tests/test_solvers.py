@@ -317,19 +317,24 @@ class TestComparativeStatics:
 
 # (theta, g_ai, rho, p3, p4, lo, hi): inputs whose extinction-time and
 # delayed-lottery roots in T both lie in (lo, hi), at the edges of the time
-# bracket that grows upward from T = 1 in steps of 4, capped at T_DELAYED_MAX
+# bracket that grows upward from T = 1 in steps of 4, capped at T_DELAYED_MAX,
+# and steps down from T = 1 in steps of 4 when the root lies below it
 TIME_BRACKET_EDGES = (
-    (1.0, 1e4, 0.03, 0.5, 1.0, 0.0, 1.0),  # below 1: lo is the known W(0) end
+    (1.0, 1e4, 0.03, 0.5, 1.0, 0.0, 1.0),  # below 1
     (1.0, 0.1, 1e-6, 0.2, 0.9, 4.0**9, solvers.T_DELAYED_MAX),  # the capped last step
     (1.0, 0.1, 4e-7, 0.2, 0.9, solvers.T_DELAYED_MAX, math.inf),  # beyond the domain
+    # roots 49 and 149 decades below the first trial point T = 1
+    (1.0, 1e100, 0.03, 0.5, 1.0, 0.0, 1.0),
+    (1.0, 1e300, 0.03, 0.5, 1.0, 0.0, 1.0),
 )
 
 
 def _time_roots_oracle(spec, p3, p4):
-    """40-digit roots T of W_trunc(T) = W0 and of the delayed lottery = W0, by bisection."""
+    """Roots T of W_trunc(T) = W0 and of the delayed lottery = W0, to 40 digits by bisection."""
     from mpmath import mp, mpf
 
-    with mp.workdps(40):
+    # W_trunc's log-utility term cancels about -log10(rho T) digits, 150 at g_ai = 1e300
+    with mp.workdps(240):
         lam, g, rho = mp.log(mpf(spec.c0)), mpf(spec.g_ai), mpf(spec.prefs.rho)
         q = 1 - mpf(spec.prefs.theta_rra)
 
@@ -349,6 +354,8 @@ def _time_roots_oracle(spec, p3, p4):
             lo, hi = mpf(0), mpf(1)
             while w_trunc(hi) < target:
                 hi *= 2
+            while w_trunc(hi / 2) >= target:
+                hi /= 2
             for _ in range(150):
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if w_trunc(mid) < target else (lo, mid)
@@ -373,7 +380,7 @@ def test_time_roots_at_the_bracket_edges(c0, theta, g_ai, rho, p3, p4, lo, hi):
 
 
 # p3 and p4 are drawn where about half the delayed lotteries have a root in T
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
        g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
        p3=st.floats(0.0, 0.5), p4=st.floats(0.5, 1.0))
@@ -393,7 +400,7 @@ def test_time_roots_give_the_no_takeover_welfare(c0, theta, g_ai, rho, p3, p4):
 
 
 # drawn where most delayed lotteries have a threshold in [0, 1]
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
        g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
        p=st.floats(0.0, 0.5), T=st.floats(1.0, 500.0), solve_for=st.sampled_from(("p3", "p4")))
@@ -411,3 +418,22 @@ def test_solved_probabilities_give_the_no_takeover_welfare(c0, theta, g_ai, rho,
         w_b = welfare_truncated(spec, T).value
         lottery = lottery_value(welfare_cornucopia(spec).value, w_b, p3, p4)
         assert abs(lottery - w0) <= RESIDUAL_REL_TOL * max(1.0, abs(w0))
+
+
+# the closed form equals the quadrature, the quadrature falls as eps grows, and
+# at a solved eps the quadrature welfare is W0
+@settings(max_examples=100)
+@given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
+       g_ai=st.floats(0.02, 0.5), rho=st.floats(0.002, 0.08),
+       log_eps=st.floats(-9.0, -2.0), factor=st.floats(2.0, 100.0))
+def test_mounting_welfare_and_epsilon_roots(c0, theta, g_ai, rho, log_eps, factor):
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    eps = 10.0**log_eps
+    w = welfare_mounting(spec, eps).value
+    assert solvers._mounting_closed_form(spec, eps) == pytest.approx(w, rel=1e-9)
+    assert welfare_mounting(spec, factor * eps).value <= w
+    out = solve_epsilon_mounting(spec)
+    if out.is_value:
+        w0 = welfare_no_takeover(spec).value
+        w_root = welfare_mounting(spec, out.value).value
+        assert abs(w_root - w0) <= RESIDUAL_REL_TOL * max(1.0, abs(w0))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tai_welfare import ConfigError, DomainError, RunConfig, parse_config
+from tai_welfare import ConfigError, DomainError, RunConfig, parse_config, quadrature
 from tai_welfare.config import DEFAULT_ANCHOR_TARGET, calibrate_c0
 from tai_welfare.tables import (
     SENTINEL_TOKENS,
@@ -118,11 +118,11 @@ class TestEmitTable:
         with pytest.raises(ConfigError):
             table_spec("t9")
 
-    def test_cell_error_does_not_abort_table(self):
-        # an unreachable quadrature tolerance fails every mounting-risk cell,
+    def test_cell_error_does_not_abort_table(self, monkeypatch):
+        # a two-interval quadrature budget fails every mounting-risk cell,
         # but the table must still be emitted with ERROR tokens in place
-        config = RunConfig(quad_tol=1e-30, g_ai_grid=(0.2,), rho_grid=(0.05,),
-                           theta_set=(1.0001,))
+        monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
+        config = RunConfig(g_ai_grid=(0.2,), rho_grid=(0.05,), theta_set=(1.0001,))
         text = emit_table(table_spec("t4", config), config)
         rows = text.strip().split("\n")
         assert len(rows) == 2

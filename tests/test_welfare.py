@@ -87,7 +87,7 @@ class TestTruncated:
         values = [welfare_truncated(spec, float(T)).value for T in horizons]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
            g_ai=st.floats(0.0, 0.5), rho=st.floats(0.001, 0.08),
            T=st.floats(0.0, 1e4), dT=st.floats(0.0, 1e4))
