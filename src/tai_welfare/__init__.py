@@ -21,8 +21,7 @@ _EXPORTS = {
     "growth": ("ProductionParams", "Trajectory", "asymptotic_growth_rate", "ces",
                "failure_mode_path", "output", "simulate", "trajectory_csv"),
     "hazards": ("ConstantHazard", "CrashPath", "ExponentialPath", "MountingLogHazard",
-                "OneOffHazard", "ZeroHazard", "cumulative_hazard", "expected_lifespan",
-                "survival"),
+                "OneOffHazard", "ZeroHazard", "expected_lifespan", "survival"),
     "preferences": ("Preferences",),
     "solvers": ("SolveOutcome", "solve_T_delayed", "solve_epsilon_mounting",
                 "solve_extinction_time", "solve_p3_delayed", "solve_p3_immediate",

@@ -97,12 +97,6 @@ class ProductionParams:
         if not 0.0 < self.share_hw < 1.0:
             raise DomainError(f"share_hw must lie in (0, 1), got {self.share_hw!r}")
 
-    def ces_asymptote(self) -> float:
-        """lim_{S->inf} F(alpha, S) / alpha for sigma < 0; +inf for sigma > 0."""
-        if self.sigma < 0.0:
-            return self.share_hw ** (1.0 / self.sigma)
-        return math.inf
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -120,10 +114,14 @@ def ces(x: float, s: float, weight: float, sigma: float) -> float:
     Factors out the dominant argument so extreme sigma neither overflows nor
     loses the min/max limit behaviour.
     """
-    if not (x > 0.0 and s > 0.0):
-        raise DomainError(f"CES arguments must be > 0, got {x!r}, {s!r}")
-    if not (sigma < 1.0 and sigma != 0.0):
-        raise DomainError(f"sigma must be < 1 and nonzero, got {sigma!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"CES argument x must be finite and > 0, got {x!r}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"CES argument s must be finite and > 0, got {s!r}")
+    if not 0.0 < weight < 1.0:
+        raise DomainError(f"CES weight must lie in (0, 1), got {weight!r}")
+    if not (-math.inf < sigma < 1.0 and sigma != 0.0):
+        raise DomainError(f"sigma must be finite, < 1 and nonzero, got {sigma!r}")
     ref = min(x, s) if sigma < 0.0 else max(x, s)
     inner = weight * (x / ref) ** sigma + (1.0 - weight) * (s / ref) ** sigma
     return ref * inner ** (1.0 / sigma)
@@ -141,8 +139,8 @@ def output(
     params: ProductionParams, K: float, regime: Regime, A: Optional[float] = None
 ) -> float:
     """Production Y = F(alpha K, S) at capital K under the given regime."""
-    if not K > 0.0:
-        raise DomainError(f"K must be > 0, got {K!r}")
+    if not 0.0 < K < math.inf:
+        raise DomainError(f"K must be finite and > 0, got {K!r}")
     level = params.A if A is None else A
     s = _software(params, K, level, regime)
     return ces(params.alpha * K, s, params.share_hw, params.sigma)

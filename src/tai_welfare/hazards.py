@@ -1,9 +1,10 @@
 """Extinction-hazard models, survival curves, and expected lifespan.
 
-A hazard model defines an extinction rate m(t) >= 0.  This module evaluates
-its cumulative hazard, the survival probability M(t) = exp(-int_0^t m) and the
-expected lifespan ET = int_0^inf M(t) dt, possibly infinite, each in closed
-form.
+A hazard model defines an extinction rate m(t) >= 0.  Each model evaluates
+its own cumulative hazard, cumulative(t) = int_0^t m, and its own expected
+lifespan, lifespan() = int_0^inf M(t) dt (possibly infinite), each in closed
+form.  survival(model, t) = exp(-cumulative(t)) is the one function that all
+four models share.
 
 The mounting-risk model ties the hazard to log consumption, m(t) = eps *
 log C(t), on an exponential path C(t) = c0 e^(g t).  Its cumulative hazard is
@@ -40,7 +41,6 @@ __all__ = [
     "OneOffHazard",
     "MountingLogHazard",
     "HazardModel",
-    "cumulative_hazard",
     "survival",
     "expected_lifespan",
 ]
@@ -63,16 +63,6 @@ class ExponentialPath:
             raise DomainError(f"c0 must be finite and >= 1, got {self.c0!r}")
         if not -math.inf < self.growth < math.inf:
             raise DomainError(f"growth must be finite, got {self.growth!r}")
-
-    def log_c(self, t: float) -> float:
-        return math.log(self.c0) + self.growth * t
-
-    def consumption(self, t: float) -> float:
-        return math.exp(self.log_c(t))
-
-    def cumulative_log_c(self, t: float) -> float:
-        # int_0^t log C(s) ds = log(c0) t + g t^2 / 2
-        return math.log(self.c0) * t + 0.5 * self.growth * t * t
 
 
 @dataclass(frozen=True)
@@ -114,14 +104,6 @@ class CrashPath:
         """True when the crash would push consumption below subsistence."""
         return self._log_crashed() < 0.0
 
-    def log_c(self, t: float) -> float:
-        if t < self.t_stop:
-            return math.log(self.c0) + self.g_pre * t
-        return max(self._log_crashed(), 0.0) + self.g_post * (t - self.t_stop)
-
-    def consumption(self, t: float) -> float:
-        return math.exp(self.log_c(t))
-
 
 ConsumptionPath = Union[ExponentialPath, CrashPath]
 
@@ -135,6 +117,12 @@ ConsumptionPath = Union[ExponentialPath, CrashPath]
 class ZeroHazard:
     """No extinction risk: M(t) = 1 forever."""
 
+    def cumulative(self, t: float) -> float:
+        return 0.0
+
+    def lifespan(self) -> float:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class ConstantHazard:
@@ -146,6 +134,12 @@ class ConstantHazard:
         if not 0.0 <= self.m < math.inf:
             raise DomainError(f"m must be finite and >= 0, got {self.m!r}")
 
+    def cumulative(self, t: float) -> float:
+        return self.m * t
+
+    def lifespan(self) -> float:
+        return math.inf if self.m == 0.0 else 1.0 / self.m
+
 
 @dataclass(frozen=True)
 class OneOffHazard:
@@ -156,6 +150,12 @@ class OneOffHazard:
     def __post_init__(self) -> None:
         if not 0.0 <= self.t_ext < math.inf:
             raise DomainError(f"t_ext must be finite and >= 0, got {self.t_ext!r}")
+
+    def cumulative(self, t: float) -> float:
+        return 0.0 if t < self.t_ext else math.inf
+
+    def lifespan(self) -> float:
+        return self.t_ext
 
 
 @dataclass(frozen=True)
@@ -182,56 +182,35 @@ class MountingLogHazard:
         if self.path.growth < 0.0:
             raise DomainError("mounting hazard with negative growth is not supported")
 
+    def cumulative(self, t: float) -> float:
+        return self.epsilon * (math.log(self.path.c0) * t + 0.5 * self.path.growth * t * t)
+
+    def lifespan(self) -> float:
+        eps = self.epsilon
+        lam = math.log(self.path.c0)
+        g = self.path.growth
+        if eps == 0.0:
+            return math.inf
+        if g == 0.0:
+            # constant hazard eps * log c0
+            return math.inf if lam == 0.0 else 1.0 / (eps * lam)
+        return gauss_laplace(eps * lam, eps * g)[0]
+
 
 HazardModel = Union[ZeroHazard, ConstantHazard, OneOffHazard, MountingLogHazard]
 
 
-# ---------------------------------------------------------------------------
-# evaluators
-# ---------------------------------------------------------------------------
+def survival(model: HazardModel, t: float) -> float:
+    """Unconditional survival probability M(t) = exp(-cumulative hazard).
 
-
-def cumulative_hazard(model: HazardModel, t: float) -> float:
-    """Integral of m over [0, t]; +inf past a one-off extinction date."""
+    A one-off model's cumulative hazard is +inf from its date on.
+    """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    if isinstance(model, ZeroHazard):
-        return 0.0
-    if isinstance(model, ConstantHazard):
-        return model.m * t
-    if isinstance(model, OneOffHazard):
-        return 0.0 if t < model.t_ext else math.inf
-    if isinstance(model, MountingLogHazard):
-        return model.epsilon * model.path.cumulative_log_c(t)
-    raise TypeError(f"unknown hazard model {model!r}")
-
-
-def survival(model: HazardModel, t: float) -> float:
-    """Unconditional survival probability M(t) = exp(-cumulative hazard)."""
-    h = cumulative_hazard(model, t)
+    h = model.cumulative(t)
     return math.exp(-h) if h != math.inf else 0.0
-
-
-def _mounting_expected_lifespan(model: MountingLogHazard) -> float:
-    eps = model.epsilon
-    lam = math.log(model.path.c0)
-    g = model.path.growth
-    if eps == 0.0:
-        return math.inf
-    if g == 0.0:
-        # constant hazard eps * log c0
-        return math.inf if lam == 0.0 else 1.0 / (eps * lam)
-    return gauss_laplace(eps * lam, eps * g)[0]
 
 
 def expected_lifespan(model: HazardModel) -> float:
     """Mean time to extinction ET = int_0^inf M(t) dt; +inf when M(t) -/-> 0."""
-    if isinstance(model, ZeroHazard):
-        return math.inf
-    if isinstance(model, ConstantHazard):
-        return math.inf if model.m == 0.0 else 1.0 / model.m
-    if isinstance(model, OneOffHazard):
-        return model.t_ext
-    if isinstance(model, MountingLogHazard):
-        return _mounting_expected_lifespan(model)
-    raise TypeError(f"unknown hazard model {model!r}")
+    return model.lifespan()

@@ -55,7 +55,6 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     intervals: int
-    truncation_time: float | None = None
 
 
 def _gk15_panels(f: Callable[[np.ndarray], np.ndarray], bounds: tuple) -> list:
@@ -184,5 +183,4 @@ def integrate_transformed(
         head.value + mid.value,
         head.abs_error_estimate + mid.abs_error_estimate + tail_bound,
         head.intervals + mid.intervals,
-        truncation_time=t_max,
     )

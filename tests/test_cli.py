@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import tai_welfare
 from tai_welfare import ConvergenceError, growth, quadrature, solvers
 from tai_welfare.cli import COMMANDS, build_parser, main
-from tai_welfare.config import RunConfig
+from tai_welfare.config import RunConfig, parse_config
 from tai_welfare.rootfind import RootResult
 from conftest import make_spec
 
@@ -525,6 +526,31 @@ def test_cli_fuzz(command):
         assert "nan" not in re.split(r"[\s,|]+", text.lower()), argv
 
     check()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_block(opening, after):
+    # the first fenced block that opens with `opening` after the line `after`
+    start = README.index(opening, README.index(after)) + len(opening)
+    return README[start:README.index("```", start)]
+
+
+def test_readme_cli_examples_run(capsys):
+    commands = _readme_block("```sh\n", "\n## CLI\n").splitlines()
+    assert len(commands) == 8
+    for line in commands:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "tai-welfare", line
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+        assert out, line
+        assert "Traceback" not in out + err, line
+    config = parse_config(_readme_block("```text\n# example config\n", "\n## CLI\n"))
+    assert config == RunConfig(c0=46999.67, g_baseline=0.0175,
+                               g_ai_grid=(0.05, 0.1, 0.2, 0.3, 0.4),
+                               rho_grid=(0.002, 0.01, 0.03, 0.05), output_format="csv")
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

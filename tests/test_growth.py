@@ -49,6 +49,20 @@ class TestCes:
         with pytest.raises(DomainError):
             ces(1.0, 1.0, 0.5, 1.5)
 
+    @pytest.mark.parametrize("args, name", [
+        ((1.0, 2.0, 1.5, -1.0), "weight"),
+        ((1.0, 2.0, -0.5, -1.0), "weight"),
+        ((1.0, 2.0, 0.0, -1.0), "weight"),
+        ((1.0, 2.0, 1.0, -1.0), "weight"),
+        ((1.0, 2.0, math.nan, -1.0), "weight"),
+        ((math.inf, 1.0, 0.5, 0.5), "argument x"),
+        ((1.0, math.inf, 0.5, 0.5), "argument s"),
+        ((1.0, 2.0, 0.5, -math.inf), "sigma"),
+    ])
+    def test_rejects_out_of_domain(self, args, name):
+        with pytest.raises(DomainError, match=name):
+            ces(*args)
+
 
 class TestOutput:
     def test_increasing_in_capital(self):
@@ -76,11 +90,14 @@ class TestOutput:
     def test_declared_asymptote_reached_with_high_technology(self):
         params = ProductionParams(A=1e9)
         ratio = output(params, 1e8, "full_automation") / 1e8
-        assert ratio == pytest.approx(params.alpha * params.ces_asymptote(), rel=1e-2)
+        # lim_{S->inf} F(alpha, S) = alpha * share_hw^(1/sigma) for sigma < 0
+        asymptote = params.share_hw ** (1.0 / params.sigma)
+        assert ratio == pytest.approx(params.alpha * asymptote, rel=1e-2)
 
     def test_rejects_nonpositive_capital(self):
-        with pytest.raises(DomainError):
-            output(ProductionParams(), 0.0, "full_automation")
+        for K in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="K must be"):
+                output(ProductionParams(), K, "full_automation")
 
 
 class TestSimulate:
@@ -191,7 +208,6 @@ class TestFailureModes:
             "fm5", c0=1.0, g_ai=0.05, switch_time=10.0, crash_factor=0.01
         )
         assert path.crash_clamped
-        assert path.consumption(10.0) == 1.0
         assert isinstance(hazard, ZeroHazard)
 
     def test_fm5_optional_post_stop_extinction(self):

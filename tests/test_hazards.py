@@ -11,7 +11,6 @@ from tai_welfare import (
     MountingLogHazard,
     OneOffHazard,
     ZeroHazard,
-    cumulative_hazard,
     expected_lifespan,
     survival,
 )
@@ -40,7 +39,7 @@ class TestSurvival:
     def test_matches_exp_of_cumulative_hazard(self):
         for model in ALL_MODELS:
             for t in (0.0, 1.0, 10.0, 99.9):
-                h = cumulative_hazard(model, t)
+                h = model.cumulative(t)
                 expected = math.exp(-h) if h != math.inf else 0.0
                 assert abs(survival(model, t) - expected) <= 1e-12
 
@@ -49,11 +48,9 @@ class TestSurvival:
         for model in ALL_MODELS:
             for t in (math.nan, math.inf):
                 with pytest.raises(DomainError, match="t must be"):
-                    cumulative_hazard(model, t)
-                with pytest.raises(DomainError, match="t must be"):
                     survival(model, t)
         with pytest.raises(DomainError):
-            cumulative_hazard(ConstantHazard(0.0), math.inf)
+            survival(ConstantHazard(0.0), math.inf)
 
     def test_starts_at_one_and_never_increases(self):
         grid = np.linspace(0.0, 400.0, 1000)
@@ -76,7 +73,7 @@ class TestSurvival:
                 abs_tol=1e-12,
                 rel_tol=1e-12,
             ).value
-            assert cumulative_hazard(model, t) == pytest.approx(direct, rel=1e-10)
+            assert model.cumulative(t) == pytest.approx(direct, rel=1e-10)
 
 
 class TestExpectedLifespan:
@@ -157,14 +154,14 @@ class TestCrashPath:
     def test_clamps_at_subsistence(self):
         path = CrashPath(c0=1.0, g_pre=0.05, t_stop=10.0, crash_factor=0.1, g_post=0.0175)
         assert path.crash_clamped
-        assert path.consumption(10.0) == pytest.approx(1.0)
-        assert path.consumption(9.999) > 1.5
+        # crash_factor * C(t_stop-) = 0.1 e^0.5 lies below subsistence
+        assert math.exp(path._log_crashed()) == pytest.approx(0.1 * math.exp(0.5), rel=1e-12)
 
     def test_no_clamp_for_mild_crash(self):
         path = CrashPath(c0=100.0, g_pre=0.3, t_stop=20.0, crash_factor=0.5, g_post=0.0175)
         assert not path.crash_clamped
-        pre = path.consumption(20.0 - 1e-9)
-        assert path.consumption(20.0) == pytest.approx(0.5 * pre, rel=1e-6)
+        pre = 100.0 * math.exp(0.3 * 20.0)
+        assert math.exp(path._log_crashed()) == pytest.approx(0.5 * pre, rel=1e-12)
 
     def test_mounting_hazard_needs_exponential_path(self):
         path = CrashPath(c0=1.0, g_pre=0.05, t_stop=10.0, crash_factor=0.5, g_post=0.0)

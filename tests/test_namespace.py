@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "MountingLogHazard", "OneOffHazard", "Preferences", "ProductionParams",
     "QuadratureError", "RunConfig", "ScenarioSpec", "SolveOutcome", "TableSpec",
     "TaiWelfareError", "TaxonomyProbs", "Trajectory", "WelfareResult", "ZeroHazard",
-    "asymptotic_growth_rate", "calibrate_c0", "ces", "cumulative_hazard", "emit_table",
+    "asymptotic_growth_rate", "calibrate_c0", "ces", "emit_table",
     "equivalent_variation", "erf", "erfc", "erfcx", "ev_panel", "expected_lifespan",
     "failure_mode_path", "integrate_discounted", "leaf_distribution", "lottery_value",
     "output", "p_doom", "parse_config", "simulate", "solve_T_delayed",

@@ -206,6 +206,19 @@ class TestMounting:
                         _mounting_oracle(spec, eps), rel=1e-10
                     ), (g_ai, rho, eps)
 
+    @settings(max_examples=100)
+    @given(theta=st.one_of(st.just(1.0), st.floats(1.001, 3.0)),
+           g_ai=st.floats(0.02, 0.5), rho=st.floats(0.002, 0.08),
+           log10_eps=st.floats(-9.0, -2.0))
+    def test_random_cells_against_mpmath_oracle(self, c0, theta, g_ai, rho, log10_eps):
+        # 1 < theta < 1.001 is left out: there the closed form's
+        # (e^(q lam) G1 - G0) / q cancels for small q = 1 - theta
+        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+        eps = 10.0 ** log10_eps
+        oracle = _mounting_oracle(spec, eps)
+        assert _mounting_closed_form(spec, eps) == pytest.approx(oracle, rel=1e-10)
+        assert welfare_mounting(spec, eps).value == pytest.approx(oracle, rel=1e-10)
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_rejects_non_finite_epsilon(self, c0, eps):
         # the t4 cell where nan once ran the whole interval budget
