@@ -18,7 +18,7 @@ class ConvergenceError(TaiWelfareError, RuntimeError):
 
 
 class QuadratureError(ConvergenceError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """Adaptive quadrature exhausted its subdivision budget or met a non-finite panel."""
 
 
 class ConfigError(TaiWelfareError, ValueError):

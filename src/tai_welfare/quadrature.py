@@ -1,9 +1,19 @@
 """Adaptive Gauss-Kronrod quadrature with an infinite-horizon transform.
 
-The kernel is a 15-point Kronrod rule with embedded 7-point Gauss rule,
-bisecting whichever interval currently carries the largest error estimate.
-Integrands are called with numpy arrays of abscissae: 15 per panel, both
-halves of a bisection in one call.
+The kernel is QUADPACK's QK15: a 15-point Kronrod rule with embedded 7-point
+Gauss rule, bisecting whichever interval currently carries the largest error
+estimate.  Integrands are called with numpy arrays of abscissae: 15 per
+panel, both halves of a bisection in one call.  The abscissae come from unit
+grids precomputed at import, one panel's 15 nodes on [0, 1] and a bisected
+pair's 30, so a call's abscissae are the one multiply-add lo + (hi - lo) * unit.
+Every unit node lies strictly inside its panel, so the transformed leg below,
+which stops at x = 1 - 1e-12, never evaluates x = 1.
+
+The values come back as one list of Python floats, and each panel's Kronrod
+sum, Gauss sum and error scale are plain float arithmetic: on 15-point panels
+that is about four times cheaper than numpy's per-call overhead.  The last
+bits of a panel depend on that summation order; _gk15_panels says why the
+printed tables can afford it.
 
 Infinite-horizon discounted integrals int_0^inf f(t) e^(-r t) dt are mapped
 onto [0, 1) by x = 1 - e^(-r t); the Jacobian cancels the exponential factor
@@ -26,25 +36,29 @@ from .errors import DomainError, QuadratureError
 __all__ = ["QuadratureResult", "integrate_finite", "integrate_transformed"]
 
 # 15-point Kronrod nodes and weights with embedded 7-point Gauss rule
-_XGK = np.array([
+_XGK = (
     0.991455371120813, 0.949107912342759, 0.864864423359769,
     0.741531185599394, 0.586087235467691, 0.405845151377397,
     0.207784955007898, 0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
-])
+)
+# the same weights as module floats for the unrolled reduction: K0..K6 pair
+# the nodes -XGK[i] and +XGK[i], KC weighs the centre; the Gauss rule lives on
+# XGK[1], XGK[3], XGK[5] and the centre
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _KC = _WGK
+_G1, _G3, _G5, _GC = _WG
 
-_NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])  # 15 ascending abscissae
-# the paired weights sliced once, the two centre weights as Python floats
-_WGK7, _WG3 = _WGK[:7], _WG[:3]
-_WGK_CENTER, _WG_CENTER = float(_WGK[7]), float(_WG[3])
+_NODES = np.array([-x for x in _XGK[:7]] + list(_XGK[::-1]))  # 15 ascending abscissae
+_UNIT = 0.5 + 0.5 * _NODES  # one panel on [0, 1]
+_UNIT_PAIR = np.concatenate([0.5 * _UNIT, 0.5 + 0.5 * _UNIT])  # [0, 1/2] and [1/2, 1]
 
 DEFAULT_MAX_INTERVALS = 10_000
 TRUNCATION_EXPONENT = 60.0
@@ -57,40 +71,70 @@ class QuadratureResult:
     intervals: int
 
 
-def _gk15_panels(f: Callable[[np.ndarray], np.ndarray], bounds: tuple) -> list:
-    """Kronrod panels on the intervals in bounds: [(integral, error_estimate)].
+def _gk15(v: list, lo: float, hi: float) -> tuple:
+    """(integral, error_estimate) of the panel [lo, hi] from its 15 values.
 
-    All 15 * len(bounds) abscissae go to f in one call; each panel is then
-    reduced on its own, so every panel is bit-identical to a one-panel call.
-    numpy's elementwise functions round each element the same at any array
-    position.  The 7-term sums stay one np.dot each: BLAS's ddot accumulates
-    in its own order, which neither a Python sum nor a batched matrix product
-    reproduces bit for bit, and a root solved from these values amplifies
-    their last bits about 9e4-fold.
+    v holds the integrand at the panel's nodes in ascending order, as Python
+    floats; the Kronrod sum, the Gauss sum and resasc are plain float
+    arithmetic over the folded pairs f(-x) + f(+x).  The error estimate is
+    QUADPACK's resasc * min(1, (200 |resk - resg| / resasc) ** 1.5).  A value
+    or error that is not finite raises QuadratureError: the running totals
+    of integrate_finite could never recover from it (inf - inf is nan).
     """
-    halves = [0.5 * (b - a) for a, b in bounds]
-    x = np.concatenate([0.5 * (a + b) + half * _NODES
-                        for (a, b), half in zip(bounds, halves)])
+    f0, f1, f2, f3, f4, f5, f6, fc, f8, f9, f10, f11, f12, f13, f14 = v
+    half = 0.5 * (hi - lo)
+    p1, p3, p5 = f1 + f13, f3 + f11, f5 + f9
+    resk = half * (
+        _K0 * (f0 + f14) + _K1 * p1 + _K2 * (f2 + f12) + _K3 * p3
+        + _K4 * (f4 + f10) + _K5 * p5 + _K6 * (f6 + f8) + _KC * fc
+    )
+    resg = half * (_G1 * p1 + _G3 * p3 + _G5 * p5 + _GC * fc)
+    m = 0.5 * resk / half if half != 0.0 else 0.0
+    resasc = abs(half) * (
+        _K0 * (abs(f0 - m) + abs(f14 - m)) + _K1 * (abs(f1 - m) + abs(f13 - m))
+        + _K2 * (abs(f2 - m) + abs(f12 - m)) + _K3 * (abs(f3 - m) + abs(f11 - m))
+        + _K4 * (abs(f4 - m) + abs(f10 - m)) + _K5 * (abs(f5 - m) + abs(f9 - m))
+        + _K6 * (abs(f6 - m) + abs(f8 - m)) + _KC * abs(fc - m)
+    )
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if not (math.isfinite(resk) and math.isfinite(err)):
+        raise QuadratureError(
+            f"integrand is not finite on [{lo!r}, {hi!r}]: "
+            f"panel integral {resk!r}, error estimate {err!r}"
+        )
+    return resk, err
+
+
+def _gk15_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                 unit: np.ndarray) -> list:
+    """Kronrod panels tiling [lo, hi]: [(integral, error_estimate)].
+
+    unit is _UNIT for the one panel [lo, hi] or _UNIT_PAIR for its two halves
+    [lo, mid] and [mid, hi].  All abscissae go to f in one call, and one
+    tolist() hands the values to _gk15 panel by panel, so a panel's reduction
+    does not depend on its position in the call.
+
+    Another summation order (BLAS ddot, say) or other abscissae (centre +
+    half * node) change only the last bits, and the printed tables can afford
+    that.  t4's (g_ai 0.2, theta 2, rho 0.05) cell amplifies welfare errors
+    about 9e4-fold, yet its quadrature root, 3.898045002899854e-08, lies
+    7.4e-10 relative above the six-digit rounding boundary 3.898045e-08: a
+    margin of about 45 ulps of W ~ 20.  Such last-bit changes move W there by
+    an ulp or so, and other cells' raw roots by up to 1e-10 relative (Brent's
+    tolerance); test_quadrature::test_t4_golden_cell_keeps_its_rounding_margin
+    guards the margin.
+    """
+    x = lo + (hi - lo) * unit
     fx = np.asarray(f(x), dtype=float)
     if fx.shape != x.shape:
         raise DomainError("integrand must map an array of abscissae to one value each")
-    panels = []
-    for half, fp in zip(halves, fx.reshape(-1, 15)):
-        center = float(fp[7])
-        # fold symmetric nodes: pairs[i] = f(center - half*XGK[i]) + f(center + half*XGK[i])
-        pairs = fp[:7] + fp[:7:-1]
-        resk = half * (float(np.dot(_WGK7, pairs)) + _WGK_CENTER * center)
-        # the embedded Gauss rule lives on nodes XGK[1], XGK[3], XGK[5] and the center
-        resg = half * (float(np.dot(_WG3, pairs[1::2])) + _WG_CENTER * center)
-        reskh = 0.5 * resk / half if half != 0.0 else 0.0
-        dev = np.abs(fp - reskh)
-        resasc = half * (float(np.dot(_WGK7, dev[:7] + dev[:7:-1]))
-                         + _WGK_CENTER * float(dev[7]))
-        err = abs(resk - resg)
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        panels.append((resk, err))
-    return panels
+    values = fx.tolist()
+    if len(values) == 15:
+        return [_gk15(values, lo, hi)]
+    mid = 0.5 * (lo + hi)
+    return [_gk15(values[:15], lo, mid), _gk15(values[15:], mid, hi)]
 
 
 def integrate_finite(
@@ -111,7 +155,7 @@ def integrate_finite(
         raise DomainError("at least one of abs_tol, rel_tol must be positive")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    [(value, err)] = _gk15_panels(f, ((a, b),))
+    [(value, err)] = _gk15_panels(f, a, b, _UNIT)
     heap = [(-err, a, b, value, err)]
     total_value, total_err, count = value, err, 1
     while True:
@@ -125,7 +169,7 @@ def integrate_finite(
             )
         _, lo, hi, v_old, e_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        (v1, e1), (v2, e2) = _gk15_panels(f, ((lo, mid), (mid, hi)))
+        (v1, e1), (v2, e2) = _gk15_panels(f, lo, hi, _UNIT_PAIR)
         total_value += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         count += 1
@@ -157,8 +201,10 @@ def integrate_transformed(
     t_split = -math.log1p(-x_split) / rate
     t_max = TRUNCATION_EXPONENT / rate
 
+    neg_inv_rate = -1.0 / rate
+
     def transformed(x: np.ndarray) -> np.ndarray:
-        t = -np.log1p(-x) / rate
+        t = np.log1p(-x) * neg_inv_rate
         return flow(t) * excess_weight(t) / rate
 
     def direct(t: np.ndarray) -> np.ndarray:

@@ -251,9 +251,10 @@ def welfare_mounting(spec: ScenarioSpec, epsilon: float) -> WelfareResult:
         raise DivergenceError("mounting-risk welfare needs a positive discount rate")
     lam, g = spec.log_c0, spec.g_ai
     flow = _flow_from_log(lam, g, theta)
+    neg_eps, half_g = -epsilon, 0.5 * g
 
     def excess(t: np.ndarray) -> np.ndarray:
-        return np.exp(-epsilon * (lam * t + 0.5 * g * t * t))
+        return np.exp(neg_eps * (lam * t + half_g * t * t))
 
     result = integrate_transformed(flow, excess, r)
     return WelfareResult(result.value, "quadrature", result.abs_error_estimate)

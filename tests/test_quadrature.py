@@ -1,12 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tai_welfare import (
     DomainError,
+    Preferences,
     QuadratureError,
+    ScenarioSpec,
     quadrature,
+    solve_epsilon_mounting,
     welfare_mounting,
 )
 from tai_welfare.quadrature import (
@@ -90,23 +96,64 @@ def test_requested_tolerance_bounds_error_estimate():
     assert result.abs_error_estimate <= max(1e-9, 1e-9 * abs(result.value)) * 2.0
 
 
-def _gk15_reference(f, a, b):
-    # the one-panel reduction that _gk15_panels must reproduce bit for bit
-    half, center = 0.5 * (b - a), 0.5 * (a + b)
-    fx = f(center + half * quadrature._NODES)
-    wgk, wg = quadrature._WGK, quadrature._WG
-    pairs = fx[:7] + fx[8:][::-1]
-    resk = half * (np.dot(wgk[:7], pairs) + wgk[7] * fx[7])
-    resg = half * (np.dot(wg[:3], pairs[1::2]) + wg[3] * fx[7])
-    reskh = 0.5 * resk / half
-    resasc = half * (
-        np.dot(wgk[:7], np.abs(fx[:7] - reskh) + np.abs(fx[8:][::-1] - reskh))
-        + wgk[7] * abs(fx[7] - reskh)
+U = Fraction(1, 2**53)  # unit roundoff of binary64
+
+
+def _gamma(n):
+    # Higham's gamma_n = n u / (1 - n u): the relative error bound of n roundings
+    return n * U / (1 - n * U)
+
+
+def _exact_gk15(values, half):
+    """Exact GK15 sums over the sampled floats: (resk, resg, resasc, scale_k, scale_g)."""
+    f = [Fraction(v) for v in values]
+    h = Fraction(half)
+    wgk = [Fraction(w) for w in quadrature._WGK]
+    wg = [Fraction(w) for w in quadrature._WG]
+    kron = [(wgk[i], f[i], f[14 - i]) for i in range(7)]
+    gauss = [(wg[j], f[2 * j + 1], f[13 - 2 * j]) for j in range(3)]
+    resk = h * (sum(w * (a + b) for w, a, b in kron) + wgk[7] * f[7])
+    resg = h * (sum(w * (a + b) for w, a, b in gauss) + wg[3] * f[7])
+    scale_k = abs(h) * (sum(w * (abs(a) + abs(b)) for w, a, b in kron) + wgk[7] * abs(f[7]))
+    scale_g = abs(h) * (sum(w * (abs(a) + abs(b)) for w, a, b in gauss) + wg[3] * abs(f[7]))
+    m = resk / (2 * h)
+    resasc = abs(h) * (
+        sum(w * (abs(a - m) + abs(b - m)) for w, a, b in kron) + wgk[7] * abs(f[7] - m)
     )
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err
+    return resk, resg, resasc, scale_k, scale_g
+
+
+def _qk15_error(d, resasc):
+    # QUADPACK's error formula, as integrate_finite applies it
+    if resasc != 0.0 and d != 0.0:
+        return resasc * min(1.0, (200.0 * d / resasc) ** 1.5)
+    return d
+
+
+def _error_estimate_range(exact, half):
+    """[lo, hi] holding every error estimate that GK15 rounding can give.
+
+    |resk - resg| and resasc are each within a gamma_17 bound of their exact
+    values; the error formula increases in |resk - resg| and, in resasc, rises
+    to 200 |resk - resg| and falls after it, so its extremes on that box sit
+    at the corners or at that turning point.  exact is _exact_gk15's tuple.
+    """
+    resk, resg, resasc, scale_k, scale_g = exact
+    g = _gamma(17)
+    d = abs(resk - resg)
+    d_tol = g * (scale_k + scale_g) + 2 * U * (d + g * (scale_k + scale_g))
+    # the float mean resk / (2 half) moves every |f - mean| by at most m_tol
+    m_tol = g * scale_k / (2 * abs(Fraction(half))) + 2 * U * abs(resk / (2 * Fraction(half)))
+    weights = 2 * sum(Fraction(w) for w in quadrature._WGK[:7]) + Fraction(quadrature._WGK[7])
+    shift = abs(Fraction(half)) * weights * m_tol
+    a_tol = shift + g * (resasc + shift)
+    d_lo, d_hi = float(max(d - d_tol, 0)), float(d + d_tol)
+    a_lo, a_hi = float(max(resasc - a_tol, 0)), float(resasc + a_tol)
+    turn = min(max(200.0 * d_hi, a_lo), a_hi)
+    highs = [_qk15_error(d_hi, a) for a in (a_lo, turn, a_hi)]
+    lows = [_qk15_error(d_lo, a) for a in (a_lo, a_hi)]
+    # the formula's own four roundings, with pow's 1.5 amplification
+    return min(lows) * (1 - 8 * 2.0**-53), max(highs) * (1 + 8 * 2.0**-53)
 
 
 def _mounting_legs(monkeypatch, c0):
@@ -130,12 +177,23 @@ INTEGRANDS = {
 }
 
 
-def _hex(panel):
-    return tuple(float(v).hex() for v in panel)
+def _recording(f, samples):
+    def g(x):
+        y = f(x)
+        samples.append((np.array(x), np.array(y, dtype=float)))
+        return y
+    return g
 
 
 @pytest.mark.parametrize("integrand", ["polynomial", "exp", "mounting"])
 def test_bisection_panels_match_one_panel_calls(integrand, monkeypatch, c0):
+    """Each bisected panel is the GK15 rule over the values it sampled, to rounding.
+
+    Its integral lies within gamma_17 * half * sum |w_i f_i| of the exact
+    (Fraction) GK15 sum over the same floats, its error estimate within the
+    range that rounding of the same size allows, and reducing its 15 values
+    alone gives the same bits as reducing them inside the bisection's batch.
+    """
     if integrand == "mounting":
         legs = _mounting_legs(monkeypatch, c0)
     else:
@@ -145,11 +203,28 @@ def test_bisection_panels_match_one_panel_calls(integrand, monkeypatch, c0):
         cuts = [(a, b)] + [tuple(sorted(rng.uniform(a, b, 2))) for _ in range(20)]
         for lo, hi in cuts:
             mid = 0.5 * (lo + hi)
-            both = _gk15_panels(f, ((lo, mid), (mid, hi)))
-            alone = _gk15_panels(f, ((lo, mid),)) + _gk15_panels(f, ((mid, hi),))
-            reference = [_gk15_reference(f, lo, mid), _gk15_reference(f, mid, hi)]
-            assert [_hex(p) for p in both] == [_hex(p) for p in alone]
-            assert [_hex(p) for p in both] == [_hex(p) for p in reference]
+            samples = []
+            both = _gk15_panels(_recording(f, samples), lo, hi, quadrature._UNIT_PAIR)
+            [(x, fx)] = samples
+            values = fx.tolist()
+            for k, (p_lo, p_hi) in enumerate(((lo, mid), (mid, hi))):
+                panel, v = both[k], values[15 * k:15 * k + 15]
+                assert np.all((p_lo < x[15 * k:15 * k + 15]) & (x[15 * k:15 * k + 15] < p_hi))
+                assert quadrature._gk15(v, p_lo, p_hi) == panel
+                half = 0.5 * (p_hi - p_lo)
+                exact = _exact_gk15(v, half)
+                resk, scale_k = exact[0], exact[3]
+                assert abs(Fraction(panel[0]) - resk) <= _gamma(17) * scale_k
+                err_lo, err_hi = _error_estimate_range(exact, half)
+                assert err_lo <= panel[1] <= err_hi
+
+
+def test_unit_grids_keep_every_node_inside_its_panel():
+    unit, pair = quadrature._UNIT, quadrature._UNIT_PAIR
+    assert unit.shape == (15,) and pair.shape == (30,)
+    assert np.all(np.diff(unit) > 0.0) and 0.0 < unit[0] and unit[-1] < 1.0
+    assert np.all(np.diff(pair) > 0.0) and 0.0 < pair[0] and pair[-1] < 1.0
+    assert pair[14] < 0.5 < pair[15]
 
 
 def test_integrand_of_wrong_length_raises():
@@ -158,3 +233,117 @@ def test_integrand_of_wrong_length_raises():
     # right length for one panel, wrong for the first bisection's two
     with pytest.raises(DomainError):
         integrate_finite(lambda x: np.abs(x - 0.3)[:15], 0.0, 1.0)
+
+
+def test_reversed_interval_negates_the_integral():
+    # its abscissae round differently, so only the last bits may differ
+    forward = integrate_finite(lambda x: np.exp(-x), 0.0, 3.0)
+    backward = integrate_finite(lambda x: np.exp(-x), 3.0, 0.0)
+    assert backward.value == pytest.approx(-forward.value, rel=1e-14)
+    assert backward.abs_error_estimate == pytest.approx(forward.abs_error_estimate, rel=0.01)
+    assert backward.intervals == forward.intervals
+
+
+NON_FINITE = {
+    "nan": (lambda x: np.full_like(x, np.nan), 0.0, 1.0),
+    "pole": (lambda x: 1.0 / (x - 0.5) ** 2, 0.0, 1.0),
+}
+
+
+def _counting_panels(monkeypatch):
+    """Patch _gk15_panels to count integrand calls and note the first non-finite one."""
+    seen = {"calls": 0, "first_non_finite": None}
+    panels = quadrature._gk15_panels
+
+    def counted(f, lo, hi, unit):
+        def g(x):
+            y = f(x)
+            seen["calls"] += 1
+            if seen["first_non_finite"] is None and not np.all(np.isfinite(y)):
+                seen["first_non_finite"] = seen["calls"]
+            return y
+        return panels(g, lo, hi, unit)
+
+    monkeypatch.setattr(quadrature, "_gk15_panels", counted)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["nan", "pole", "welfare_overflow"])
+def test_non_finite_integrand_raises_on_the_call_that_returns_it(case, monkeypatch):
+    """A nan or inf panel stops the quadrature at once instead of using up the budget.
+
+    The nan and pole integrands are non-finite on their first call.  The
+    welfare integrand (theta 0.5, g_ai 5, eps 1e-6) first overflows on the
+    14th call, as the transformed leg bisects towards x = 1.
+    """
+    seen = _counting_panels(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="not finite on"):
+        if case == "welfare_overflow":
+            spec = ScenarioSpec(c0=2.0, g_ai=5.0, prefs=Preferences(rho=0.05, theta_rra=0.5))
+            welfare_mounting(spec, 1e-6)
+        else:
+            f, a, b = NON_FINITE[case]
+            integrate_finite(f, a, b)
+    assert seen["calls"] == seen["first_non_finite"]
+    if case != "welfare_overflow":
+        assert seen["calls"] <= 2
+
+
+def test_t4_golden_cell_keeps_its_rounding_margin(c0):
+    """t4's (g_ai 0.2, theta 2, rho 0.05) cell still rounds to the golden 3.89805e-08.
+
+    The cell amplifies welfare errors about 9e4-fold, and its golden holds the
+    quadrature's rounding, not the 40-digit root 3.8980449625e-08 (which
+    prints 3.89804e-08).  So the welfare there must stay within 16 ulps of
+    19.999684788969635, and the quadrature root at least 5e-10 relative above
+    the rounding boundary 3.898045e-08 (it is 7.4e-10).  ROADMAP item 1
+    deletes this test when it re-captures bench/golden/t4.csv from the
+    40-digit oracle.
+    """
+    spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05)
+    w = welfare_mounting(spec, 3.8980449625e-08).value
+    assert abs(w - 19.999684788969635) <= 16 * math.ulp(19.999684788969635)
+    root = solve_epsilon_mounting(spec).value
+    assert (root - 3.898045e-08) / 3.898045e-08 >= 5e-10
+    assert f"{root:.6g}" == "3.89805e-08"
+
+
+def _rounding_slack(scale, n):
+    # gamma_n * scale as a float, rounded up
+    return float(_gamma(n) * Fraction(scale)) * (1.0 + 2.0**-52)
+
+
+@settings(max_examples=100)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=14),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-3.0, 3.0),
+)
+def test_polynomials_up_to_degree_13_are_exact_on_one_panel(coeffs, a, b):
+    """The 7-point Gauss rule inside GK15 is exact to degree 13, so one panel suffices."""
+    poly = np.polynomial.Polynomial(coeffs)
+    result = integrate_finite(poly, a, b)
+    a_, b_ = Fraction(a), Fraction(b)
+    exact = sum(Fraction(c) * (b_ ** (k + 1) - a_ ** (k + 1)) / (k + 1)
+                for k, c in enumerate(coeffs))
+    # rounding scale: half * sum w |p|(x), with |p| the polynomial of |coefficients|
+    # on |x| <= max(|a|, |b|), and the weights summing to 2.  The rule's nodes
+    # and weights are tabulated to 15 digits (the Kronrod weights sum to
+    # 2 - 6.0e-15), which costs up to about 30 u * scale on top of rounding.
+    reach = max(abs(a), abs(b))
+    scale = abs(b - a) * sum(abs(c) * reach**k for k, c in enumerate(coeffs))
+    bound = (max(1e-10, 1e-10 * abs(float(exact)))
+             + _rounding_slack(scale, 17 + 2 * len(coeffs)) + 128 * 2.0**-53 * scale)
+    assert result.intervals == (0 if a == b else 1)
+    assert abs(Fraction(result.value) - exact) <= bound
+
+
+@settings(max_examples=100)
+@given(rate=st.floats(0.01, 10.0), length=st.floats(0.01, 50.0))
+def test_exponential_decay_meets_the_requested_tolerance(rate, length):
+    result = integrate_finite(lambda x: np.exp(-rate * x), 0.0, length)
+    exact = -math.expm1(-rate * length) / rate
+    # positive integrand: its panels' sum |w f| is the integral itself; the
+    # running total adds three roundings per bisection
+    bound = max(1e-10, 1e-10 * exact) + _rounding_slack(exact, 20 + 3 * result.intervals)
+    assert abs(result.value - exact) <= bound
