@@ -119,11 +119,12 @@ def _gk15_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     Another summation order (BLAS ddot, say) or other abscissae (centre +
     half * node) change only the last bits, and the printed tables can afford
     that.  t4's (g_ai 0.2, theta 2, rho 0.05) cell amplifies welfare errors
-    about 9e4-fold, yet its quadrature root, 3.898045002899854e-08, lies
-    7.4e-10 relative above the six-digit rounding boundary 3.898045e-08: a
-    margin of about 45 ulps of W ~ 20.  Such last-bit changes move W there by
-    an ulp or so, and other cells' raw roots by up to 1e-10 relative (Brent's
-    tolerance); test_quadrature::test_t4_golden_cell_keeps_its_rounding_margin
+    about 9e4-fold, yet its quadrature root, 3.898045002961598e-08, lies
+    7.6e-10 relative above the six-digit rounding boundary 3.898045e-08: a
+    margin of about 49 ulps of W ~ 20.  Such last-bit changes move W there by
+    an ulp or so, and other cells' raw roots by up to 1e-10 relative (the
+    epsilon solve's tolerance, on its Newton steps and on Brent alike);
+    test_quadrature::test_t4_golden_cell_keeps_its_rounding_margin
     guards the margin.
     """
     x = lo + (hi - lo) * unit

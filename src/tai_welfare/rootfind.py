@@ -2,8 +2,8 @@
 
 Every indifference condition in this package is monotone in the solved
 parameter, so a sign-change bracket both exists and pins a unique root
-whenever there is one.  The solvers therefore never need derivatives; each
-grows its own bracket from the end of its domain where f is known.
+whenever there is one.  Each solver grows its own bracket from the end of
+its domain where f is known.
 """
 
 from __future__ import annotations

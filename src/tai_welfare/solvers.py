@@ -16,10 +16,10 @@ at the domain's end, grow upward until the sign differs from f(0)'s, and the
 last point that kept f(0)'s sign (0 at first) is the lower end.  The time
 solves run it, and Brent, on the truncated closed form with its scalars
 bound once; a root below T = 1 is then closed in from above, four-fold.
-The hazard slope is solved on the quadrature welfare_mounting, in a bracket
-that the exact erfcx closed form predicts; the quadrature stays the
-evaluator that defines the root until the t4 golden, which holds its
-rounding in one cell, is re-captured from a 40-digit oracle.
+The hazard slope is solved on the quadrature welfare_mounting by Newton
+steps from the exact erfcx closed form's root, on that form's slope; the
+quadrature stays the evaluator that defines the root until the t4 golden,
+which holds its rounding in one cell, is re-captured from a 40-digit oracle.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -62,7 +62,7 @@ RESIDUAL_REL_TOL = 1e-8
 T_DELAYED_MAX = 1e6
 EPSILON_MAX = 10.0
 _EPSILON_START = 1e-6  # first trial slope of the geometric eps bracket
-_PREDICTION_SLACK = 1e-7  # half-width, relative, of the first bracket around eps_hat
+_POLISH_STEPS = 4  # Newton steps on the quadrature before the bracketed fallback
 
 OutcomeTag = Literal["value", "no_tai_preferred", "tai_preferred", "no_solution"]
 
@@ -234,8 +234,8 @@ def solve_T_delayed(spec: ScenarioSpec, p3: float, p4: float) -> SolveOutcome:
     return _solve_monotone_time(spec, target, w_a)
 
 
-def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[float]:
-    """Root of the exact closed form, or None when the closed form cannot give one."""
+def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[tuple[float, float]]:
+    """The closed form's root and slope there (central difference at 1 -/+ 1e-6), or None."""
 
     def f(eps: float) -> float:
         w = _mounting_closed_form(spec, eps)
@@ -245,39 +245,36 @@ def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[flo
 
     try:
         bracket = _bracket_upward(f, f0, _EPSILON_START, EPSILON_MAX)
-        return None if bracket is None else _brent_in(f, bracket).root
+        if bracket is None:
+            return None
+        eps_hat = _brent_in(f, bracket).root
+        lo, hi = eps_hat * (1.0 - 1e-6), eps_hat * (1.0 + 1e-6)
+        return eps_hat, (f(hi) - f(lo)) / (hi - lo)
     except ArithmeticError:
         return None
 
 
-def _bracket_around(
-    f: Callable[[float], float], eps_hat: float, f0: float
-) -> Optional[_Bracket]:
-    """Sign-change bracket of f near its predicted root eps_hat.
+def _polished_epsilon(
+    f: Callable[[float], float], eps: float, slope: float
+) -> Optional[RootResult]:
+    """Newton steps eps -= f(eps) / slope on the quadrature f from the closed form's root.
 
-    Starts at eps_hat (1 -/+ _PREDICTION_SLACK) and, while the root lies
-    outside, moves the bracket across and widens its half-width four-fold,
-    with lo clamped at 0 (where f = f0 is known) and hi capped at EPSILON_MAX.
-    No point is evaluated twice.  None when f > 0 at EPSILON_MAX.
+    The root is the last point evaluated once a step is within Brent's
+    tolerance, 1e-10 eps; iterations counts the evaluations.  None when the
+    slope is not negative and finite, an iterate leaves (0, EPSILON_MAX] or
+    _POLISH_STEPS steps do not settle.
     """
-    k = _PREDICTION_SLACK
-    lo, hi = eps_hat * (1.0 - k), min(eps_hat * (1.0 + k), EPSILON_MAX)
-    f_lo, f_hi = f(lo), f(hi)
-    while True:
-        if f_lo < 0.0 and f_hi < 0.0:  # the root lies below lo
-            k *= 4.0
-            hi, f_hi = lo, f_lo
-            lo = max(eps_hat * (1.0 - k), 0.0)
-            f_lo = f0 if lo == 0.0 else f(lo)
-        elif f_lo > 0.0 and f_hi > 0.0:  # the root lies above hi
-            if hi >= EPSILON_MAX:
-                return None
-            k *= 4.0
-            lo, f_lo = hi, f_hi
-            hi = min(eps_hat * (1.0 + k), EPSILON_MAX)
-            f_hi = f(hi)
-        else:
-            return lo, hi, f_lo, f_hi
+    if not -math.inf < slope < 0.0:  # 0 where the closed form is flat to the ulp
+        return None
+    for evaluations in range(1, _POLISH_STEPS + 2):
+        f_eps = f(eps)
+        step = f_eps / slope
+        if abs(step) <= 1e-10 * eps:
+            return RootResult(eps, evaluations, abs(f_eps))
+        eps -= step
+        if not 0.0 < eps <= EPSILON_MAX:
+            return None
+    return None
 
 
 def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
@@ -288,17 +285,18 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     cornucopia value, so the root is unique whenever cornucopia beats the
     baseline, and a root beyond EPSILON_MAX reports no_solution.
 
-    Predictor: Brent on the exact erfcx closed form (microseconds) gives
-    eps_hat, within about 1e-7 of the quadrature's root; the two differ only
-    by the quadrature's rounding, amplified by W0 / (W_cornucopia - W0).
-    Polish: the quadrature is evaluated at eps_hat (1 -/+ 1e-7), widened
-    four-fold until it brackets the root, and Brent (rel_tol 1e-10) runs on
-    the quadrature in that bracket.  When the closed form overflows or finds
-    no root, the bracket instead grows upward from 1e-6 four-fold.  The value,
-    the tag and the residual check all come from quadrature evaluations, and
-    the outcome's iterations count only the quadrature Brent.  Once the t4
-    golden is re-captured from a 40-digit oracle, the closed form can be the
-    answer and the polish can go.  Quadrature non-convergence propagates as
+    Predictor: Brent on the exact erfcx closed form gives eps_hat and the
+    form's slope there.  The quadrature's root differs from eps_hat only by
+    the quadrature's near-constant rounding, about 1e-13 of W, amplified by
+    W0 / (W_cornucopia - W0).  Polish: Newton steps on the quadrature from
+    eps_hat with that slope; most cells stop at the first evaluation.  When
+    the closed form overflows or finds no root, or the polish gives up, a
+    bracket grows upward from 1e-6 four-fold and Brent (rel_tol 1e-10) runs
+    on the quadrature in it.  The value, the tag and the residual check all
+    come from quadrature evaluations; iterations counts the polish's
+    evaluations or the fallback's Brent iterations.  Once the t4 golden is
+    re-captured from a 40-digit oracle, the closed form can be the answer and
+    the polish can go.  Quadrature non-convergence propagates as
     QuadratureError, never as no_solution.
     """
     w0 = welfare_no_takeover(spec).value
@@ -310,13 +308,12 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     def f(eps: float) -> float:
         return welfare_mounting(spec, eps).value - w0
 
-    eps_hat = _predicted_epsilon(spec, w0, f0)
-    if eps_hat is None:
+    predicted = _predicted_epsilon(spec, w0, f0)
+    result = None if predicted is None else _polished_epsilon(f, *predicted)
+    if result is None:
         bracket = _bracket_upward(f, f0, _EPSILON_START, EPSILON_MAX)
-    else:
-        bracket = _bracket_around(f, eps_hat, f0)
-    if bracket is None:
-        return SolveOutcome.no_solution()
-    result = _brent_in(f, bracket)
+        if bracket is None:
+            return SolveOutcome.no_solution()
+        result = _brent_in(f, bracket)
     resid = _residual_ok(result.residual, w0)
     return SolveOutcome.of(result.root, result.iterations, resid)

@@ -296,7 +296,7 @@ def test_t4_golden_cell_keeps_its_rounding_margin(c0):
     quadrature's rounding, not the 40-digit root 3.8980449625e-08 (which
     prints 3.89804e-08).  So the welfare there must stay within 16 ulps of
     19.999684788969635, and the quadrature root at least 5e-10 relative above
-    the rounding boundary 3.898045e-08 (it is 7.4e-10).  ROADMAP item 1
+    the rounding boundary 3.898045e-08 (it is 7.6e-10).  ROADMAP item 1
     deletes this test when it re-captures bench/golden/t4.csv from the
     40-digit oracle.
     """

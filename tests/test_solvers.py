@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tai_welfare import (
@@ -158,6 +158,17 @@ class TestDelayedLottery:
         assert "value" in tags and "no_tai_preferred" in tags
 
 
+def _scaled_slope(factor):
+    # the predictor with its closed-form slope scaled by factor
+    predicted = solvers._predicted_epsilon
+
+    def scaled(*args):
+        eps_hat, slope = predicted(*args)
+        return eps_hat, factor * slope
+
+    return scaled
+
+
 class TestMountingEpsilon:
     @pytest.mark.parametrize(
         "g_ai,rho,expected",
@@ -199,10 +210,10 @@ class TestMountingEpsilon:
         assert len(evaluated) == len(set(evaluated))
 
 
-    def test_each_t4_cell_makes_at_most_six_quadrature_calls(self, c0, monkeypatch):
-        # the closed form predicts each root to ~1e-7, so the quadrature sees
-        # one bracket pair and a short Brent polish (about 12 calls at
-        # theta 1.0001 before the predictor)
+    def test_each_t4_cell_makes_at_most_three_quadrature_calls(self, c0, monkeypatch):
+        # the closed form's root and slope put the first Newton step within
+        # Brent's tolerance of the quadrature root: 62 calls for the 40 cells
+        # (155 with the bracket polish, about 12 per cell before the predictor)
         from tai_welfare.config import RunConfig
         from tai_welfare.tables import TABLES
 
@@ -214,19 +225,22 @@ class TestMountingEpsilon:
 
         monkeypatch.setattr(solvers, "welfare_mounting", counting)
         config = RunConfig()
+        per_cell = []
         for theta in TABLES["t4"].theta_set:
             for g_ai in config.g_ai_grid:
                 for rho in config.rho_grid:
                     calls.clear()
                     out = solve_epsilon_mounting(make_spec(c0, theta=theta, g_ai=g_ai, rho=rho))
                     assert out.is_value
-                    assert len(calls) <= 6, (theta, g_ai, rho, len(calls))
+                    assert len(calls) <= 3, (theta, g_ai, rho, len(calls))
+                    per_cell.append(len(calls))
+        assert len(per_cell) == 40 and sum(per_cell) <= 62
 
     def test_bracket_miss_cell_keeps_the_quadrature_root(self, c0):
         # W_cornucopia - W0 is 5e-9 of W0 here, so the quadrature root lies
-        # 3.6e-5 from the closed form's and the first bracket misses it.  One
-        # ulp of W0 spans 4e-8 of eps, a band where the quadrature residual is
-        # exactly 0; Brent stops wherever it first lands in it, so the root is
+        # 3.6e-5 from the closed form's.  One ulp of W0 spans 4e-8 of eps, a
+        # band where the quadrature residual is exactly 0; the Newton polish
+        # and Brent each stop wherever they first land in it, so the root is
         # defined to that band, not to 1e-9.  1.0108641001632123e-11 is the
         # value of the bracket grown from [0, 1e-6] without the predictor.
         spec = make_spec(c0, theta=2.7, g_ai=0.206, rho=0.0337)
@@ -269,6 +283,38 @@ class TestMountingEpsilon:
         fallback = solve_epsilon_mounting(spec)
         assert fallback.is_value and predicted.is_value
         assert fallback.value == pytest.approx(predicted.value, rel=1e-9)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0])
+    @pytest.mark.parametrize("theta,g_ai,rho", [(1.0001, 0.2, 0.05), (2.0, 0.2, 0.05), (2.0, 0.05, 0.002)])
+    def test_unusable_slope_falls_back_to_the_bracket(self, c0, monkeypatch, theta, g_ai, rho, factor):
+        # a slope of 0 or of the wrong sign gives the polish up; the bracket
+        # grown from 1e-6 finds the polished root to Brent's tolerance
+        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+        polished = solve_epsilon_mounting(spec)
+        monkeypatch.setattr(solvers, "_predicted_epsilon", _scaled_slope(factor))
+        evaluated = []
+
+        def counting(spec, epsilon, **kwargs):
+            evaluated.append(epsilon)
+            return welfare_mounting(spec, epsilon, **kwargs)
+
+        monkeypatch.setattr(solvers, "welfare_mounting", counting)
+        fallback = solve_epsilon_mounting(spec)
+        assert solvers._EPSILON_START in evaluated
+        assert fallback.is_value and polished.is_value
+        assert fallback.value == pytest.approx(polished.value, rel=1e-9)
+
+    def test_closed_form_flat_to_the_ulp_falls_back_to_the_bracket(self, c0):
+        # the root is 2e-14, so the closed form at eps_hat (1 -/+ 1e-6) moves
+        # less than an ulp of W and its slope reads 0; the solve must take the
+        # bracket from 1e-6, not divide by it
+        spec = make_spec(c0, theta=2.980612458980872, g_ai=0.07476581910622132,
+                         rho=0.00683171637719214)
+        w0, w_a = welfare_no_takeover(spec).value, welfare_cornucopia(spec).value
+        assert solvers._predicted_epsilon(spec, w0, w_a - w0) == (2.1163564709051488e-14, 0.0)
+        out = solve_epsilon_mounting(spec)
+        assert out.is_value
+        assert f"{out.value:.6g}" == "2.12495e-14"
 
     def test_root_up_to_epsilon_max_is_a_value(self, monkeypatch):
         # at c0 = 1 and theta = 1, W_mounting(eps) ~ 1/eps and W0 = g_baseline / rho^2;
@@ -437,3 +483,24 @@ def test_mounting_welfare_and_epsilon_roots(c0, theta, g_ai, rho, log_eps, facto
         w0 = welfare_no_takeover(spec).value
         w_root = welfare_mounting(spec, out.value).value
         assert abs(w_root - w0) <= RESIDUAL_REL_TOL * max(1.0, abs(w0))
+
+
+# where W_cornucopia beats W0 by more than 1e-6 of W0, the Newton polish and
+# the bracket grown from 1e-6 (the fallback, forced by a slope of 0) find the
+# same quadrature root; below a gap of about 1e-8 the quadrature residual is
+# exactly 0 over a band of eps wider than 1e-8 relative, so the root is not
+# determined to that tolerance
+@settings(max_examples=100)
+@given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.001, 3.0)),
+       g_ai=st.floats(0.02, 0.5), rho=st.floats(0.002, 0.08))
+def test_polished_epsilon_equals_the_bracketed_root(c0, theta, g_ai, rho):
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    w0 = welfare_no_takeover(spec).value
+    assume((welfare_cornucopia(spec).value - w0) / w0 > 1e-6)
+    polished = solve_epsilon_mounting(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_predicted_epsilon", _scaled_slope(0.0))
+        fallback = solve_epsilon_mounting(spec)
+    assert polished.tag == fallback.tag
+    if polished.is_value:
+        assert polished.value == pytest.approx(fallback.value, rel=1e-8)
