@@ -48,7 +48,8 @@ def brent(
         return RootResult(a, 0, 0.0)
     if fb == 0.0:
         return RootResult(b, 0, 0.0)
-    if fa * fb > 0.0:
+    # signs, not fa * fb, which underflows to 0 for tiny same-sign ends
+    if math.isnan(fa) or math.isnan(fb) or (fa > 0.0) == (fb > 0.0):
         raise DomainError(f"f(a) and f(b) must differ in sign, got {fa!r}, {fb!r}")
     c, fc = a, fa
     d = e = b - a

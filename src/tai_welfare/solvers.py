@@ -107,8 +107,8 @@ def _classify_probability(p: float) -> SolveOutcome:
 
 
 def _residual_ok(resid: float, w0: float) -> float:
-    # resid is Brent's RootResult.residual, |f(root)| = |W(root) - w0| itself
-    if resid > RESIDUAL_REL_TOL * max(1.0, abs(w0)):
+    # resid is Brent's RootResult.residual, |f(root)| = |W(root) - w0|; nan fails
+    if not resid <= RESIDUAL_REL_TOL * max(1.0, abs(w0)):
         raise ConvergenceError(
             f"indifference residual {resid!r} exceeds tolerance; solver bug"
         )

@@ -1,9 +1,11 @@
+import heapq
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tai_welfare import (
@@ -16,8 +18,8 @@ from tai_welfare import (
     welfare_mounting,
 )
 from tai_welfare.quadrature import (
+    DEFAULT_MAX_INTERVALS,
     QuadratureResult,
-    _gk15_panels,
     integrate_finite,
     integrate_transformed,
 )
@@ -156,18 +158,17 @@ def _error_estimate_range(exact, half):
     return min(lows) * (1 - 8 * 2.0**-53), max(highs) * (1 + 8 * 2.0**-53)
 
 
-def _mounting_legs(monkeypatch, c0):
-    """(integrand, a, b) of both legs of welfare_mounting at t4's (0.2, 2, 0.05) cell."""
+def _welfare_legs(spec, epsilon):
+    """(integrand, a, b, kwargs) of both legs of welfare_mounting(spec, epsilon)."""
     legs = []
 
     def capture(f, a, b, **kwargs):
-        legs.append((f, a, b))
+        legs.append((f, a, b, kwargs))
         return QuadratureResult(0.0, 0.0, 1)
 
-    monkeypatch.setattr(quadrature, "integrate_finite", capture)
-    spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05)
-    for eps in (3.8980450030e-08, 1e-3):
-        welfare_mounting(spec, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "integrate_finite", capture)
+        welfare_mounting(spec, epsilon)
     return legs
 
 
@@ -186,31 +187,41 @@ def _recording(f, samples):
 
 
 @pytest.mark.parametrize("integrand", ["polynomial", "exp", "mounting"])
-def test_bisection_panels_match_one_panel_calls(integrand, monkeypatch, c0):
+def test_bisection_panels_match_one_panel_calls(integrand, c0):
     """Each bisected panel is the GK15 rule over the values it sampled, to rounding.
 
-    Its integral lies within gamma_17 * half * sum |w_i f_i| of the exact
-    (Fraction) GK15 sum over the same floats, its error estimate within the
-    range that rounding of the same size allows, and reducing its 15 values
-    alone gives the same bits as reducing them inside the bisection's batch.
+    A look-ahead call samples a chain of pairs; each pair's abscissae and
+    values are bit for bit those of the pair sampled alone.  Each panel's
+    integral lies within gamma_17 * half * sum |w_i f_i| of the exact
+    (Fraction) GK15 sum over the same floats, and its error estimate within
+    the range that rounding of the same size allows.
     """
     if integrand == "mounting":
-        legs = _mounting_legs(monkeypatch, c0)
+        # both legs at t4's (0.2, 2, 0.05) cell, at its root and at 1e-3
+        spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05)
+        legs = [leg[:3] for eps in (3.8980450030e-08, 1e-3) for leg in _welfare_legs(spec, eps)]
     else:
         legs = [(INTEGRANDS[integrand], a, b) for a, b in ((0.0, 1.0), (0.0, 30.0), (-2.5, 7.0))]
     rng = np.random.default_rng(3)
     for f, a, b in legs:
         cuts = [(a, b)] + [tuple(sorted(rng.uniform(a, b, 2))) for _ in range(20)]
         for lo, hi in cuts:
-            mid = 0.5 * (lo + hi)
-            samples = []
-            both = _gk15_panels(_recording(f, samples), lo, hi, quadrature._UNIT_PAIR)
+            samples, store = [], {}
+            quadrature._look_ahead(_recording(f, samples), lo, hi, store)
             [(x, fx)] = samples
-            values = fx.tolist()
+            assert len(store) == quadrature._LOOKAHEAD and next(iter(store)) == (lo, hi)
+            for (p_lo, p_hi), (values, i) in store.items():
+                alone = p_lo + (p_hi - p_lo) * quadrature._UNIT_PAIR
+                assert x[i:i + 30].tobytes() == alone.tobytes()
+                assert fx[i:i + 30].tobytes() == np.asarray(f(alone), dtype=float).tobytes()
+                assert values[i:i + 30] == fx[i:i + 30].tolist()
+            # the pair of [lo, hi] itself, panel by panel
+            values, i = store[lo, hi]
+            mid = 0.5 * (lo + hi)
             for k, (p_lo, p_hi) in enumerate(((lo, mid), (mid, hi))):
-                panel, v = both[k], values[15 * k:15 * k + 15]
-                assert np.all((p_lo < x[15 * k:15 * k + 15]) & (x[15 * k:15 * k + 15] < p_hi))
-                assert quadrature._gk15(v, p_lo, p_hi) == panel
+                v = values[i + 15 * k:i + 15 * k + 15]
+                assert np.all((p_lo < x[i + 15 * k:i + 15 * k + 15]) & (x[i + 15 * k:i + 15 * k + 15] < p_hi))
+                panel = quadrature._gk15(v, p_lo, p_hi)
                 half = 0.5 * (p_hi - p_lo)
                 exact = _exact_gk15(v, half)
                 resk, scale_k = exact[0], exact[3]
@@ -230,7 +241,7 @@ def test_unit_grids_keep_every_node_inside_its_panel():
 def test_integrand_of_wrong_length_raises():
     with pytest.raises(DomainError):
         integrate_finite(lambda x: x[:-1], 0.0, 1.0)
-    # right length for one panel, wrong for the first bisection's two
+    # right length for the first panel alone, wrong for its look-ahead call
     with pytest.raises(DomainError):
         integrate_finite(lambda x: np.abs(x - 0.3)[:15], 0.0, 1.0)
 
@@ -244,49 +255,192 @@ def test_reversed_interval_negates_the_integral():
     assert backward.intervals == forward.intervals
 
 
+def _reference_integrate_finite(f, a, b, *, abs_tol=1e-10, rel_tol=1e-10,
+                                max_intervals=DEFAULT_MAX_INTERVALS):
+    """integrate_finite as a one-call-per-bisection loop, without look-ahead.
+
+    Each bisection samples its own pair lo + (hi - lo) * _UNIT_PAIR in one
+    call to f; the greedy, the termination test, the budget and the panel
+    reduction quadrature._gk15 are integrate_finite's.
+    """
+    def panels(lo, hi, unit):
+        x = lo + (hi - lo) * unit
+        fx = np.asarray(f(x), dtype=float)
+        if fx.shape != x.shape:
+            raise DomainError("integrand must map an array of abscissae to one value each")
+        values = fx.tolist()
+        if len(values) == 15:
+            return [quadrature._gk15(values, lo, hi)]
+        mid = 0.5 * (lo + hi)
+        return [quadrature._gk15(values[:15], lo, mid), quadrature._gk15(values[15:], mid, hi)]
+
+    if a == b:
+        return QuadratureResult(0.0, 0.0, 0)
+    [(value, err)] = panels(a, b, quadrature._UNIT)
+    heap = [(-err, a, b, value, err)]
+    total_value, total_err, count = value, err, 1
+    while True:
+        target = max(abs_tol, rel_tol * abs(total_value))
+        if total_err <= target:
+            return QuadratureResult(total_value, total_err, count)
+        if count >= max_intervals:
+            raise QuadratureError(
+                f"quadrature needs more than {max_intervals} intervals: "
+                f"error estimate {total_err:.3e} exceeds target {target:.3e}"
+            )
+        _, lo, hi, v_old, e_old = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        (v1, e1), (v2, e2) = panels(lo, hi, quadrature._UNIT_PAIR)
+        total_value += v1 + v2 - v_old
+        total_err += e1 + e2 - e_old
+        count += 1
+        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
+
+
+def _outcome(integrate, f, a, b, **kwargs):
+    """(repr of the result or of the QuadratureError, panels reduced, calls to f)."""
+    seen = {"panels": 0, "calls": 0}
+    gk15 = quadrature._gk15
+
+    def counted_panel(v, lo, hi):
+        seen["panels"] += 1
+        return gk15(v, lo, hi)
+
+    def counted_f(x):
+        seen["calls"] += 1
+        return f(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_gk15", counted_panel)
+        try:
+            out = repr(integrate(counted_f, a, b, **kwargs))
+        except QuadratureError as exc:
+            out = repr(exc)
+    return out, seen["panels"], seen["calls"]
+
+
 NON_FINITE = {
     "nan": (lambda x: np.full_like(x, np.nan), 0.0, 1.0),
     "pole": (lambda x: 1.0 / (x - 0.5) ** 2, 0.0, 1.0),
 }
-
-
-def _counting_panels(monkeypatch):
-    """Patch _gk15_panels to count integrand calls and note the first non-finite one."""
-    seen = {"calls": 0, "first_non_finite": None}
-    panels = quadrature._gk15_panels
-
-    def counted(f, lo, hi, unit):
-        def g(x):
-            y = f(x)
-            seen["calls"] += 1
-            if seen["first_non_finite"] is None and not np.all(np.isfinite(y)):
-                seen["first_non_finite"] = seen["calls"]
-            return y
-        return panels(g, lo, hi, unit)
-
-    monkeypatch.setattr(quadrature, "_gk15_panels", counted)
-    return seen
+WELFARE_OVERFLOW = ScenarioSpec(c0=2.0, g_ai=5.0, prefs=Preferences(rho=0.05, theta_rra=0.5))
 
 
 @pytest.mark.parametrize("case", ["nan", "pole", "welfare_overflow"])
-def test_non_finite_integrand_raises_on_the_call_that_returns_it(case, monkeypatch):
+def test_non_finite_integrand_raises_on_the_call_that_returns_it(case):
     """A nan or inf panel stops the quadrature at once instead of using up the budget.
 
-    The nan and pole integrands are non-finite on their first call.  The
-    welfare integrand (theta 0.5, g_ai 5, eps 1e-6) first overflows on the
-    14th call, as the transformed leg bisects towards x = 1.
+    The call that raises is the panel reduction of the first non-finite
+    panel the greedy takes, on the same bisection as in the one-call-per-
+    bisection loop.  The nan and pole integrands are non-finite on the first
+    panel.  The welfare integrand (theta 0.5, g_ai 5, eps 1e-6) first
+    overflows on the 13th bisection of its transformed leg, the 14th call to
+    f without look-ahead, as the greedy bisects towards x = 1.
     """
-    seen = _counting_panels(monkeypatch)
-    with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="not finite on"):
+    with np.errstate(all="ignore"):
         if case == "welfare_overflow":
-            spec = ScenarioSpec(c0=2.0, g_ai=5.0, prefs=Preferences(rho=0.05, theta_rra=0.5))
-            welfare_mounting(spec, 1e-6)
+            f, a, b, kwargs = _welfare_legs(WELFARE_OVERFLOW, 1e-6)[0]
         else:
-            f, a, b = NON_FINITE[case]
-            integrate_finite(f, a, b)
-    assert seen["calls"] == seen["first_non_finite"]
-    if case != "welfare_overflow":
-        assert seen["calls"] <= 2
+            (f, a, b), kwargs = NON_FINITE[case], {}
+        out, panels, calls = _outcome(integrate_finite, f, a, b, **kwargs)
+        ref_out, ref_panels, ref_calls = _outcome(_reference_integrate_finite, f, a, b, **kwargs)
+    assert "not finite on" in out and out == ref_out
+    # the first panel is reduction 1; bisection k reduces 2k and 2k + 1
+    assert panels == ref_panels
+    assert panels // 2 == {"nan": 0, "pole": 0, "welfare_overflow": 13}[case]
+    assert ref_calls == panels // 2 + 1 and calls <= ref_calls
+
+
+def test_non_finite_values_sampled_ahead_are_never_reduced():
+    """Values that only the look-ahead sampled change nothing unless bisected.
+
+    x^2 on [0, 1] is exact on its first panel, whose last node is 0.99573;
+    the look-ahead call also samples the nested pairs towards 1, whose nodes
+    beyond 0.9958 are inf here.  The result, and the warnings, are those of
+    the one-call-per-bisection loop.
+    """
+    samples = []
+    f = _recording(lambda x: np.where(x > 0.9958, np.inf, x**2), samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = integrate_finite(f, 0.0, 1.0)
+        reference = _reference_integrate_finite(f, 0.0, 1.0)
+    assert repr(result) == repr(reference) and result.intervals == 1
+    assert np.isinf(samples[0][1]).any()
+
+
+_THETAS = st.one_of(st.sampled_from([1.0, 1.0001]), st.floats(1.001, 3.0))
+
+
+@settings(max_examples=40)
+@given(theta=_THETAS, g_ai=st.floats(0.01, 0.5), rho=st.floats(0.005, 0.1),
+       log_eps=st.floats(-11.0, -2.0))
+def test_look_ahead_matches_one_call_per_bisection_on_welfare_legs(c0, theta, g_ai, rho, log_eps):
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    for f, a, b, kwargs in _welfare_legs(spec, 10.0**log_eps):
+        out, panels, _ = _outcome(integrate_finite, f, a, b, **kwargs)
+        assert (out, panels) == _outcome(_reference_integrate_finite, f, a, b, **kwargs)[:2]
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=40),
+    rate=st.floats(0.01, 50.0),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-3.0, 3.0),
+)
+def test_look_ahead_matches_one_call_per_bisection_on_polynomials_and_exponentials(
+    coeffs, rate, a, b
+):
+    for f in (np.polynomial.Polynomial(coeffs), lambda x: np.exp(-rate * x)):
+        out, panels, _ = _outcome(integrate_finite, f, a, b)
+        assert (out, panels) == _outcome(_reference_integrate_finite, f, a, b)[:2]
+
+
+@settings(max_examples=30)
+@given(theta=_THETAS, g_ai=st.floats(0.01, 0.5), rho=st.floats(0.005, 0.1),
+       log_eps=st.floats(-11.0, -2.0), share=st.floats(0.0, 1.0))
+def test_look_ahead_runs_out_of_budget_on_the_same_interval(
+    c0, theta, g_ai, rho, log_eps, share
+):
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    f, a, b, _ = _welfare_legs(spec, 10.0**log_eps)[0]
+    needed = _reference_integrate_finite(f, a, b).intervals
+    assume(needed > 1)
+    # a budget of 1 .. needed - 1 intervals runs out before the leg converges
+    max_intervals = 1 + int(share * (needed - 2))
+    out, panels, _ = _outcome(integrate_finite, f, a, b, max_intervals=max_intervals)
+    assert out.startswith("QuadratureError('quadrature needs more than")
+    assert panels == 2 * max_intervals - 1
+    assert (out, panels) == _outcome(
+        _reference_integrate_finite, f, a, b, max_intervals=max_intervals
+    )[:2]
+
+
+def test_t4_cells_make_at_most_300_integrand_calls(c0, monkeypatch):
+    # each call samples a bisected pair and its nested upper halves: 254
+    # calls for the 40 cells (1,242 with one call per bisection)
+    from tai_welfare.config import RunConfig
+    from tai_welfare.tables import TABLES
+
+    calls = []
+
+    def counting(f, a, b, **kwargs):
+        def g(x):
+            calls.append(len(x))
+            return f(x)
+        return integrate_finite(g, a, b, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    config = RunConfig()
+    cells = 0
+    for theta in TABLES["t4"].theta_set:
+        for g_ai in config.g_ai_grid:
+            for rho in config.rho_grid:
+                assert solve_epsilon_mounting(make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)).is_value
+                cells += 1
+    assert cells == 40 and len(calls) <= 300
 
 
 def test_t4_golden_cell_keeps_its_rounding_margin(c0):

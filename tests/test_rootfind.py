@@ -30,6 +30,16 @@ def test_brent_requires_sign_change():
         brent(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("f", [
+    lambda x: 1e-200,  # same-sign ends whose product underflows to 0
+    lambda x: -1e-170 * (1.0 + x),  # the same below zero
+    lambda x: float("nan"),
+], ids=["tiny_positive", "tiny_negative", "nan"])
+def test_brent_rejects_ends_without_a_sign_change(f):
+    with pytest.raises(DomainError, match="differ in sign"):
+        brent(f, 0.0, 1.0)
+
+
 def test_brent_tight_relative_tolerance():
     f = lambda x: math.expm1(x) - 1.0
     result = brent(f, 0.0, 2.0, rel_tol=1e-14)

@@ -23,6 +23,7 @@ from tai_welfare import (
     welfare_no_takeover,
     welfare_truncated,
 )
+from tai_welfare.rootfind import RootResult
 from tai_welfare.solvers import RESIDUAL_REL_TOL
 from conftest import make_spec
 
@@ -504,3 +505,13 @@ def test_polished_epsilon_equals_the_bracketed_root(c0, theta, g_ai, rho):
     assert polished.tag == fallback.tag
     if polished.is_value:
         assert polished.value == pytest.approx(fallback.value, rel=1e-8)
+
+
+def test_nan_residual_is_a_convergence_error(c0, monkeypatch):
+    # a root whose residual is nan must not pass the residual check
+    def nan_root(f, a, b, **kwargs):
+        return RootResult(root=0.5 * (a + b), iterations=1, residual=math.nan)
+
+    monkeypatch.setattr(solvers, "brent", nan_root)
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        solvers.solve_extinction_time(make_spec(c0, theta=2.0))
