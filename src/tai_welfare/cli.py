@@ -16,7 +16,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Collection, Optional, Sequence
+from typing import Collection, Optional, Sequence, get_args
 
 from .config import (DEFAULT_ANCHOR, DEFAULT_ANCHOR_TARGET, LIST_KEYS, RunConfig,
                      calibrate_c0, format_number, parse_config, parse_finite, parse_list)
@@ -92,26 +92,26 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .tables import SOLVE_TARGETS, format_cell, scenario
+    from .tables import SOLVE_TARGETS, format_cell, solve_cell
 
     config = _load_config(args)
-    spec = scenario(config, args.theta, args.g_ai, args.rho)
-    outcome = SOLVE_TARGETS[args.target](spec, p3=config.p3, p4=config.p4, T=config.T)
-    print(format_cell(outcome))
+    values = {k: getattr(config, k) for k in SOLVE_TARGETS[args.target][0]}
+    print(format_cell(solve_cell(args.target, config, args.theta, args.g_ai, args.rho, values)))
     return 0
 
 
 def _cmd_ev(args: argparse.Namespace) -> int:
-    from .solvers import SolveOutcome
-    from .tables import ev_cell, format_cell, scenario
+    from .compensation import PANELS, EvResult
+    from .tables import format_cell, solve_cell
 
     config = _load_config(args)
-    if args.epsilon is not None and args.panel != "d":
+    reads = PANELS[args.panel][0]
+    if args.epsilon is not None and "epsilon" not in reads:
         raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
-    spec = scenario(config, 1.0, args.g_ai, args.rho)
-    values = {"p3": config.p3, "p4": config.p4, "T": config.T}
-    result = ev_cell(spec, args.panel, values, args.epsilon)
-    if isinstance(result, SolveOutcome):
+    # RunConfig.epsilon is et's hazard slope: panel d's comes from --epsilon
+    values = {k: getattr(config, k) for k in reads if k != "epsilon"}
+    result = solve_cell(args.panel, config, 1.0, args.g_ai, args.rho, values, args.epsilon)
+    if not isinstance(result, EvResult):
         print(format_cell(result))
         return 0
     for name in ("ev", "log_ev", "wtp_fraction"):
@@ -228,10 +228,10 @@ def _et_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _simulate_growth_arguments(p: argparse.ArgumentParser) -> None:
-    from .growth import ProductionParams
+    from .growth import ProductionParams, Regime
 
-    p.add_argument("--regime", choices=("full_automation", "bottlenecked"),
-                   default="full_automation")
+    regimes = get_args(Regime)
+    p.add_argument("--regime", choices=regimes, default=regimes[0])
     p.add_argument("--k0", type=float, default=1.0)
     p.add_argument("--horizon", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=0.1)

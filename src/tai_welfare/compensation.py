@@ -69,17 +69,17 @@ def equivalent_variation(
 
 
 # Each panel letter maps to the values it reads and to the welfare of its
-# risky scenario, given the spec and the cornucopia welfare w_a:
+# risky scenario, given the spec, the cornucopia welfare w_a and those values:
 #   a  certain extinction at T              W_trunc(T)
 #   b  immediate doom with probability p3   (1-p3) W_cornucopia
 #   c  the full lottery (p3, p4, T)         lottery value
 #   d  mounting hazard with slope epsilon   W_mounting(epsilon)
 PANELS = {
-    "a": (("T",), lambda spec, w_a, *, T, **_: welfare_truncated(spec, T).value),
-    "b": (("p3",), lambda spec, w_a, *, p3, **_: lottery_value(w_a, 0.0, p3, 0.0)),
-    "c": (("p3", "p4", "T"), lambda spec, w_a, *, p3, p4, T, **_: lottery_value(
+    "a": (("T",), lambda spec, w_a, *, T: welfare_truncated(spec, T).value),
+    "b": (("p3",), lambda spec, w_a, *, p3: lottery_value(w_a, 0.0, p3, 0.0)),
+    "c": (("p3", "p4", "T"), lambda spec, w_a, *, p3, p4, T: lottery_value(
         w_a, welfare_truncated(spec, T).value, p3, p4)),
-    "d": (("epsilon",), lambda spec, w_a, *, epsilon, **_: welfare_mounting(
+    "d": (("epsilon",), lambda spec, w_a, *, epsilon: welfare_mounting(
         spec, epsilon).value),
 }
 
@@ -101,8 +101,9 @@ def ev_panel(
     if panel not in PANELS:
         raise DomainError(f"unknown panel {panel!r}")
     reads, risky = PANELS[panel]
-    values = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon}
-    if any(values[name] is None for name in reads):
+    given = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon}
+    values = {name: given[name] for name in reads}
+    if None in values.values():
         raise DomainError(f"panel {panel} needs {', '.join(reads)}")
     w_a = welfare_cornucopia(spec).value
     return equivalent_variation(w_a, risky(spec, w_a, **values), spec.prefs)

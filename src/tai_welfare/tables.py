@@ -12,6 +12,9 @@ tokens NO_TAI_PREFERRED (a negative implied threshold), TAI_PREFERRED (an
 implied probability above one) and NO_SOLUTION (no root in the admissible
 domain); a per-cell solver failure or float overflow renders as
 ERROR:<ExceptionClassName> without aborting the rest of the table.
+
+solve_cell is the one cell path of emit_table and the CLI's solve and ev; each
+hands a target exactly the values SOLVE_TARGETS or compensation.PANELS say it reads.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ __all__ = [
     "TableSpec",
     "table_spec",
     "emit_table",
-    "scenario",
-    "ev_cell",
+    "solve_cell",
     "SOLVE_TARGETS",
     "TABLES",
     "TABLE_IDS",
@@ -52,22 +54,23 @@ SENTINEL_TOKENS = {
     "no_solution": "NO_SOLUTION",
 }
 
-# Every solver takes spec plus the keywords p3, p4 and T and reads only the
-# ones its indifference condition holds fixed.
+# Each target maps to the values its indifference condition holds fixed and
+# to its solver.  The lambdas call the solvers by module-global name, so a
+# patched solver is the one called.
 SOLVE_TARGETS = {
-    "extinction-time": lambda spec, **_: solve_extinction_time(spec),
-    "p3-immediate": lambda spec, **_: solve_p3_immediate(spec),
-    "p3-delayed": lambda spec, *, p4, T, **_: solve_p3_delayed(spec, p4=p4, T=T),
-    "p4-delayed": lambda spec, *, p3, T, **_: solve_p4_delayed(spec, p3=p3, T=T),
-    "T-delayed": lambda spec, *, p3, p4, **_: solve_T_delayed(spec, p3=p3, p4=p4),
-    "epsilon": lambda spec, **_: solve_epsilon_mounting(spec),
+    "extinction-time": ((), lambda spec: solve_extinction_time(spec)),
+    "p3-immediate": ((), lambda spec: solve_p3_immediate(spec)),
+    "p3-delayed": (("p4", "T"), lambda spec, *, p4, T: solve_p3_delayed(spec, p4=p4, T=T)),
+    "p4-delayed": (("p3", "T"), lambda spec, *, p3, T: solve_p4_delayed(spec, p3=p3, T=T)),
+    "T-delayed": (("p3", "p4"), lambda spec, *, p3, p4: solve_T_delayed(spec, p3=p3, p4=p4)),
+    "epsilon": ((), lambda spec: solve_epsilon_mounting(spec)),
 }
 
 
 class Table(NamedTuple):
-    target: str  # a SOLVE_TARGETS name, or an EV panel letter
+    target: str  # a SOLVE_TARGETS name, or a PANELS letter
     theta_set: tuple[float, ...]
-    fixed: dict  # every lottery/horizon value the target reads
+    fixed: dict  # the target's reads; panel d's epsilon is re-solved per cell
 
 
 TABLES = {
@@ -111,52 +114,28 @@ def table_spec(table_id: str, config: Optional[RunConfig] = None) -> TableSpec:
 # ---------------------------------------------------------------------------
 
 
-def scenario(config: RunConfig, theta: float, g_ai: float, rho: float) -> ScenarioSpec:
-    """The scenario of one (theta, g_ai, rho) cell under a run config."""
-    return ScenarioSpec(
-        c0=config.resolved_c0(),
-        g_ai=g_ai,
-        g_baseline=config.g_baseline,
-        prefs=Preferences(rho=rho, theta_rra=theta),
-    )
+def solve_cell(target: str, config: RunConfig, theta: float, g_ai: float, rho: float,
+               values: dict, epsilon: Optional[float] = None) -> Union[SolveOutcome, EvResult]:
+    """One (theta, g_ai, rho) cell of a SOLVE_TARGETS target or an EV panel.
 
-
-def ev_cell(
-    spec: ScenarioSpec,
-    panel: str,
-    values: dict,
-    epsilon: Optional[float] = None,
-) -> Union[EvResult, SolveOutcome]:
-    """EV of one panel at the given p3, p4 and T.
-
-    Without an epsilon, panel d re-solves its hazard slope at the log-like
-    curvature theta = 1.0001 and evaluates the EV at the spec's theta; when
+    values holds the lottery values the target reads.  Panel d takes its
+    hazard slope from epsilon; without one it re-solves the slope at the
+    log-like curvature theta = 1.0001 and evaluates the EV at theta, and when
     that solve finds no slope its sentinel outcome is returned instead.
     """
-    if panel == "d" and epsilon is None:
+    spec = ScenarioSpec(c0=config.resolved_c0(), g_ai=g_ai, g_baseline=config.g_baseline,
+                        prefs=Preferences(rho=rho, theta_rra=theta))
+    if target in SOLVE_TARGETS:
+        return SOLVE_TARGETS[target][1](spec, **values)
+    if target == "d" and epsilon is None:
         eps_spec = replace(spec, prefs=replace(spec.prefs, theta_rra=1.0001))
         solved = solve_epsilon_mounting(eps_spec)
         if not solved.is_value:
             return solved
         epsilon = solved.value
-    return ev_panel(spec, panel, epsilon=epsilon, **values)
-
-
-def solve_cell(
-    table_id: str,
-    config: RunConfig,
-    theta: float,
-    g_ai: float,
-    rho: float,
-    values: dict,
-) -> SolveOutcome:
-    """One grid cell of an indifference or EV table."""
-    spec = scenario(config, theta, g_ai, rho)
-    target = TABLES[table_id].target
-    if target in SOLVE_TARGETS:
-        return SOLVE_TARGETS[target](spec, **values)
-    result = ev_cell(spec, target, values)
-    return SolveOutcome.of(result.ev) if isinstance(result, EvResult) else result
+    if epsilon is not None:
+        values = {**values, "epsilon": epsilon}
+    return ev_panel(spec, target, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +143,9 @@ def solve_cell(
 # ---------------------------------------------------------------------------
 
 
-def format_cell(outcome: SolveOutcome) -> str:
+def format_cell(outcome: Union[SolveOutcome, EvResult]) -> str:
+    if isinstance(outcome, EvResult):
+        return format_number(outcome.ev)
     if outcome.is_value:
         return format_number(outcome.value)
     return SENTINEL_TOKENS[outcome.tag]
@@ -178,7 +159,7 @@ def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:
     pipes that delimit cells, and the rest of the table proceeds.
     """
     config = config or RunConfig()
-    values = TABLES[spec.table_id].fixed
+    target, _, values = TABLES[spec.table_id]
     header = ["g_ai"]
     for theta in spec.theta_set:
         for rho in spec.rho_grid:
@@ -189,7 +170,7 @@ def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:
         for theta in spec.theta_set:
             for rho in spec.rho_grid:
                 try:
-                    outcome = solve_cell(spec.table_id, config, theta, g_ai, rho, values)
+                    outcome = solve_cell(target, config, theta, g_ai, rho, values)
                     row.append(format_cell(outcome))
                 except (TaiWelfareError, ArithmeticError) as exc:
                     row.append(f"ERROR:{type(exc).__name__}")

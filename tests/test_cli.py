@@ -16,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tai_welfare
-from tai_welfare import ConvergenceError, growth, quadrature, solvers
+from tai_welfare import ConvergenceError, growth, quadrature, solvers, tables
+from tai_welfare.compensation import PANELS, EvResult
 from tai_welfare.cli import COMMANDS, build_parser, main
 from tai_welfare.config import RunConfig, parse_config
 from tai_welfare.rootfind import RootResult
@@ -223,6 +224,44 @@ def test_ev_epsilon_is_for_panel_d_only(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and "panel d" in err
+
+
+# every lottery flag given, and panel d's slope; a config file's epsilon is et's
+CELL_FLAGS = ("--g-ai", "0.2", "--rho", "0.05", "--p3", "0.1", "--p4", "0.2", "--T", "30")
+GIVEN = {"p3": 0.1, "p4": 0.2, "T": 30.0, "epsilon": 1e-3}
+
+
+@pytest.mark.parametrize("target", list(tables.SOLVE_TARGETS))
+def test_solve_hands_a_target_exactly_its_reads(capsys, monkeypatch, target):
+    reads, _ = tables.SOLVE_TARGETS[target]
+    seen = []
+    spy = lambda spec, **values: seen.append(values) or solvers.SolveOutcome.no_solution()
+    monkeypatch.setitem(tables.SOLVE_TARGETS, target, (reads, spy))
+    code, out, _ = run_cli(capsys, "solve", "--target", target, *CELL_FLAGS)
+    assert (code, out) == (0, "NO_SOLUTION\n")
+    assert seen == [{name: GIVEN[name] for name in reads}]
+
+
+@pytest.mark.parametrize("panel, extra", [
+    ("a", ()), ("b", ()), ("c", ()), ("d", ("--epsilon", "1e-3")), ("d", ()),
+])
+def test_ev_hands_a_panel_exactly_its_reads(capsys, monkeypatch, tmp_path, panel, extra):
+    seen = []
+
+    def spy(spec, target, **values):
+        seen.append(values)
+        return EvResult(ev=0.5, log_ev=-0.6931471805599453, wtp_fraction=0.5)
+
+    monkeypatch.setattr(tables, "ev_panel", spy)
+    # without --epsilon, panel d re-solves its slope; this one stands in for it
+    monkeypatch.setattr(tables, "solve_epsilon_mounting",
+                        lambda spec: solvers.SolveOutcome.of(1e-3))
+    config = tmp_path / "run.cfg"
+    config.write_text("epsilon=0.5\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "ev", "--panel", panel, "--config", str(config),
+                           *CELL_FLAGS, *extra)
+    assert (code, out.splitlines()[0]) == (0, "ev,0.5")
+    assert seen == [{name: GIVEN[name] for name in PANELS[panel][0]}]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -4,13 +4,16 @@ from pathlib import Path
 import pytest
 
 from tai_welfare import ConfigError, DomainError, RunConfig, parse_config, quadrature
+from tai_welfare.compensation import PANELS
 from tai_welfare.config import DEFAULT_ANCHOR_TARGET, calibrate_c0
 from tai_welfare.tables import (
     SENTINEL_TOKENS,
+    SOLVE_TARGETS,
     TABLE_IDS,
+    TABLES,
     emit_table,
     format_number,
-    scenario,
+    solve_cell,
     table_spec,
 )
 
@@ -39,12 +42,8 @@ class TestCalibration:
     @pytest.mark.parametrize("g_baseline", [0.0, 0.01, 0.02, 0.04])
     def test_anchor_cell_holds_at_any_baseline(self, g_baseline):
         # the default c0 is calibrated at the config's own baseline growth
-        from tai_welfare import solve_p3_immediate
-
-        spec = scenario(RunConfig(g_baseline=g_baseline), 1.0, 0.05, 0.05)
-        assert solve_p3_immediate(spec).value == pytest.approx(
-            DEFAULT_ANCHOR_TARGET, rel=1e-12
-        )
+        outcome = solve_cell("p3-immediate", RunConfig(g_baseline=g_baseline), 1.0, 0.05, 0.05, {})
+        assert outcome.value == pytest.approx(DEFAULT_ANCHOR_TARGET, rel=1e-12)
 
     def test_impossible_anchor_rejected(self):
         with pytest.raises(DomainError):
@@ -127,6 +126,29 @@ class TestEmitTable:
         rows = text.strip().split("\n")
         assert len(rows) == 2
         assert rows[1].split(",")[1] == "ERROR:QuadratureError"
+
+
+class TestReads:
+    @pytest.mark.parametrize("table_id", TABLE_IDS)
+    def test_table_fixes_exactly_what_its_target_reads(self, table_id):
+        # panel d's epsilon is re-solved per cell, never fixed by its table
+        target, _, fixed = TABLES[table_id]
+        reads = (SOLVE_TARGETS.get(target) or PANELS[target])[0]
+        assert set(fixed) == set(reads) - {"epsilon"}
+
+    @pytest.mark.parametrize("target", list(SOLVE_TARGETS))
+    def test_solve_target_rejects_a_value_it_does_not_read(self, target):
+        reads, solve = SOLVE_TARGETS[target]
+        values = {name: 0.5 for name in reads}
+        with pytest.raises(TypeError, match="unread"):
+            solve(None, **values, unread=0.5)
+
+    @pytest.mark.parametrize("panel", list(PANELS))
+    def test_panel_rejects_a_value_it_does_not_read(self, panel):
+        reads, risky = PANELS[panel]
+        values = {name: 0.5 for name in reads}
+        with pytest.raises(TypeError, match="unread"):
+            risky(None, 1.0, **values, unread=0.5)
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
