@@ -22,13 +22,7 @@ from typing import Literal, Optional
 
 from .errors import DomainError
 from .preferences import Preferences
-from .welfare import (
-    ScenarioSpec,
-    lottery_value,
-    welfare_cornucopia,
-    welfare_mounting,
-    welfare_truncated,
-)
+from .welfare import ScenarioSpec, _closed, lottery_value, welfare_mounting
 
 __all__ = [
     "EvResult",
@@ -75,10 +69,10 @@ def equivalent_variation(
 #   c  the full lottery (p3, p4, T)         lottery value
 #   d  mounting hazard with slope epsilon   W_mounting(epsilon)
 PANELS = {
-    "a": (("T",), lambda spec, w_a, *, T: welfare_truncated(spec, T).value),
+    "a": (("T",), lambda spec, w_a, *, T: _closed(spec, spec.g_ai, T)),
     "b": (("p3",), lambda spec, w_a, *, p3: lottery_value(w_a, 0.0, p3, 0.0)),
     "c": (("p3", "p4", "T"), lambda spec, w_a, *, p3, p4, T: lottery_value(
-        w_a, welfare_truncated(spec, T).value, p3, p4)),
+        w_a, _closed(spec, spec.g_ai, T), p3, p4)),
     "d": (("epsilon",), lambda spec, w_a, *, epsilon: welfare_mounting(
         spec, epsilon).value),
 }
@@ -105,7 +99,7 @@ def ev_panel(
     values = {name: given[name] for name in reads}
     if None in values.values():
         raise DomainError(f"panel {panel} needs {', '.join(reads)}")
-    w_a = welfare_cornucopia(spec).value
+    w_a = _closed(spec, spec.g_ai)
     return equivalent_variation(w_a, risky(spec, w_a, **values), spec.prefs)
 
 

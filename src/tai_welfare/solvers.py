@@ -9,17 +9,21 @@ equals the no-takeover welfare W0.  A solve can end four ways:
   no_solution      no root exists in the admissible domain
 
 The probability solvers are linear given the underlying welfare values, so
-they are closed-form; the time and hazard-slope solvers bracket and run
-Brent on a function that is monotone in the solved parameter.  Both know
-its value at 0, so one bracket serves both: trial points start * 4^n, capped
-at the domain's end, grow upward until the sign differs from f(0)'s, and the
-last point that kept f(0)'s sign (0 at first) is the lower end.  The time
-solves run it, and Brent, on the truncated closed form with its scalars
-bound once; a root below T = 1 is then closed in from above, four-fold.
-The hazard slope is solved on the quadrature welfare_mounting by Newton
-steps from the exact erfcx closed form's root, on that form's slope; the
-quadrature stays the evaluator that defines the root until the t4 golden,
-which holds its rounding in one cell, is re-captured from a 40-digit oracle.
+they are closed-form; the time and hazard-slope solvers run Brent on a
+function that is monotone in the solved parameter, in a bracket across which
+its sign is checked.  The time solves run it on the truncated closed form
+minus the target, with its scalars bound once, in a bracket one Brent
+tolerance wide that Newton steps on the tail identity place (_tail_bracket),
+so Brent stops at its first iteration.  Where f does not change sign across
+it, they fall back on the bracket both solvers share, as the hazard slope
+does: trial points start * 4^n, capped at the domain's end, grow upward
+until the sign differs from f(0)'s, and the last point that kept f(0)'s sign
+(0 at first) is the lower end; a time root below T = 1 is then closed in
+from above, four-fold.  The hazard slope is solved on the quadrature
+welfare_mounting by Newton steps from the exact erfcx closed form's root, on
+that form's slope; the quadrature stays the evaluator that defines the root
+until the t4 golden, which holds its rounding in one cell, is re-captured
+from a 40-digit oracle.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -38,13 +42,11 @@ from .rootfind import RootResult, brent
 from .taxonomy import _check_probability
 from .welfare import (
     ScenarioSpec,
+    _closed,
     _mounting_closed_form,
     discounted_crra_closed_form,
     lottery_value,
-    welfare_cornucopia,
     welfare_mounting,
-    welfare_no_takeover,
-    welfare_truncated,
 )
 
 __all__ = [
@@ -63,6 +65,7 @@ T_DELAYED_MAX = 1e6
 EPSILON_MAX = 10.0
 _EPSILON_START = 1e-6  # first trial slope of the geometric eps bracket
 _POLISH_STEPS = 4  # Newton steps on the quadrature before the bracketed fallback
+_TAIL_STEPS = 8  # Newton steps on the time solves' tail identity before the upward bracket
 
 OutcomeTag = Literal["value", "no_tai_preferred", "tai_preferred", "no_solution"]
 
@@ -140,8 +143,49 @@ def _brent_in(f: Callable[[float], float], bracket: _Bracket) -> RootResult:
     return brent(f, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
 
 
+def _tail_bracket(
+    f: Callable[[float], float], spec: ScenarioSpec, target: float, w_sup: float
+) -> Optional[_Bracket]:
+    """T (1 -/+ 5e-11) around the root of f = W_trunc - target, once f changes sign there.
+
+    With W_inf(lam') the infinite-horizon closed form at log c0 = lam', the
+    tail identity w_sup - W_trunc(T) = e^(-rho T) W_inf(lam + g T) puts the
+    root at the zero of phi(T) = log W_inf(lam + g T) - rho T - log gap,
+    gap = w_sup - target.  W_inf rises in lam', so log(w_sup / gap) / rho
+    bounds it from below; Newton steps on phi (which falls, and is concave
+    for theta >= 1) run from there until a step is under 1e-12 T.  None when
+    _TAIL_STEPS steps do not settle, an evaluation fails, the bracket leaves
+    (0, T_DELAYED_MAX] or f keeps one sign across it: where the gap is within
+    about 1e-6 of w_sup, rounding in f moves its zero further than that.
+    """
+    lam, g, rho, theta = spec.log_c0, spec.g_ai, spec.prefs.rho, spec.prefs.theta_rra
+    q, gap = 1.0 - theta, w_sup - target
+    t, log_gap = math.log(w_sup / gap) / rho, math.log(gap)
+    try:
+        for _ in range(_TAIL_STEPS):
+            lam_t = lam + g * t
+            w = discounted_crra_closed_form(lam_t, g, rho, theta)
+            slope = g * math.exp(q * lam_t) / ((rho - q * g) * w) - rho
+            step = (math.log(w) - rho * t - log_gap) / slope
+            t -= step
+            if abs(step) <= 1e-12 * t:
+                break
+        else:
+            return None
+    except (ArithmeticError, ValueError):  # overflow, or the log of a value <= 0
+        return None
+    lo, hi = t * (1.0 - 5e-11), t * (1.0 + 5e-11)
+    if 0.0 < lo and hi <= T_DELAYED_MAX and (f_lo := f(lo)) < 0.0 <= (f_hi := f(hi)):
+        return lo, hi, f_lo, f_hi
+    return None
+
+
 def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> SolveOutcome:
-    """Solve W_trunc(T) = target; W_trunc rises from W(0) = 0 toward sup W = w_sup."""
+    """Solve W_trunc(T) = target; W_trunc rises from W(0) = 0 toward sup W = w_sup.
+
+    Brent runs in _tail_bracket's bracket or, where that is None, in the one
+    grown upward from T = 1; either way _residual_ok checks its root.
+    """
     if target < -BOUNDARY_BAND:
         return SolveOutcome.no_tai_preferred()
     if target >= w_sup:
@@ -151,18 +195,21 @@ def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> Sol
     w_trunc = partial(discounted_crra_closed_form, spec.log_c0, spec.g_ai,
                       spec.prefs.rho, spec.prefs.theta_rra)
     f = lambda t: w_trunc(t) - target
-    bracket = _bracket_upward(f, -target, 1.0, T_DELAYED_MAX)
+    bracket = _tail_bracket(f, spec, target, w_sup)
     if bracket is None:
-        # root beyond the admissible [0, 1e6] window
-        return SolveOutcome.no_solution()
-    lo, hi, f_lo, f_hi = bracket
-    # a root below T = 1: step down four-fold, as Brent creeps to a root decades under hi
-    while lo == 0.0 and (t := 0.25 * hi) > 0.0:
-        if (f_t := f(t)) < 0.0:
-            lo, f_lo = t, f_t
-        else:
-            hi, f_hi = t, f_t
-    result = _brent_in(f, (lo, hi, f_lo, f_hi))
+        bracket = _bracket_upward(f, -target, 1.0, T_DELAYED_MAX)
+        if bracket is None:
+            # root beyond the admissible [0, 1e6] window
+            return SolveOutcome.no_solution()
+        lo, hi, f_lo, f_hi = bracket
+        # a root below T = 1: step down four-fold, as Brent creeps to a root decades under hi
+        while lo == 0.0 and (t := 0.25 * hi) > 0.0:
+            if (f_t := f(t)) < 0.0:
+                lo, f_lo = t, f_t
+            else:
+                hi, f_hi = t, f_t
+        bracket = lo, hi, f_lo, f_hi
+    result = _brent_in(f, bracket)
     resid = _residual_ok(result.residual, target)
     return SolveOutcome.of(result.root, result.iterations, resid)
 
@@ -174,15 +221,15 @@ def solve_extinction_time(spec: ScenarioSpec) -> SolveOutcome:
     a root exists exactly when cornucopia beats the baseline (g_ai above
     g_baseline); otherwise no finite T works and the solve reports that.
     """
-    w0 = welfare_no_takeover(spec).value
-    w_a = welfare_cornucopia(spec).value
+    w0 = _closed(spec, spec.g_baseline)
+    w_a = _closed(spec, spec.g_ai)
     return _solve_monotone_time(spec, w0, w_a)
 
 
 def solve_p3_immediate(spec: ScenarioSpec) -> SolveOutcome:
     """Misalignment probability p3 with (1-p3) W_cornucopia = W0; closed form."""
-    w0 = welfare_no_takeover(spec).value
-    w_a = welfare_cornucopia(spec).value
+    w0 = _closed(spec, spec.g_baseline)
+    w_a = _closed(spec, spec.g_ai)
     if w_a <= 0.0:
         raise DomainError("cornucopia welfare must be positive to solve for p3")
     return _classify_probability(1.0 - w0 / w_a)
@@ -190,9 +237,9 @@ def solve_p3_immediate(spec: ScenarioSpec) -> SolveOutcome:
 
 def solve_p3_delayed(spec: ScenarioSpec, p4: float, T: float) -> SolveOutcome:
     """p3 in the delayed-doom lottery, holding p4 and T fixed; closed form."""
-    w0 = welfare_no_takeover(spec).value
-    w_a = welfare_cornucopia(spec).value
-    w_b = welfare_truncated(spec, T).value
+    w0 = _closed(spec, spec.g_baseline)
+    w_a = _closed(spec, spec.g_ai)
+    w_b = _closed(spec, spec.g_ai, T)
     mix = lottery_value(w_a, w_b, 0.0, p4)
     if mix <= 0.0:
         return SolveOutcome.no_tai_preferred()
@@ -204,9 +251,9 @@ def solve_p4_delayed(spec: ScenarioSpec, p3: float, T: float) -> SolveOutcome:
     _check_probability("p3", p3)
     if p3 >= 1.0:
         return SolveOutcome.no_tai_preferred()
-    w0 = welfare_no_takeover(spec).value
-    w_a = welfare_cornucopia(spec).value
-    w_b = welfare_truncated(spec, T).value
+    w0 = _closed(spec, spec.g_baseline)
+    w_a = _closed(spec, spec.g_ai)
+    w_b = _closed(spec, spec.g_ai, T)
     spread = w_a - w_b
     numerator = w_a - w0 / (1.0 - p3)
     if spread <= 0.0:
@@ -227,8 +274,8 @@ def solve_T_delayed(spec: ScenarioSpec, p3: float, p4: float) -> SolveOutcome:
     _check_probability("p4", p4)
     if p3 >= 1.0 or p4 <= 0.0:
         raise DomainError("solving for T needs p3 < 1 and p4 > 0")
-    w0 = welfare_no_takeover(spec).value
-    w_a = welfare_cornucopia(spec).value
+    w0 = _closed(spec, spec.g_baseline)
+    w_a = _closed(spec, spec.g_ai)
     keep = 1.0 - p3
     target = (w0 - keep * (1.0 - p4) * w_a) / (keep * p4)
     return _solve_monotone_time(spec, target, w_a)
@@ -299,8 +346,8 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     the polish can go.  Quadrature non-convergence propagates as
     QuadratureError, never as no_solution.
     """
-    w0 = welfare_no_takeover(spec).value
-    w_a = welfare_cornucopia(spec).value
+    w0 = _closed(spec, spec.g_baseline)
+    w_a = _closed(spec, spec.g_ai)
     if w_a <= w0:
         return SolveOutcome.no_solution()
     f0 = w_a - w0

@@ -31,7 +31,7 @@ further normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal
 
 from .config import DEFAULT_G_BASELINE
@@ -67,6 +67,8 @@ class ScenarioSpec:
     g_ai: float
     prefs: Preferences
     g_baseline: float = DEFAULT_G_BASELINE
+    # log(c0), set once in __post_init__: the closed forms read it, most more than once
+    log_c0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.c0 < math.inf:
@@ -77,10 +79,7 @@ class ScenarioSpec:
             raise DomainError(
                 f"g_baseline must be finite and >= 0, got {self.g_baseline!r}"
             )
-
-    @property
-    def log_c0(self) -> float:
-        return math.log(self.c0)
+        object.__setattr__(self, "log_c0", math.log(self.c0))
 
 
 @dataclass(frozen=True)
@@ -157,26 +156,25 @@ def lottery_value(w_a: float, w_b: float, p3: float, p4: float) -> float:
     return (1.0 - p3) * (p4 * w_b + (1.0 - p4) * w_a)
 
 
-def _closed(spec: ScenarioSpec, g: float, horizon: float | None = None) -> WelfareResult:
-    value = discounted_crra_closed_form(
+def _closed(spec: ScenarioSpec, g: float, horizon: float | None = None) -> float:
+    return discounted_crra_closed_form(
         spec.log_c0, g, spec.prefs.rho, spec.prefs.theta_rra, horizon
     )
-    return WelfareResult(value, "closed_form")
 
 
 def welfare_no_takeover(spec: ScenarioSpec) -> WelfareResult:
     """Welfare of the no-takeover world: growth g_baseline, no extinction."""
-    return _closed(spec, spec.g_baseline)
+    return WelfareResult(_closed(spec, spec.g_baseline), "closed_form")
 
 
 def welfare_cornucopia(spec: ScenarioSpec) -> WelfareResult:
     """Welfare under aligned, corrigible TAI: growth g_ai, no extinction."""
-    return _closed(spec, spec.g_ai)
+    return WelfareResult(_closed(spec, spec.g_ai), "closed_form")
 
 
 def welfare_truncated(spec: ScenarioSpec, horizon: float) -> WelfareResult:
     """Welfare with certain extinction at the given horizon (growth g_ai)."""
-    return _closed(spec, spec.g_ai, horizon)
+    return WelfareResult(_closed(spec, spec.g_ai, horizon), "closed_form")
 
 
 def _mounting_closed_form(spec: ScenarioSpec, epsilon: float) -> float:

@@ -391,9 +391,10 @@ def test_error_cells_keep_the_column_count(capsys, output_format, sep):
 
 
 def test_solver_bug_is_a_convergence_error(c0, capsys, monkeypatch):
-    # a wrong root, reported with its own residual |f(root)| as brent reports it
+    # a root outside any bracket [a, b] (a >= 0), reported with its own
+    # residual |f(root)| as brent reports it
     def wrong_root(f, a, b, **kwargs):
-        root = 0.5 * (a + b)
+        root = 2.0 * b + 1.0
         return RootResult(root=root, iterations=1, residual=abs(f(root)))
 
     monkeypatch.setattr(solvers, "brent", wrong_root)

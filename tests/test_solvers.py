@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -364,8 +365,9 @@ class TestComparativeStatics:
 
 # (theta, g_ai, rho, p3, p4, lo, hi): inputs whose extinction-time and
 # delayed-lottery roots in T both lie in (lo, hi), at the edges of the time
-# bracket that grows upward from T = 1 in steps of 4, capped at T_DELAYED_MAX,
-# and steps down from T = 1 in steps of 4 when the root lies below it
+# solves' brackets: the tail identity's, one tolerance wide and capped at
+# T_DELAYED_MAX, and the fallback's, which grows upward from T = 1 in steps
+# of 4, capped at T_DELAYED_MAX, and steps down from T = 1 when the root lies below it
 TIME_BRACKET_EDGES = (
     (1.0, 1e4, 0.03, 0.5, 1.0, 0.0, 1.0),  # below 1
     (1.0, 0.1, 1e-6, 0.2, 0.9, 4.0**9, solvers.T_DELAYED_MAX),  # the capped last step
@@ -373,11 +375,24 @@ TIME_BRACKET_EDGES = (
     # roots 49 and 149 decades below the first trial point T = 1
     (1.0, 1e100, 0.03, 0.5, 1.0, 0.0, 1.0),
     (1.0, 1e300, 0.03, 0.5, 1.0, 0.0, 1.0),
+    (0.5, 0.05, 0.05, 0.2, 0.9, 16.0, 64.0),  # theta < 1, where phi need not be concave
+    # W_cornucopia - W0 is 4.9e-9 of W_cornucopia: f = W_trunc - W0 changes sign
+    # 2.7e-9 away from the tail identity's root, so the fallback brackets it
+    (2.6023218191182513, 0.44553775822494124, 0.00519211653933816, 0.0, 1.0, 4.0**5, 4.0**6),
+    (1.5, 0.3, 1e-6, 0.0, 1.0, solvers.T_DELAYED_MAX, math.inf),  # beyond, at theta != 1
 )
 
 
 def _time_roots_oracle(spec, p3, p4):
-    """Roots T of W_trunc(T) = W0 and of the delayed lottery = W0, to 40 digits by bisection."""
+    """(root, slack) in T of W_trunc(T) = W0 and of the delayed lottery = W0.
+
+    Roots to 40 digits by bisection; where the target lies outside
+    (0, W_cornucopia), so that no root exists, the outcome tag that implies
+    takes the pair's place.  slack is how far the root
+    moves when the target moves by 4 ulps of the sum of the terms it is
+    computed from: W_trunc - target is known no better than that in double
+    precision, which matters where W_trunc is flat at the root.
+    """
     from mpmath import mp, mpf
 
     # W_trunc's log-utility term cancels about -log10(rho T) digits, 150 at g_ai = 1e300
@@ -397,7 +412,9 @@ def _time_roots_oracle(spec, p3, p4):
                 return lam * e(rho) + g * (-mp.expm1(-x) - x * mp.exp(-x)) / rho**2
             return (mp.exp(q * lam) * e(rho - q * g) - e(rho)) / q
 
-        def root(target):
+        def root(target, scale):
+            if not 0 < target < w_a:
+                return "no_tai_preferred" if target <= 0 else "no_solution"
             lo, hi = mpf(0), mpf(1)
             while w_trunc(hi) < target:
                 hi *= 2
@@ -406,11 +423,24 @@ def _time_roots_oracle(spec, p3, p4):
             for _ in range(150):
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if w_trunc(mid) < target else (lo, mid)
-            return float(lo)
+            log_c = lam + g * lo
+            slope = mp.exp(-rho * lo) * (log_c if q == 0 else mp.expm1(q * log_c) / q)
+            return float(lo), float(4 * mpf(2) ** -52 * scale / slope)
 
         w0, w_a = w_inf(mpf(spec.g_baseline)), w_inf(g)
-        keep = 1 - mpf(p3)
-        return root(w0), root((w0 - keep * (1 - mpf(p4)) * w_a) / (keep * mpf(p4)))
+        keep, p4 = 1 - mpf(p3), mpf(p4)
+        rest = keep * (1 - p4) * w_a
+        return root(w0, w0), root((w0 - rest) / (keep * p4), (w0 + rest) / (keep * p4))
+
+
+def _check_time_root(out, exact):
+    if isinstance(exact, str):
+        assert out.tag == exact
+    elif exact[0] > solvers.T_DELAYED_MAX:
+        assert out.tag == "no_solution"
+    else:
+        assert out.is_value
+        assert out.value == pytest.approx(exact[0], rel=1e-9, abs=exact[1])
 
 
 @pytest.mark.parametrize("theta,g_ai,rho,p3,p4,lo,hi", TIME_BRACKET_EDGES)
@@ -418,12 +448,35 @@ def test_time_roots_at_the_bracket_edges(c0, theta, g_ai, rho, p3, p4, lo, hi):
     spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
     outcomes = (solve_extinction_time(spec), solve_T_delayed(spec, p3=p3, p4=p4))
     for out, exact in zip(outcomes, _time_roots_oracle(spec, p3, p4)):
-        assert lo < exact < hi
-        if exact > solvers.T_DELAYED_MAX:
-            assert out.tag == "no_solution"
-        else:
-            assert out.is_value
-            assert out.value == pytest.approx(exact, rel=1e-9)
+        assert lo < exact[0] < hi
+        _check_time_root(out, exact)
+
+
+# theta < 1 needs rho > (1 - theta) g_ai for the welfare to converge
+@settings(max_examples=40)
+@given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(0.5, 3.0)),
+       g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
+       p3=st.floats(0.0, 0.5), p4=st.floats(0.5, 1.0))
+def test_time_roots_match_the_oracle(c0, theta, g_ai, rho, p3, p4):
+    assume(rho > (1.0 - theta) * g_ai)
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    outcomes = (solve_extinction_time(spec), solve_T_delayed(spec, p3=p3, p4=p4))
+    for out, exact in zip(outcomes, _time_roots_oracle(spec, p3, p4)):
+        _check_time_root(out, exact)
+
+
+def test_most_extinction_times_take_the_tail_bracket(c0):
+    # Brent stops at its first iteration in the tail identity's bracket; in 200
+    # cells drawn as the closed-form sweep draws them, 183 do (the rest fall
+    # back where W_cornucopia - W0 is within about 1e-6 of W_cornucopia)
+    rng = random.Random(22)
+    fast = 0
+    for _ in range(200):
+        theta = rng.choice((1.0, 1.0001, rng.uniform(1.0, 3.0)))
+        g_ai, rho = rng.uniform(0.02, 0.5), rng.uniform(0.001, 0.08)
+        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+        fast += solve_extinction_time(spec).iterations == 1
+    assert fast >= 170
 
 
 # p3 and p4 are drawn where about half the delayed lotteries have a root in T
