@@ -22,7 +22,7 @@ from typing import Literal, Optional
 
 from .errors import DomainError
 from .preferences import Preferences
-from .welfare import ScenarioSpec, _closed, lottery_value, welfare_mounting
+from .welfare import ScenarioSpec, _closed, _mounting_closed_form, lottery_value
 
 __all__ = [
     "EvResult",
@@ -67,14 +67,13 @@ def equivalent_variation(
 #   a  certain extinction at T              W_trunc(T)
 #   b  immediate doom with probability p3   (1-p3) W_cornucopia
 #   c  the full lottery (p3, p4, T)         lottery value
-#   d  mounting hazard with slope epsilon   W_mounting(epsilon)
+#   d  mounting hazard with slope epsilon   W_mounting(epsilon), the erfcx closed form
 PANELS = {
     "a": (("T",), lambda spec, w_a, *, T: _closed(spec, spec.g_ai, T)),
     "b": (("p3",), lambda spec, w_a, *, p3: lottery_value(w_a, 0.0, p3, 0.0)),
     "c": (("p3", "p4", "T"), lambda spec, w_a, *, p3, p4, T: lottery_value(
         w_a, _closed(spec, spec.g_ai, T), p3, p4)),
-    "d": (("epsilon",), lambda spec, w_a, *, epsilon: welfare_mounting(
-        spec, epsilon).value),
+    "d": (("epsilon",), lambda spec, w_a, *, epsilon: _mounting_closed_form(spec, epsilon)),
 }
 
 

@@ -20,10 +20,10 @@ does: trial points start * 4^n, capped at the domain's end, grow upward
 until the sign differs from f(0)'s, and the last point that kept f(0)'s sign
 (0 at first) is the lower end; a time root below T = 1 is then closed in
 from above, four-fold.  The hazard slope is solved on the quadrature
-welfare_mounting by Newton steps from the exact erfcx closed form's root, on
-that form's slope; the quadrature stays the evaluator that defines the root
-until the t4 golden, which holds its rounding in one cell, is re-captured
-from a 40-digit oracle.
+_mounting_quadrature, its one runtime reader, by Newton steps from the exact
+erfcx closed form's root, on that form's slope; the quadrature defines the
+root until the t4 golden, which holds its rounding in one cell, is
+re-captured from a 40-digit oracle.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -44,9 +44,9 @@ from .welfare import (
     ScenarioSpec,
     _closed,
     _mounting_closed_form,
+    _mounting_quadrature,
     discounted_crra_closed_form,
     lottery_value,
-    welfare_mounting,
 )
 
 __all__ = [
@@ -285,10 +285,7 @@ def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[tup
     """The closed form's root and slope there (central difference at 1 -/+ 1e-6), or None."""
 
     def f(eps: float) -> float:
-        w = _mounting_closed_form(spec, eps)
-        if not math.isfinite(w):
-            raise OverflowError(f"closed-form mounting welfare {w!r} at eps={eps!r}")
-        return w - w0
+        return _mounting_closed_form(spec, eps) - w0
 
     try:
         bracket = _bracket_upward(f, f0, _EPSILON_START, EPSILON_MAX)
@@ -327,24 +324,24 @@ def _polished_epsilon(
 def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     """Hazard slope eps at which mounting extinction risk cancels the TAI gain.
 
-    Solves W_mounting(eps) = W0, where W_mounting is the quadrature at its one
-    tolerance (welfare_mounting); it decreases strictly in eps from the
+    Solves W_mounting(eps) = W0 on the quadrature _mounting_quadrature, not
+    welfare_mounting's closed form; it decreases strictly in eps from the
     cornucopia value, so the root is unique whenever cornucopia beats the
     baseline, and a root beyond EPSILON_MAX reports no_solution.
 
     Predictor: Brent on the exact erfcx closed form gives eps_hat and the
     form's slope there.  The quadrature's root differs from eps_hat only by
     the quadrature's near-constant rounding, about 1e-13 of W, amplified by
-    W0 / (W_cornucopia - W0).  Polish: Newton steps on the quadrature from
-    eps_hat with that slope; most cells stop at the first evaluation.  When
-    the closed form overflows or finds no root, or the polish gives up, a
+    W0 / (W_cornucopia - W0).  Polish: Newton steps on _mounting_quadrature
+    from eps_hat with that slope; most cells stop at the first evaluation.
+    When the closed form overflows or finds no root, or the polish gives up, a
     bracket grows upward from 1e-6 four-fold and Brent (rel_tol 1e-10) runs
     on the quadrature in it.  The value, the tag and the residual check all
     come from quadrature evaluations; iterations counts the polish's
     evaluations or the fallback's Brent iterations.  Once the t4 golden is
     re-captured from a 40-digit oracle, the closed form can be the answer and
-    the polish can go.  Quadrature non-convergence propagates as
-    QuadratureError, never as no_solution.
+    the polish, the quadrature's last runtime reader, can go.  Quadrature
+    non-convergence propagates as QuadratureError, never as no_solution.
     """
     w0 = _closed(spec, spec.g_baseline)
     w_a = _closed(spec, spec.g_ai)
@@ -353,7 +350,7 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     f0 = w_a - w0
 
     def f(eps: float) -> float:
-        return welfare_mounting(spec, eps).value - w0
+        return _mounting_quadrature(spec, eps) - w0
 
     predicted = _predicted_epsilon(spec, w0, f0)
     result = None if predicted is None else _polished_epsilon(f, *predicted)

@@ -1,12 +1,11 @@
 """Error-function kernel: the scaled complement erfcx, plus the stdlib erf/erfc.
 
-The mounting-hazard closed forms (expected lifespan, and the welfare integral
-that the epsilon solver uses to predict its root) multiply a huge Gaussian
-factor exp(z^2) by a tiny tail probability (1 - erf(z)).  Evaluating the pair
-through erfcx(z) = exp(z^2) * erfc(z) keeps every intermediate on a sane
-scale, so erfcx is the primitive here; erf and erfc are math.erf and
-math.erfc.  gauss_laplace builds the moments of the weight
-exp(-a t - b t^2 / 2) on it.
+The mounting-hazard closed forms (expected lifespan and welfare) multiply a
+huge Gaussian factor exp(z^2) by a tiny tail probability (1 - erf(z)); through
+erfcx(z) = exp(z^2) * erfc(z) every intermediate stays on a sane scale, so
+erfcx is the primitive here (erf and erfc are math.erf and math.erfc).
+gauss_laplace builds the moments of the weight exp(-a t - b t^2 / 2) on it,
+and gauss_laplace_shift the change a small shift of a makes to the first.
 
 Branch layout of erfcx:
   x <  2.5           exp(x^2) * math.erfc(x), +inf once exp(x^2) overflows
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from math import erf, erfc
 
-__all__ = ["erf", "erfc", "erfcx", "gauss_laplace"]
+__all__ = ["erf", "erfc", "erfcx", "gauss_laplace", "gauss_laplace_shift"]
 
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _CF_CUTOFF = 2.5
@@ -99,3 +98,30 @@ def gauss_laplace(a: float, b: float) -> tuple[float, float]:
         s0 += t0
         s1 += t1
     return s0 / a, s1 / a / a
+
+
+def gauss_laplace_shift(a: float, b: float, s: float) -> float:
+    """G(a - s, b) - G(a, b) for |s| < 1e-3 a, free of the difference's cancellation.
+
+    Below z = 50 it sums G's Taylor series in a over the moments
+    M_k = int t^k exp(-a t - b t^2 / 2) dt, b M_k = (k - 1) M_(k-2) - a M_(k-1);
+    that recurrence loses 2 z^2 / k per order, so from z = 50 it differences the
+    asymptotic series term by term, (1 - s / a)^(-2m-1) - 1 through expm1.
+    """
+    if a / math.sqrt(2.0 * b) < _ASYMPTOTIC_Z:
+        m_prev, m_k = gauss_laplace(a, b)
+        k, power = 1, s
+        total = term = s * m_k
+        while abs(term) > 1e-17 * abs(total):
+            k += 1
+            m_prev, m_k, power = m_k, ((k - 1) * m_prev - a * m_k) / b, power * s / k
+            total += (term := power * m_k)
+        return total
+    x, log_ratio = b / a / a, math.log1p(-s / a)
+    m, coef = 0, 1.0
+    total = term = math.expm1(-log_ratio)
+    while abs(term) > 1e-17 * abs(total):
+        m += 1
+        coef *= -(2 * m - 1) * x
+        total += (term := coef * math.expm1(-(2 * m + 1) * log_ratio))
+    return total / a

@@ -15,12 +15,12 @@ grouping above is cancellation-free for all q, so theta arbitrarily close to
 1 is safe; only q = 0 takes the explicit limit branch.
 
 The mounting-risk scenario multiplies the integrand by the Gaussian survival
-exp(-eps (lam t + g t^2 / 2)).  It too has an exact form in erfcx (see
-_mounting_closed_form), but welfare_mounting still evaluates it by adaptive
-quadrature on the discount-transformed axis: the t4 golden table holds the
-quadrature's rounding in one cell, so the quadrature stays until that golden
-is re-captured from a 40-digit oracle.  Until then the closed form only tells
-the epsilon solver where the quadrature's root lies.
+exp(-eps (lam t + g t^2 / 2)).  It too has an exact form in erfcx
+(_mounting_closed_form), which welfare_mounting and EV panel d return.  The
+adaptive quadrature of the same integral (_mounting_quadrature) has one
+runtime reader left, the epsilon solve's polish: the t4 golden table holds
+the quadrature's root in one cell until it is re-captured from a 40-digit
+oracle.
 
 Welfare conventions: consumption is normalized to subsistence (c0 >= 1), flow
 utility is nonnegative, and death contributes exactly zero, so every welfare
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Literal
 from .config import DEFAULT_G_BASELINE
 from .errors import DivergenceError, DomainError
 from .preferences import Preferences
-from .special import gauss_laplace
+from .special import gauss_laplace, gauss_laplace_shift
 from .taxonomy import _check_probability
 
 if TYPE_CHECKING:
@@ -178,7 +178,7 @@ def welfare_truncated(spec: ScenarioSpec, horizon: float) -> WelfareResult:
 
 
 def _mounting_closed_form(spec: ScenarioSpec, epsilon: float) -> float:
-    """Exact mounting-risk welfare for epsilon > 0, in erfcx; numpy-free.
+    """Exact mounting-risk welfare, in erfcx; numpy-free.
 
     With lam = log c0, g = g_ai, q = 1 - theta, b = eps g, a0 = rho + eps lam
     and the Gaussian-Laplace moments (G, H) of special.gauss_laplace,
@@ -187,18 +187,33 @@ def _mounting_closed_form(spec: ScenarioSpec, epsilon: float) -> float:
         W = lam G(a0, b) + g H(a0, b),                   q = 0,
 
     where H = (1 - a0 G) / b comes from its series wherever that difference
-    cancels.  Agrees with 40-digit mpmath to 1e-10 relative; an overflowed or
-    underflowed eps g raises OverflowError.
+    cancels, and for |q| < 1e-5 (and |q| g < 1e-3 a0) the bracket is summed
+    as expm1(q lam) G0 + e^(q lam) gauss_laplace_shift(a0, b, q g).  Agrees
+    with 40-digit mpmath to 1e-10 relative.  eps = 0 is the cornucopia value;
+    a non-finite value raises OverflowError.
     """
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if epsilon == 0.0:
+        return _closed(spec, spec.g_ai)
+    if spec.prefs.rho <= 0.0:
+        raise DivergenceError("mounting-risk welfare needs a positive discount rate")
     lam, g = spec.log_c0, spec.g_ai
     q = 1.0 - spec.prefs.theta_rra
-    b = epsilon * g
-    a0 = spec.prefs.rho + epsilon * lam
+    b, a0 = epsilon * g, spec.prefs.rho + epsilon * lam
+    if b == 0.0:  # g = 0, or an underflowed eps g: the weight is e^(-a0 t)
+        return discounted_crra_closed_form(lam, g, a0, spec.prefs.theta_rra)
     g0, h0 = gauss_laplace(a0, b)
     if q == 0.0:
-        return lam * g0 + g * h0
-    g1, _ = gauss_laplace(a0 - q * g, b)
-    return (math.exp(q * lam) * g1 - g0) / q
+        w = lam * g0 + g * h0
+    elif abs(q) < 1e-5 and abs(q * g) < 1e-3 * a0:
+        w = (math.expm1(q * lam) * g0 + math.exp(q * lam) * gauss_laplace_shift(a0, b, q * g)) / q
+    else:
+        g1, _ = gauss_laplace(a0 - q * g, b)
+        w = (math.exp(q * lam) * g1 - g0) / q
+    if not math.isfinite(w):
+        raise OverflowError(f"mounting-risk welfare {w!r} at eps={epsilon!r}")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -228,34 +243,27 @@ def _flow_from_log(log_c0: float, g: float, theta: float) -> Callable[[np.ndarra
 def welfare_mounting(spec: ScenarioSpec, epsilon: float) -> WelfareResult:
     """Welfare under a hazard rising with log consumption on the g_ai path.
 
-    Survival is exp(-eps (log(c0) t + g t^2 / 2)).  The integral has an exact
-    erfcx form (_mounting_closed_form), but this evaluates it by adaptive
-    quadrature at the one tolerance 1e-10, whose rounding the t4 golden holds
-    in one cell; it stays so until that golden is re-captured.  eps = 0
-    reproduces the cornucopia value through the same quadrature path.
+    Survival is exp(-eps (log(c0) t + g t^2 / 2)); the value is the exact
+    erfcx form _mounting_closed_form, and eps = 0 the cornucopia value.
     """
+    return WelfareResult(_mounting_closed_form(spec, epsilon), "closed_form")
+
+
+def _mounting_quadrature(spec: ScenarioSpec, epsilon: float) -> float:
+    # welfare_mounting's integral, eps > 0, by adaptive quadrature at 1e-10: only
+    # the epsilon polish reads it, as the t4 golden holds its root in one cell
     import numpy as np
 
     from .quadrature import integrate_transformed
 
-    if not 0.0 <= epsilon < math.inf:
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    r = spec.prefs.rho
-    theta = spec.prefs.theta_rra
-    q = 1.0 - theta
-    if epsilon == 0.0 and (r <= 0.0 or r - q * spec.g_ai <= 0.0):
-        raise DivergenceError("mounting-risk welfare with eps=0 diverges here")
-    if r <= 0.0:
-        raise DivergenceError("mounting-risk welfare needs a positive discount rate")
     lam, g = spec.log_c0, spec.g_ai
-    flow = _flow_from_log(lam, g, theta)
+    flow = _flow_from_log(lam, g, spec.prefs.theta_rra)
     neg_eps, half_g = -epsilon, 0.5 * g
 
     def excess(t: np.ndarray) -> np.ndarray:
         return np.exp(neg_eps * (lam * t + half_g * t * t))
 
-    result = integrate_transformed(flow, excess, r)
-    return WelfareResult(result.value, "quadrature", result.abs_error_estimate)
+    return integrate_transformed(flow, excess, spec.prefs.rho).value
 
 
 def integrate_discounted(

@@ -182,11 +182,9 @@ def test_non_convergence_exits_3(capsys, monkeypatch):
 
 
 def test_quadrature_failure_reaches_panel_d_ev(capsys, monkeypatch):
+    # panel d's EV is the closed form; its epsilon re-solve polishes on the quadrature
     monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
-    code, out, err = run_cli(
-        capsys, "ev", "--panel", "d", "--g-ai", "0.3", "--rho", "0.03",
-        "--epsilon", "1e-3",
-    )
+    code, out, err = run_cli(capsys, "ev", "--panel", "d", "--g-ai", "0.3", "--rho", "0.03")
     assert code == 3
     assert out == ""
     assert "non-convergence" in err
@@ -434,6 +432,8 @@ COLD_RUNS = (
     (["et", "--hazard", "one-off", "--t-ext", "50"], set()),
     (["et", "--hazard", "mounting", "--normalized"], set()),
     (["ev", "--panel", "c", "--g-ai", "0.1", "--rho", "0.05"], set()),
+    (["ev", "--panel", "d", "--epsilon", "1e-3", "--g-ai", "0.2", "--rho", "0.03"],
+     {"quadrature"}),
     (["simulate-growth", "--print-growth-rate", "--horizon", "50"],
      {"solvers", "tables", "compensation", "quadrature"}),
 )

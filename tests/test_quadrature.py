@@ -15,7 +15,6 @@ from tai_welfare import (
     ScenarioSpec,
     quadrature,
     solve_epsilon_mounting,
-    welfare_mounting,
 )
 from tai_welfare.quadrature import (
     DEFAULT_MAX_INTERVALS,
@@ -23,6 +22,7 @@ from tai_welfare.quadrature import (
     integrate_finite,
     integrate_transformed,
 )
+from tai_welfare.welfare import _mounting_quadrature
 from conftest import make_spec
 
 
@@ -159,7 +159,7 @@ def _error_estimate_range(exact, half):
 
 
 def _welfare_legs(spec, epsilon):
-    """(integrand, a, b, kwargs) of both legs of welfare_mounting(spec, epsilon)."""
+    """(integrand, a, b, kwargs) of both legs of _mounting_quadrature(spec, epsilon)."""
     legs = []
 
     def capture(f, a, b, **kwargs):
@@ -168,7 +168,7 @@ def _welfare_legs(spec, epsilon):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "integrate_finite", capture)
-        welfare_mounting(spec, epsilon)
+        _mounting_quadrature(spec, epsilon)
     return legs
 
 
@@ -455,7 +455,7 @@ def test_t4_golden_cell_keeps_its_rounding_margin(c0):
     40-digit oracle.
     """
     spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05)
-    w = welfare_mounting(spec, 3.8980449625e-08).value
+    w = _mounting_quadrature(spec, 3.8980449625e-08)
     assert abs(w - 19.999684788969635) <= 16 * math.ulp(19.999684788969635)
     root = solve_epsilon_mounting(spec).value
     assert (root - 3.898045e-08) / 3.898045e-08 >= 5e-10

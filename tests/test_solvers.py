@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from tai_welfare import (
 )
 from tai_welfare.rootfind import RootResult
 from tai_welfare.solvers import RESIDUAL_REL_TOL
+from tai_welfare.welfare import _flow_from_log, _mounting_quadrature, integrate_discounted
 from conftest import make_spec
 
 
@@ -202,11 +204,11 @@ class TestMountingEpsilon:
     def test_no_epsilon_is_evaluated_twice(self, c0, monkeypatch, theta, g_ai, rho, tag):
         evaluated = []
 
-        def counting(spec, epsilon, **kwargs):
+        def counting(spec, epsilon):
             evaluated.append(epsilon)
-            return welfare_mounting(spec, epsilon, **kwargs)
+            return _mounting_quadrature(spec, epsilon)
 
-        monkeypatch.setattr(solvers, "welfare_mounting", counting)
+        monkeypatch.setattr(solvers, "_mounting_quadrature", counting)
         out = solve_epsilon_mounting(make_spec(c0, theta=theta, g_ai=g_ai, rho=rho))
         assert out.tag == tag
         assert len(evaluated) == len(set(evaluated))
@@ -221,11 +223,11 @@ class TestMountingEpsilon:
 
         calls = []
 
-        def counting(spec, epsilon, **kwargs):
+        def counting(spec, epsilon):
             calls.append(epsilon)
-            return welfare_mounting(spec, epsilon, **kwargs)
+            return _mounting_quadrature(spec, epsilon)
 
-        monkeypatch.setattr(solvers, "welfare_mounting", counting)
+        monkeypatch.setattr(solvers, "_mounting_quadrature", counting)
         config = RunConfig()
         per_cell = []
         for theta in TABLES["t4"].theta_set:
@@ -249,7 +251,7 @@ class TestMountingEpsilon:
         out = solve_epsilon_mounting(spec)
         assert out.is_value
         assert out.value == pytest.approx(1.0108641001632123e-11, rel=4e-8)
-        assert welfare_mounting(spec, out.value).value == welfare_no_takeover(spec).value
+        assert _mounting_quadrature(spec, out.value) == welfare_no_takeover(spec).value
 
     @pytest.mark.parametrize("theta,g_ai,rho,g_baseline,c0_value,expected", [
         # what the solve without the predictor gave; the closed form diverges,
@@ -296,11 +298,11 @@ class TestMountingEpsilon:
         monkeypatch.setattr(solvers, "_predicted_epsilon", _scaled_slope(factor))
         evaluated = []
 
-        def counting(spec, epsilon, **kwargs):
+        def counting(spec, epsilon):
             evaluated.append(epsilon)
-            return welfare_mounting(spec, epsilon, **kwargs)
+            return _mounting_quadrature(spec, epsilon)
 
-        monkeypatch.setattr(solvers, "welfare_mounting", counting)
+        monkeypatch.setattr(solvers, "_mounting_quadrature", counting)
         fallback = solve_epsilon_mounting(spec)
         assert solvers._EPSILON_START in evaluated
         assert fallback.is_value and polished.is_value
@@ -325,7 +327,11 @@ class TestMountingEpsilon:
         spec = ScenarioSpec(c0=1.0, g_ai=0.2, g_baseline=0.05**2 / 7,
                             prefs=Preferences(rho=0.05, theta_rra=1.0))
         predicted = solve_epsilon_mounting(spec)
-        monkeypatch.setattr(solvers, "_mounting_closed_form", lambda spec, eps: math.nan)
+
+        def overflowing(spec, epsilon):
+            raise OverflowError("closed form overflow")
+
+        monkeypatch.setattr(solvers, "_mounting_closed_form", overflowing)
         fallback = solve_epsilon_mounting(spec)
         assert predicted.is_value and fallback.is_value
         assert 4.2 < predicted.value < solvers.EPSILON_MAX
@@ -520,8 +526,8 @@ def test_solved_probabilities_give_the_no_takeover_welfare(c0, theta, g_ai, rho,
         assert abs(lottery - w0) <= RESIDUAL_REL_TOL * max(1.0, abs(w0))
 
 
-# the closed form equals the quadrature, the quadrature falls as eps grows, and
-# at a solved eps the quadrature welfare is W0
+# the closed form equals an independent quadrature of the same integral, it
+# falls as eps grows, and at a solved eps it gives W0
 @settings(max_examples=100)
 @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.0, 3.0)),
        g_ai=st.floats(0.02, 0.5), rho=st.floats(0.002, 0.08),
@@ -529,8 +535,12 @@ def test_solved_probabilities_give_the_no_takeover_welfare(c0, theta, g_ai, rho,
 def test_mounting_welfare_and_epsilon_roots(c0, theta, g_ai, rho, log_eps, factor):
     spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
     eps = 10.0**log_eps
+    lam = spec.log_c0
+    quad = integrate_discounted(
+        _flow_from_log(lam, g_ai, theta),
+        lambda t: np.exp(-rho * t - eps * (lam * t + 0.5 * g_ai * t * t)), rho)
     w = welfare_mounting(spec, eps).value
-    assert solvers._mounting_closed_form(spec, eps) == pytest.approx(w, rel=1e-9)
+    assert w == pytest.approx(quad.value, rel=1e-9)
     assert welfare_mounting(spec, factor * eps).value <= w
     out = solve_epsilon_mounting(spec)
     if out.is_value:

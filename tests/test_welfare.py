@@ -19,7 +19,7 @@ from tai_welfare import (
     welfare_no_takeover,
     welfare_truncated,
 )
-from tai_welfare.welfare import _mounting_closed_form
+from tai_welfare.welfare import _flow_from_log, _mounting_closed_form, _mounting_quadrature
 from conftest import make_spec
 
 
@@ -120,15 +120,22 @@ class TestTruncated:
             )
 
 
+def _discounted_quadrature(spec):
+    # cornucopia welfare by criterion 7's kernel, independent of the closed forms
+    rho = spec.prefs.rho
+    return integrate_discounted(_flow_from_log(spec.log_c0, spec.g_ai, spec.prefs.theta_rra),
+                                lambda t: np.exp(-rho * t), rho)
+
+
 class TestQuadratureAgreement:
     def test_closed_form_vs_quadrature_grid(self, c0):
-        # infinite-horizon and truncated values, both utility curvatures
+        # infinite-horizon values, both utility curvatures
         for theta in (1.0, 2.0):
             for g in (0.02, 0.05, 0.1, 0.2, 0.4):
                 for rho in (0.002, 0.01, 0.03, 0.05):
                     spec = make_spec(c0, theta=theta, g_ai=g, rho=rho)
                     closed = welfare_cornucopia(spec).value
-                    quad = welfare_mounting(spec, 0.0)
+                    quad = _discounted_quadrature(spec)
                     assert quad.method == "quadrature"
                     assert quad.value == pytest.approx(closed, rel=1e-8), (theta, g, rho)
 
@@ -155,9 +162,79 @@ class TestQuadratureAgreement:
 class TestMounting:
     def test_zero_hazard_equals_cornucopia(self, c0):
         spec = make_spec(c0, g_ai=0.1, rho=0.03)
-        assert welfare_mounting(spec, 0.0).value == pytest.approx(
+        assert welfare_mounting(spec, 0.0) == welfare_cornucopia(spec)
+        assert _discounted_quadrature(spec).value == pytest.approx(
             welfare_cornucopia(spec).value, rel=1e-8
         )
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_zero_growth_discounts_at_the_hazard_rate(self, c0, theta):
+        # g_ai = 0 leaves no Gaussian term: W = u(c0) / (rho + eps log c0)
+        spec = make_spec(c0, theta=theta, g_ai=0.0, rho=0.03)
+        w = welfare_mounting(spec, 1e-3).value
+        assert w == pytest.approx(_mounting_quadrature(spec, 1e-3), rel=1e-10)
+        lam, q = math.log(c0), 1.0 - theta
+        flow = lam if q == 0.0 else math.expm1(q * lam) / q
+        assert w == pytest.approx(flow / (0.03 + 1e-3 * lam), rel=1e-12)
+
+    def test_closed_form_vs_quadrature_on_the_t4_grid(self, c0):
+        # the epsilon polish's quadrature and the closed form, cell by cell
+        from tai_welfare.config import RunConfig
+        from tai_welfare.tables import TABLES
+
+        config = RunConfig()
+        for theta in TABLES["t4"].theta_set:
+            for g_ai in config.g_ai_grid:
+                for rho in config.rho_grid:
+                    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+                    for eps in (1e-8, 1e-6, 1e-4, 1e-2):
+                        assert _mounting_closed_form(spec, eps) == pytest.approx(
+                            _mounting_quadrature(spec, eps), rel=1e-10
+                        ), (theta, g_ai, rho, eps)
+
+    @pytest.mark.parametrize("theta,g_ai,rho,eps,expected", [
+        (0.5, 0.12, 0.05, 1e-4, 8.62e6),  # the quadrature runs out of intervals
+        (0.9, 0.6, 0.05, 1e-5, 1.04e8),
+        (1.0, 1e10, 0.05, 0.0045, None),  # the quadrature returns 0
+        (1.0, 0.2, 0.05, 1000.0, 1e-3),  # the quadrature returns 0
+    ])
+    def test_cells_the_quadrature_gets_wrong(self, c0, theta, g_ai, rho, eps, expected):
+        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+        w = welfare_mounting(spec, eps).value
+        assert w == pytest.approx(_mounting_oracle(spec, eps), rel=1e-10)
+        if expected is None:
+            assert w - welfare_no_takeover(spec).value == pytest.approx(0.062, abs=5e-4)
+        else:
+            assert w == pytest.approx(expected, rel=5e-3)
+
+    def test_overflow_raises_rather_than_returning_inf(self, c0):
+        spec = make_spec(c0, theta=0.5, g_ai=0.2, rho=0.05)
+        with pytest.raises(OverflowError):
+            welfare_mounting(spec, 1e-6)
+
+    @pytest.mark.parametrize("dq", [2.0**-52, 1e-12, 1e-9, 1e-6, 1e-4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_theta_next_to_one(self, c0, dq, sign):
+        # below |1 - theta| = 1e-5 the closed form sums G1 - G0 as a series; the
+        # plain bracket is 3% off at 1 + 2^-52; both sides of z = 50
+        for g_ai, rho, eps in ((0.2, 0.05, 1e-6), (0.05, 0.002, 1e-4),
+                               (0.4, 0.03, 1e-3), (0.2, 0.05, 1e-11)):
+            spec = make_spec(c0, theta=1.0 + sign * dq, g_ai=g_ai, rho=rho)
+            assert _mounting_closed_form(spec, eps) == pytest.approx(
+                _mounting_oracle(spec, eps), rel=1e-10
+            ), (g_ai, rho, eps)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_continuous_across_the_small_q_edge(self, c0, sign):
+        inside = 1.0 + sign * 1e-5
+        while abs(1.0 - inside) >= 1e-5:
+            inside = math.nextafter(inside, 1.0)
+        outside = math.nextafter(inside, 1.0 + sign)
+        for g_ai, rho, eps in ((0.2, 0.05, 1e-6), (0.05, 0.002, 1e-4), (0.02, 0.05, 1e-2)):
+            w_in, w_out = (_mounting_closed_form(make_spec(c0, theta=theta, g_ai=g_ai,
+                                                           rho=rho), eps)
+                           for theta in (inside, outside))
+            assert w_in == pytest.approx(w_out, rel=1e-11), (g_ai, rho, eps)
 
     def test_value_between_zero_and_cornucopia(self):
         spec = ScenarioSpec(c0=1.0, g_ai=0.05, prefs=Preferences(rho=0.05))
@@ -186,11 +263,12 @@ class TestMounting:
 
     @pytest.mark.parametrize("theta", [1.0, 1.0001, 2.0])
     def test_against_mpmath_oracle(self, c0, theta):
+        # the quadrature the epsilon polish evaluates
         for g_ai in (0.05, 0.4):
             for rho in (0.002, 0.05):
                 spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
                 for eps in (1e-11, 1e-8, 1e-5, 1e-3):
-                    assert welfare_mounting(spec, eps).value == pytest.approx(
+                    assert _mounting_quadrature(spec, eps) == pytest.approx(
                         _mounting_oracle(spec, eps), rel=1e-10
                     ), (g_ai, rho, eps)
 
@@ -207,24 +285,28 @@ class TestMounting:
                     ), (g_ai, rho, eps)
 
     @settings(max_examples=100)
-    @given(theta=st.one_of(st.just(1.0), st.floats(1.001, 3.0)),
+    @given(theta=st.one_of(st.just(1.0), st.floats(0.9999, 1.0001), st.floats(1.0, 3.0)),
            g_ai=st.floats(0.02, 0.5), rho=st.floats(0.002, 0.08),
            log10_eps=st.floats(-9.0, -2.0))
     def test_random_cells_against_mpmath_oracle(self, c0, theta, g_ai, rho, log10_eps):
-        # 1 < theta < 1.001 is left out: there the closed form's
-        # (e^(q lam) G1 - G0) / q cancels for small q = 1 - theta
         spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
         eps = 10.0 ** log10_eps
         oracle = _mounting_oracle(spec, eps)
         assert _mounting_closed_form(spec, eps) == pytest.approx(oracle, rel=1e-10)
-        assert welfare_mounting(spec, eps).value == pytest.approx(oracle, rel=1e-10)
+        assert _mounting_quadrature(spec, eps) == pytest.approx(oracle, rel=1e-10)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
     def test_rejects_non_finite_epsilon(self, c0, eps):
         # the t4 cell where nan once ran the whole interval budget
         spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05)
         with pytest.raises(DomainError, match="epsilon must be finite"):
             welfare_mounting(spec, eps)
+
+    def test_divergence(self, c0):
+        with pytest.raises(DivergenceError):
+            welfare_mounting(make_spec(c0, rho=0.0), 1e-3)
+        with pytest.raises(DivergenceError):  # (1 - theta) g_ai > rho and no hazard
+            welfare_mounting(make_spec(c0, theta=0.5, g_ai=0.2, rho=0.05), 0.0)
 
     def test_boundedness_theta_above_one(self, c0, rng):
         for _ in range(20):
