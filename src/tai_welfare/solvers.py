@@ -15,15 +15,12 @@ its sign is checked.  The time solves run it on the truncated closed form
 minus the target, with its scalars bound once, in a bracket one Brent
 tolerance wide that Newton steps on the tail identity place (_tail_bracket),
 so Brent stops at its first iteration.  Where f does not change sign across
-it, they fall back on the bracket both solvers share, as the hazard slope
-does: trial points start * 4^n, capped at the domain's end, grow upward
-until the sign differs from f(0)'s, and the last point that kept f(0)'s sign
-(0 at first) is the lower end; a time root below T = 1 is then closed in
-from above, four-fold.  The hazard slope is solved on the quadrature
-_mounting_quadrature, its one runtime reader, by Newton steps from the exact
-erfcx closed form's root, on that form's slope; the quadrature defines the
-root until the t4 golden, which holds its rounding in one cell, is
-re-captured from a 40-digit oracle.
+it, they fall back on the bracket both solvers share: trial points
+start * 4^n, capped at the domain's end, grow upward until the sign differs
+from f(0)'s, and the last point that kept f(0)'s sign (0 at first) is the
+lower end; a time root below T = 1 is then closed in from above, four-fold.
+The hazard slope runs Brent in that bracket on the exact erfcx closed form,
+and the quadrature, its one runtime reader, only polishes the root.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -64,7 +61,7 @@ RESIDUAL_REL_TOL = 1e-8
 T_DELAYED_MAX = 1e6
 EPSILON_MAX = 10.0
 _EPSILON_START = 1e-6  # first trial slope of the geometric eps bracket
-_POLISH_STEPS = 4  # Newton steps on the quadrature before the bracketed fallback
+_POLISH_STEPS = 4  # Newton steps on the quadrature before the closed form's root stands
 _TAIL_STEPS = 8  # Newton steps on the time solves' tail identity before the upward bracket
 
 OutcomeTag = Literal["value", "no_tai_preferred", "tai_preferred", "no_solution"]
@@ -281,23 +278,6 @@ def solve_T_delayed(spec: ScenarioSpec, p3: float, p4: float) -> SolveOutcome:
     return _solve_monotone_time(spec, target, w_a)
 
 
-def _predicted_epsilon(spec: ScenarioSpec, w0: float, f0: float) -> Optional[tuple[float, float]]:
-    """The closed form's root and slope there (central difference at 1 -/+ 1e-6), or None."""
-
-    def f(eps: float) -> float:
-        return _mounting_closed_form(spec, eps) - w0
-
-    try:
-        bracket = _bracket_upward(f, f0, _EPSILON_START, EPSILON_MAX)
-        if bracket is None:
-            return None
-        eps_hat = _brent_in(f, bracket).root
-        lo, hi = eps_hat * (1.0 - 1e-6), eps_hat * (1.0 + 1e-6)
-        return eps_hat, (f(hi) - f(lo)) / (hi - lo)
-    except ArithmeticError:
-        return None
-
-
 def _polished_epsilon(
     f: Callable[[float], float], eps: float, slope: float
 ) -> Optional[RootResult]:
@@ -324,40 +304,34 @@ def _polished_epsilon(
 def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     """Hazard slope eps at which mounting extinction risk cancels the TAI gain.
 
-    Solves W_mounting(eps) = W0 on the quadrature _mounting_quadrature, not
-    welfare_mounting's closed form; it decreases strictly in eps from the
-    cornucopia value, so the root is unique whenever cornucopia beats the
-    baseline, and a root beyond EPSILON_MAX reports no_solution.
-
-    Predictor: Brent on the exact erfcx closed form gives eps_hat and the
-    form's slope there.  The quadrature's root differs from eps_hat only by
-    the quadrature's near-constant rounding, about 1e-13 of W, amplified by
-    W0 / (W_cornucopia - W0).  Polish: Newton steps on _mounting_quadrature
-    from eps_hat with that slope; most cells stop at the first evaluation.
-    When the closed form overflows or finds no root, or the polish gives up, a
-    bracket grows upward from 1e-6 four-fold and Brent (rel_tol 1e-10) runs
-    on the quadrature in it.  The value, the tag and the residual check all
-    come from quadrature evaluations; iterations counts the polish's
-    evaluations or the fallback's Brent iterations.  Once the t4 golden is
-    re-captured from a 40-digit oracle, the closed form can be the answer and
-    the polish, the quadrature's last runtime reader, can go.  Quadrature
-    non-convergence propagates as QuadratureError, never as no_solution.
+    W_mounting(eps) decreases strictly from the cornucopia value, so a root
+    exists whenever cornucopia beats the baseline.  The exact erfcx closed
+    form decides it: a bracket grows upward from 1e-6 four-fold, and Brent
+    (rel_tol 1e-10) runs in it; no bracket below EPSILON_MAX reports
+    no_solution.  Newton steps on the quadrature _mounting_quadrature, with
+    the closed form's slope, then polish that root, as the t4 golden holds
+    the quadrature's rounding in one cell; when the polish gives up, the
+    closed form's root stands.  iterations counts the polish's evaluations or
+    Brent's iterations.  An overflowing closed form raises OverflowError and
+    a failed quadrature QuadratureError.
     """
     w0 = _closed(spec, spec.g_baseline)
     w_a = _closed(spec, spec.g_ai)
     if w_a <= w0:
         return SolveOutcome.no_solution()
-    f0 = w_a - w0
 
-    def f(eps: float) -> float:
-        return _mounting_quadrature(spec, eps) - w0
+    def exact(eps: float) -> float:
+        return _mounting_closed_form(spec, eps) - w0
 
-    predicted = _predicted_epsilon(spec, w0, f0)
-    result = None if predicted is None else _polished_epsilon(f, *predicted)
-    if result is None:
-        bracket = _bracket_upward(f, f0, _EPSILON_START, EPSILON_MAX)
-        if bracket is None:
-            return SolveOutcome.no_solution()
-        result = _brent_in(f, bracket)
+    bracket = _bracket_upward(exact, w_a - w0, _EPSILON_START, EPSILON_MAX)
+    if bracket is None:
+        return SolveOutcome.no_solution()
+    result = _brent_in(exact, bracket)
+    lo, hi = result.root * (1.0 - 1e-6), result.root * (1.0 + 1e-6)
+    slope = (exact(hi) - exact(lo)) / (hi - lo)
+    polished = _polished_epsilon(
+        lambda eps: _mounting_quadrature(spec, eps) - w0, result.root, slope
+    )
+    result = result if polished is None else polished
     resid = _residual_ok(result.residual, w0)
     return SolveOutcome.of(result.root, result.iterations, resid)

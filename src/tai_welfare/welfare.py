@@ -16,11 +16,10 @@ grouping above is cancellation-free for all q, so theta arbitrarily close to
 
 The mounting-risk scenario multiplies the integrand by the Gaussian survival
 exp(-eps (lam t + g t^2 / 2)).  It too has an exact form in erfcx
-(_mounting_closed_form), which welfare_mounting and EV panel d return.  The
-adaptive quadrature of the same integral (_mounting_quadrature) has one
-runtime reader left, the epsilon solve's polish: the t4 golden table holds
-the quadrature's root in one cell until it is re-captured from a 40-digit
-oracle.
+(_mounting_closed_form), which welfare_mounting, EV panel d and the epsilon
+solve read.  The adaptive quadrature of the same integral
+(_mounting_quadrature) only polishes the epsilon root, while the t4 golden
+holds its rounding in one cell.
 
 Welfare conventions: consumption is normalized to subsistence (c0 >= 1), flow
 utility is nonnegative, and death contributes exactly zero, so every welfare
@@ -196,8 +195,6 @@ def _mounting_closed_form(spec: ScenarioSpec, epsilon: float) -> float:
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     if epsilon == 0.0:
         return _closed(spec, spec.g_ai)
-    if spec.prefs.rho <= 0.0:
-        raise DivergenceError("mounting-risk welfare needs a positive discount rate")
     lam, g = spec.log_c0, spec.g_ai
     q = 1.0 - spec.prefs.theta_rra
     b, a0 = epsilon * g, spec.prefs.rho + epsilon * lam

@@ -26,3 +26,27 @@ def make_spec(c0, theta=1.0, g_ai=0.05, rho=0.05, **kw):
     return ScenarioSpec(
         c0=c0, g_ai=g_ai, prefs=Preferences(rho=rho, theta_rra=theta), **kw
     )
+
+
+def mounting_welfare_mp(spec, epsilon):
+    """W = int e^(-rho t) u(c0 e^(g t)) e^(-eps (lam t + g t^2 / 2)) dt in mpmath.
+
+    Evaluated at the caller's working precision.  With b = eps g,
+    a0 = rho + eps lam and the Gaussian-tail primitive
+    G(a, b) = sqrt(pi / 2b) erfcx(a / sqrt(2b)), W = [e^(q lam) G(a0 - q g, b)
+    - G(a0, b)] / q for q = 1 - theta, and lam G + g (1 - a0 G) / b at q = 0.
+    """
+    from mpmath import mp, mpf
+
+    lam, g = mp.log(mpf(spec.c0)), mpf(spec.g_ai)
+    q = 1 - mpf(spec.prefs.theta_rra)
+    b = mpf(epsilon) * g
+    a0 = mpf(spec.prefs.rho) + mpf(epsilon) * lam
+
+    def G(a):
+        z = a / mp.sqrt(2 * b)
+        return mp.sqrt(mp.pi / (2 * b)) * mp.exp(z * z) * mp.erfc(z)
+
+    if q == 0:
+        return lam * G(a0) + g * (1 - a0 * G(a0)) / b
+    return (mp.exp(q * lam) * G(a0 - q * g) - G(a0)) / q

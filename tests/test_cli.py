@@ -181,6 +181,19 @@ def test_non_convergence_exits_3(capsys, monkeypatch):
     assert "non-convergence" in err
 
 
+@pytest.mark.parametrize("g_ai,code,out", [
+    # the quadrature returns W = 0 here, so the polish gives up and the closed
+    # form's root stands (test_solvers holds both roots to mpmath)
+    ("1e10", 0, "0.00450126\n"),
+    ("1e300", 0, "0.0045013\n"),
+    ("1e308", 3, ""),  # the polish's integrand overflows: QuadratureError
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at g_ai = 1e308
+def test_epsilon_at_a_huge_g_ai(capsys, g_ai, code, out):
+    assert run_cli(capsys, "solve", "--target", "epsilon", "--theta", "1",
+                   "--rho", "0.05", "--g-ai", g_ai)[:2] == (code, out)
+
+
 def test_quadrature_failure_reaches_panel_d_ev(capsys, monkeypatch):
     # panel d's EV is the closed form; its epsilon re-solve polishes on the quadrature
     monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
@@ -594,19 +607,21 @@ def test_readme_cli_examples_run(capsys):
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMO_STDOUT = Path(__file__).resolve().parent / "demo_stdout"
 NUMPY_FREE_DEMOS = {"01_outcome_tree.py", "05_hazards_and_lifespans.py",
                     "06_growth_regimes.py"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    # a demo that needs no quadrature must run with numpy unimportable
+    # a demo that needs no quadrature must run with numpy unimportable, and
+    # every demo prints its pinned stdout byte for byte
     block = 'sys.modules["numpy"] = None\n' if demo.name in NUMPY_FREE_DEMOS else ""
     proc = _run_child(f"import runpy, sys\n{block}"
                       f"runpy.run_path({str(demo)!r}, run_name='__main__')\n")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (DEMO_STDOUT / f"{demo.stem}.txt").read_text(encoding="utf-8")
 
 
 def _run_child(code):

@@ -28,7 +28,7 @@ from tai_welfare import (
 from tai_welfare.rootfind import RootResult
 from tai_welfare.solvers import RESIDUAL_REL_TOL
 from tai_welfare.welfare import _flow_from_log, _mounting_quadrature, integrate_discounted
-from conftest import make_spec
+from conftest import make_spec, mounting_welfare_mp
 
 
 class TestExtinctionTime:
@@ -163,14 +163,46 @@ class TestDelayedLottery:
 
 
 def _scaled_slope(factor):
-    # the predictor with its closed-form slope scaled by factor
-    predicted = solvers._predicted_epsilon
+    # the polish handed the closed form's slope scaled by factor
+    polish = solvers._polished_epsilon
 
-    def scaled(*args):
-        eps_hat, slope = predicted(*args)
-        return eps_hat, factor * slope
+    def scaled(f, eps, slope):
+        return polish(f, eps, factor * slope)
 
     return scaled
+
+
+def _epsilon_excess(spec, eps):
+    """W_mounting(eps) - W0 to 80 digits."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(80):
+        lam, rho, g0 = mp.log(mpf(spec.c0)), mpf(spec.prefs.rho), mpf(spec.g_baseline)
+        q = 1 - mpf(spec.prefs.theta_rra)
+        w0 = lam / rho + g0 / rho**2 if q == 0 else (
+            (rho * mp.expm1(q * lam) / q + g0) / (rho * (rho - q * g0)))
+        return mounting_welfare_mp(spec, eps) - w0
+
+
+def _assert_prints_the_root(spec, out, printed):
+    # the exact W - W0 changes sign inside the interval that rounds to printed
+    from decimal import Decimal
+
+    assert out.is_value and f"{out.value:.6g}" == printed
+    d = Decimal(printed)
+    half = Decimal(5) * Decimal(10) ** (d.adjusted() - 6)
+    assert _epsilon_excess(spec, str(d - half)) > 0 > _epsilon_excess(spec, str(d + half))
+
+
+def _root_tolerance(spec, rel_w):
+    """How far a solved eps may lie from another root, relative.
+
+    Brent's bracket and the polish's last step allow 1e-10 each (3e-10 in
+    all); a welfare error of rel_w W0 moves the root by rel_w times the
+    amplification W0 / (W_cornucopia - W0).
+    """
+    w0, w_a = welfare_no_takeover(spec).value, welfare_cornucopia(spec).value
+    return 3e-10 + rel_w * w0 / (w_a - w0)
 
 
 class TestMountingEpsilon:
@@ -240,25 +272,18 @@ class TestMountingEpsilon:
                     per_cell.append(len(calls))
         assert len(per_cell) == 40 and sum(per_cell) <= 62
 
-    def test_bracket_miss_cell_keeps_the_quadrature_root(self, c0):
-        # W_cornucopia - W0 is 5e-9 of W0 here, so the quadrature root lies
-        # 3.6e-5 from the closed form's.  One ulp of W0 spans 4e-8 of eps, a
-        # band where the quadrature residual is exactly 0; the Newton polish
-        # and Brent each stop wherever they first land in it, so the root is
-        # defined to that band, not to 1e-9.  1.0108641001632123e-11 is the
-        # value of the bracket grown from [0, 1e-6] without the predictor.
+    def test_bracket_miss_cell_gives_the_closed_form_root(self, c0):
+        # W_cornucopia - W0 is 5e-9 of W0 here: the quadrature's rounding moves
+        # its root 3.6e-5 away, so the polish gives up and the closed form's
+        # root stands; the 60-digit root is 1.01082784142768e-11
         spec = make_spec(c0, theta=2.7, g_ai=0.206, rho=0.0337)
-        out = solve_epsilon_mounting(spec)
-        assert out.is_value
-        assert out.value == pytest.approx(1.0108641001632123e-11, rel=4e-8)
-        assert _mounting_quadrature(spec, out.value) == welfare_no_takeover(spec).value
+        _assert_prints_the_root(spec, solve_epsilon_mounting(spec), "1.01083e-11")
 
     @pytest.mark.parametrize("theta,g_ai,rho,g_baseline,c0_value,expected", [
-        # what the solve without the predictor gave; the closed form diverges,
-        # overflows or has no root below EPSILON_MAX at these inputs
-        (0.5, 0.2, 0.05, 0.0175, None, DivergenceError),
-        (1.0, 1e300, 0.05, 0.0175, None, ConvergenceError),
-        (1.0, 1e308, 0.05, 0.0175, None, QuadratureError),
+        (0.5, 0.2, 0.05, 0.0175, None, DivergenceError),  # the cornucopia diverges
+        (1.0, 1e10, 0.05, 0.0175, None, "0.00450126"),  # the quadrature returns W = 0
+        (1.0, 1e300, 0.05, 0.0175, None, "0.0045013"),  # about 1 / W0 as g_ai grows
+        (1.0, 1e308, 0.05, 0.0175, None, QuadratureError),  # the polish's integrand overflows
         (1.0, 0.2, 0.05, 1e-6, 1.0, "no_solution"),  # root near 2500
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at g_ai = 1e308
@@ -267,35 +292,29 @@ class TestMountingEpsilon:
     ):
         spec = make_spec(c0 if c0_value is None else c0_value, theta=theta, g_ai=g_ai,
                          rho=rho, g_baseline=g_baseline)
-        if isinstance(expected, str):
+        if expected == "no_solution":
             assert solve_epsilon_mounting(spec).tag == expected
+        elif isinstance(expected, str):
+            _assert_prints_the_root(spec, solve_epsilon_mounting(spec), expected)
         else:
             with pytest.raises(expected):
                 solve_epsilon_mounting(spec)
 
-    @pytest.mark.parametrize("theta,g_ai,rho", [(1.0001, 0.2, 0.05), (2.0, 0.2, 0.05), (2.0, 0.05, 0.002)])
-    def test_fallback_bracket_gives_the_predicted_answer(self, c0, monkeypatch, theta, g_ai, rho):
-        # a closed form that overflows sends the solve down the [0, 1e-6]
-        # bracket; the root is the same to Brent's tolerance
-        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
-        predicted = solve_epsilon_mounting(spec)
-
+    def test_overflowing_closed_form_raises(self, c0, monkeypatch):
         def overflowing(spec, epsilon):
             raise OverflowError("closed form overflow")
 
         monkeypatch.setattr(solvers, "_mounting_closed_form", overflowing)
-        fallback = solve_epsilon_mounting(spec)
-        assert fallback.is_value and predicted.is_value
-        assert fallback.value == pytest.approx(predicted.value, rel=1e-9)
+        with pytest.raises(OverflowError):
+            solve_epsilon_mounting(make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05))
 
     @pytest.mark.parametrize("factor", [0.0, -1.0])
     @pytest.mark.parametrize("theta,g_ai,rho", [(1.0001, 0.2, 0.05), (2.0, 0.2, 0.05), (2.0, 0.05, 0.002)])
     def test_unusable_slope_falls_back_to_the_bracket(self, c0, monkeypatch, theta, g_ai, rho, factor):
-        # a slope of 0 or of the wrong sign gives the polish up; the bracket
-        # grown from 1e-6 finds the polished root to Brent's tolerance
+        # a slope of 0 or of the wrong sign gives the polish up before it
+        # evaluates the quadrature; Brent's root on the closed form stands
         spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
-        polished = solve_epsilon_mounting(spec)
-        monkeypatch.setattr(solvers, "_predicted_epsilon", _scaled_slope(factor))
+        monkeypatch.setattr(solvers, "_polished_epsilon", _scaled_slope(factor))
         evaluated = []
 
         def counting(spec, epsilon):
@@ -303,39 +322,37 @@ class TestMountingEpsilon:
             return _mounting_quadrature(spec, epsilon)
 
         monkeypatch.setattr(solvers, "_mounting_quadrature", counting)
-        fallback = solve_epsilon_mounting(spec)
-        assert solvers._EPSILON_START in evaluated
-        assert fallback.is_value and polished.is_value
-        assert fallback.value == pytest.approx(polished.value, rel=1e-9)
+        out = solve_epsilon_mounting(spec)
+        assert evaluated == [] and out.is_value
+        tol = _root_tolerance(spec, 1e-13)
+        assert _epsilon_excess(spec, out.value * (1.0 - tol)) > 0
+        assert _epsilon_excess(spec, out.value * (1.0 + tol)) < 0
 
-    def test_closed_form_flat_to_the_ulp_falls_back_to_the_bracket(self, c0):
-        # the root is 2e-14, so the closed form at eps_hat (1 -/+ 1e-6) moves
-        # less than an ulp of W and its slope reads 0; the solve must take the
-        # bracket from 1e-6, not divide by it
+    def test_closed_form_flat_to_the_ulp_falls_back_to_the_bracket(self, c0, monkeypatch):
+        # the root is 2e-14, so the closed form at the root (1 -/+ 1e-6) moves
+        # less than an ulp of W and its slope reads 0; the polish must not
+        # divide by it, and Brent's root on the closed form stands
         spec = make_spec(c0, theta=2.980612458980872, g_ai=0.07476581910622132,
                          rho=0.00683171637719214)
-        w0, w_a = welfare_no_takeover(spec).value, welfare_cornucopia(spec).value
-        assert solvers._predicted_epsilon(spec, w0, w_a - w0) == (2.1163564709051488e-14, 0.0)
-        out = solve_epsilon_mounting(spec)
-        assert out.is_value
-        assert f"{out.value:.6g}" == "2.12495e-14"
+        slopes, polish = [], solvers._polished_epsilon
 
-    def test_root_up_to_epsilon_max_is_a_value(self, monkeypatch):
+        def spying(f, eps, slope):
+            slopes.append(slope)
+            return polish(f, eps, slope)
+
+        monkeypatch.setattr(solvers, "_polished_epsilon", spying)
+        out = solve_epsilon_mounting(spec)
+        assert slopes == [0.0]
+        _assert_prints_the_root(spec, out, "2.11636e-14")
+
+    def test_root_up_to_epsilon_max_is_a_value(self):
         # at c0 = 1 and theta = 1, W_mounting(eps) ~ 1/eps and W0 = g_baseline / rho^2;
         # the bracket reaches EPSILON_MAX itself, so the root near 6.6 is found
-        # on both the predicted and the fallback path
         spec = ScenarioSpec(c0=1.0, g_ai=0.2, g_baseline=0.05**2 / 7,
                             prefs=Preferences(rho=0.05, theta_rra=1.0))
-        predicted = solve_epsilon_mounting(spec)
-
-        def overflowing(spec, epsilon):
-            raise OverflowError("closed form overflow")
-
-        monkeypatch.setattr(solvers, "_mounting_closed_form", overflowing)
-        fallback = solve_epsilon_mounting(spec)
-        assert predicted.is_value and fallback.is_value
-        assert 4.2 < predicted.value < solvers.EPSILON_MAX
-        assert fallback.value == pytest.approx(predicted.value, rel=1e-9)
+        out = solve_epsilon_mounting(spec)
+        assert out.is_value
+        assert 4.2 < out.value < solvers.EPSILON_MAX
 
 
 class TestComparativeStatics:
@@ -549,25 +566,21 @@ def test_mounting_welfare_and_epsilon_roots(c0, theta, g_ai, rho, log_eps, facto
         assert abs(w_root - w0) <= RESIDUAL_REL_TOL * max(1.0, abs(w0))
 
 
-# where W_cornucopia beats W0 by more than 1e-6 of W0, the Newton polish and
-# the bracket grown from 1e-6 (the fallback, forced by a slope of 0) find the
-# same quadrature root; below a gap of about 1e-8 the quadrature residual is
-# exactly 0 over a band of eps wider than 1e-8 relative, so the root is not
-# determined to that tolerance
+# the polish moves the closed form's root only as far as the quadrature's
+# error, at most its 1e-10 tolerance of W, amplified by W0 / (W_cornucopia - W0)
 @settings(max_examples=100)
 @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(1.001, 3.0)),
        g_ai=st.floats(0.02, 0.5), rho=st.floats(0.002, 0.08))
 def test_polished_epsilon_equals_the_bracketed_root(c0, theta, g_ai, rho):
     spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
-    w0 = welfare_no_takeover(spec).value
-    assume((welfare_cornucopia(spec).value - w0) / w0 > 1e-6)
     polished = solve_epsilon_mounting(spec)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "_predicted_epsilon", _scaled_slope(0.0))
-        fallback = solve_epsilon_mounting(spec)
-    assert polished.tag == fallback.tag
+        patch.setattr(solvers, "_polished_epsilon", _scaled_slope(0.0))
+        closed_form = solve_epsilon_mounting(spec)
+    assert polished.tag == closed_form.tag
     if polished.is_value:
-        assert polished.value == pytest.approx(fallback.value, rel=1e-8)
+        assert polished.value == pytest.approx(
+            closed_form.value, rel=_root_tolerance(spec, 1e-10))
 
 
 def test_nan_residual_is_a_convergence_error(c0, monkeypatch):

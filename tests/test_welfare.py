@@ -20,7 +20,7 @@ from tai_welfare import (
     welfare_truncated,
 )
 from tai_welfare.welfare import _flow_from_log, _mounting_closed_form, _mounting_quadrature
-from conftest import make_spec
+from conftest import make_spec, mounting_welfare_mp
 
 
 class TestClosedForms:
@@ -302,9 +302,16 @@ class TestMounting:
         with pytest.raises(DomainError, match="epsilon must be finite"):
             welfare_mounting(spec, eps)
 
+    def test_no_discounting(self, c0):
+        # the survival weight alone makes the integral finite: at theta = 1,
+        # int (lam + g t) e^(-eps (lam t + g t^2 / 2)) dt = 1 / eps exactly
+        assert welfare_mounting(make_spec(c0, g_ai=0.2, rho=0.0), 1e-3).value == pytest.approx(
+            1000.0, rel=1e-12)
+        spec = make_spec(c0, theta=2.0, g_ai=0.2, rho=0.0)
+        assert welfare_mounting(spec, 1e-3).value == pytest.approx(
+            _mounting_oracle(spec, 1e-3), rel=1e-10)
+
     def test_divergence(self, c0):
-        with pytest.raises(DivergenceError):
-            welfare_mounting(make_spec(c0, rho=0.0), 1e-3)
         with pytest.raises(DivergenceError):  # (1 - theta) g_ai > rho and no hazard
             welfare_mounting(make_spec(c0, theta=0.5, g_ai=0.2, rho=0.05), 0.0)
 
@@ -319,29 +326,10 @@ class TestMounting:
 
 
 def _mounting_oracle(spec, epsilon):
-    """40-digit W = int e^(-rho t) u(c0 e^(g t)) e^(-eps (lam t + g t^2 / 2)) dt.
-
-    With b = eps g, a0 = rho + eps lam and the Gaussian-tail primitive
-    G(a, b) = sqrt(pi / 2b) erfcx(a / sqrt(2b)), W = [e^(q lam) G(a0 - q g, b)
-    - G(a0, b)] / q for q = 1 - theta, and lam G + g (1 - a0 G) / b at q = 0.
-    """
-    from mpmath import mp, mpf
+    from mpmath import mp
 
     with mp.workdps(40):
-        lam, g = mp.log(mpf(spec.c0)), mpf(spec.g_ai)
-        q = 1 - mpf(spec.prefs.theta_rra)
-        b = mpf(epsilon) * g
-        a0 = mpf(spec.prefs.rho) + mpf(epsilon) * lam
-
-        def G(a):
-            z = a / mp.sqrt(2 * b)
-            return mp.sqrt(mp.pi / (2 * b)) * mp.exp(z * z) * mp.erfc(z)
-
-        if q == 0:
-            w = lam * G(a0) + g * (1 - a0 * G(a0)) / b
-        else:
-            w = (mp.exp(q * lam) * G(a0 - q * g) - G(a0)) / q
-        return float(w)
+        return float(mounting_welfare_mp(spec, epsilon))
 
 
 def lottery(spec, p3, p4=0.0, T=0.0):
