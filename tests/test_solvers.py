@@ -308,6 +308,39 @@ class TestMountingEpsilon:
         with pytest.raises(OverflowError):
             solve_epsilon_mounting(make_spec(c0, theta=2.0, g_ai=0.2, rho=0.05))
 
+    @pytest.mark.parametrize("theta,g_ai,rho", [(1.0001, 0.2, 0.05), (2.0, 0.2, 0.05), (2.0, 0.05, 0.002)])
+    def test_fallback_bracket_gives_the_predicted_answer(self, c0, monkeypatch, theta, g_ai, rho):
+        # a polish that evaluates the quadrature and then gives up leaves
+        # Brent's root in the bracket grown on the closed form: that root and
+        # its iterations, the 80-digit root to Brent's tolerance, and the
+        # polished root to the quadrature's error
+        spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+        polished = solve_epsilon_mounting(spec)
+        polish, tried = solvers._polished_epsilon, []
+
+        def giving_up(f, eps, slope):
+            tried.append(polish(f, eps, slope))
+            return None
+
+        monkeypatch.setattr(solvers, "_polished_epsilon", giving_up)
+        fallback = solve_epsilon_mounting(spec)
+        assert [r.root for r in tried] == [polished.value]
+
+        w0, w_a = welfare_no_takeover(spec).value, welfare_cornucopia(spec).value
+
+        def exact(eps):
+            return solvers._mounting_closed_form(spec, eps) - w0
+
+        bracket = solvers._bracket_upward(exact, w_a - w0, solvers._EPSILON_START,
+                                          solvers.EPSILON_MAX)
+        predicted = solvers._brent_in(exact, bracket)
+        assert fallback.is_value
+        assert (fallback.value, fallback.iterations) == (predicted.root, predicted.iterations)
+        tol = _root_tolerance(spec, 1e-13)
+        assert _epsilon_excess(spec, fallback.value * (1.0 - tol)) > 0
+        assert _epsilon_excess(spec, fallback.value * (1.0 + tol)) < 0
+        assert fallback.value == pytest.approx(polished.value, rel=_root_tolerance(spec, 1e-10))
+
     @pytest.mark.parametrize("factor", [0.0, -1.0])
     @pytest.mark.parametrize("theta,g_ai,rho", [(1.0001, 0.2, 0.05), (2.0, 0.2, 0.05), (2.0, 0.05, 0.002)])
     def test_unusable_slope_falls_back_to_the_bracket(self, c0, monkeypatch, theta, g_ai, rho, factor):
