@@ -3,7 +3,8 @@
 Subcommands: pdoom, table, solve, ev, et, simulate-growth, calibrate-c0.
 Each subcommand has a flag for each config key its handler reads; a --config
 file supplies defaults and flags override it.  Exit codes: 0 success, 2 bad
-config, domain input or float overflow, 3 numerical non-convergence.
+config, domain input or float overflow, 3 numerical non-convergence (a Brent
+solve that hits its iteration cap, or a root that fails the residual check).
 
 Each handler imports the modules it runs, and main registers the arguments of
 the one subcommand it parses, so a cold start loads only what it runs: pdoom
@@ -110,7 +111,9 @@ def _cmd_ev(args: argparse.Namespace) -> int:
         raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
     # RunConfig.epsilon is et's hazard slope: panel d's comes from --epsilon
     values = {k: getattr(config, k) for k in reads if k != "epsilon"}
-    result = solve_cell(args.panel, config, 1.0, args.g_ai, args.rho, values, args.epsilon)
+    if args.epsilon is not None:
+        values["epsilon"] = args.epsilon
+    result = solve_cell(args.panel, config, 1.0, args.g_ai, args.rho, values)
     if not isinstance(result, EvResult):
         print(format_cell(result))
         return 0

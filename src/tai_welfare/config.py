@@ -32,7 +32,7 @@ __all__ = ["RunConfig", "parse_config", "format_number", "calibrate_c0",
 DEFAULT_G_BASELINE = 0.0175
 DEFAULT_G_AI_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_RHO_GRID = (0.002, 0.01, 0.03, 0.05)
-DEFAULT_ANCHOR = {"theta": 1.0, "g_ai": 0.05, "rho": 0.05}
+DEFAULT_ANCHOR = {"g_ai": 0.05, "rho": 0.05}
 DEFAULT_ANCHOR_TARGET = 0.055282
 
 

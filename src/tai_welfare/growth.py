@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 from .config import DEFAULT_G_BASELINE
 from .errors import DomainError
@@ -135,14 +135,11 @@ def _software(params: ProductionParams, K: float, A: float, regime: Regime) -> f
     raise DomainError(f"unknown regime {regime!r}")
 
 
-def output(
-    params: ProductionParams, K: float, regime: Regime, A: Optional[float] = None
-) -> float:
-    """Production Y = F(alpha K, S) at capital K under the given regime."""
+def output(params: ProductionParams, K: float, regime: Regime, A: float) -> float:
+    """Production Y = F(alpha K, S) at capital K and technology level A."""
     if not 0.0 < K < math.inf:
         raise DomainError(f"K must be finite and > 0, got {K!r}")
-    level = params.A if A is None else A
-    s = _software(params, K, level, regime)
+    s = _software(params, K, A, regime)
     return ces(params.alpha * K, s, params.share_hw, params.sigma)
 
 
@@ -246,11 +243,9 @@ def failure_mode_path(
     *,
     c0: float = 1.0,
     g_ai: float = 0.3,
-    g_baseline: float = DEFAULT_G_BASELINE,
     switch_time: float = 0.0,
     crash_factor: float = 1.0,
     epsilon: float = 0.0,
-    post_stop_extinction: Optional[float] = None,
 ) -> tuple[ConsumptionPath, HazardModel]:
     """Consumption path and hazard model for each misalignment failure mode.
 
@@ -261,9 +256,8 @@ def failure_mode_path(
          switch_time
     fm4  mounting side effects: hazard epsilon * log C on the fast path
     fm5  the TAI stops working at switch_time: consumption crashes by
-         crash_factor (clamped at subsistence) and growth reverts to the
-         baseline rate; extinction optionally follows at
-         post_stop_extinction, else the hazard is zero
+         crash_factor (clamped at subsistence) and grows on at the baseline
+         rate DEFAULT_G_BASELINE; humanity survives, so the hazard is zero
     """
     if switch_time < 0.0:
         raise DomainError(f"switch_time must be >= 0, got {switch_time!r}")
@@ -284,16 +278,9 @@ def failure_mode_path(
             g_pre=g_ai,
             t_stop=switch_time,
             crash_factor=crash_factor,
-            g_post=g_baseline,
+            g_post=DEFAULT_G_BASELINE,
         )
-        hazard: HazardModel
-        if post_stop_extinction is not None:
-            if post_stop_extinction < switch_time:
-                raise DomainError("post_stop_extinction must not precede t_stop")
-            hazard = OneOffHazard(post_stop_extinction)
-        else:
-            hazard = ZeroHazard()
-        return path, hazard
+        return path, ZeroHazard()
     raise DomainError(f"unknown failure mode {mode!r}")
 
 

@@ -53,10 +53,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExponentialPath:
-    """C(t) = c0 * exp(g t) with c0 >= 1."""
+    """C(t) = c0 * exp(growth t) with c0 >= 1; both fields are required."""
 
-    c0: float = 1.0
-    growth: float = 0.0
+    c0: float
+    growth: float
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.c0 < math.inf:

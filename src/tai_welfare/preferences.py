@@ -19,14 +19,14 @@ __all__ = ["Preferences"]
 
 @dataclass(frozen=True)
 class Preferences:
-    """Time preference and curvature parameters of the planner.
+    """Time preference and curvature parameters of the planner; no defaults.
 
     rho: pure rate of time preference per year
     theta_rra: coefficient of relative risk aversion (1 = log utility)
     """
 
-    rho: float = 0.03
-    theta_rra: float = 1.0
+    rho: float
+    theta_rra: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho < math.inf:

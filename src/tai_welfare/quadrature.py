@@ -205,16 +205,13 @@ def integrate_transformed(
     flow: Callable[[np.ndarray], np.ndarray],
     excess_weight: Callable[[np.ndarray], np.ndarray],
     rate: float,
-    *,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
 ) -> QuadratureResult:
-    """int_0^inf flow(t) * excess_weight(t) * e^(-rate t) dt for rate > 0.
+    """int_0^inf flow(t) * excess_weight(t) * e^(-rate t) dt for rate > 0, to 1e-10.
 
     excess_weight is the weight with the pure exponential discount divided
     out (identically 1 for plain discounting); it must stay bounded by 1-ish
     so the transformed integrand remains O(flow).  Both legs share one
-    DEFAULT_MAX_INTERVALS budget.
+    DEFAULT_MAX_INTERVALS budget, and each takes half the 1e-10 tolerance.
     """
     if not rate > 0.0:
         raise DomainError(f"transform rate must be > 0, got {rate!r}")
@@ -236,12 +233,11 @@ def integrate_transformed(
 
     head = integrate_finite(
         transformed, 0.0, x_split,
-        abs_tol=0.5 * abs_tol, rel_tol=0.5 * rel_tol, max_intervals=DEFAULT_MAX_INTERVALS,
+        abs_tol=5e-11, rel_tol=5e-11, max_intervals=DEFAULT_MAX_INTERVALS,
     )
     mid = integrate_finite(
         direct, t_split, t_max,
-        abs_tol=0.5 * abs_tol, rel_tol=0.5 * rel_tol,
-        max_intervals=DEFAULT_MAX_INTERVALS - head.intervals,
+        abs_tol=5e-11, rel_tol=5e-11, max_intervals=DEFAULT_MAX_INTERVALS - head.intervals,
     )
     # the clipped tail is below e^-60 * |flow * excess|; charge a bound
     # against the error estimate rather than pretending it is zero

@@ -32,18 +32,16 @@ def brent(
     a: float,
     b: float,
     *,
-    fa: float | None = None,
-    fb: float | None = None,
+    fa: float,
+    fb: float,
     rel_tol: float = 1e-10,
 ) -> RootResult:
-    """Brent's method on a sign-change interval [a, b].
+    """Brent's method on a sign-change interval [a, b] with f(a) = fa, f(b) = fb.
 
     Inverse-quadratic / secant steps with a bisection fallback; converges to
     |interval| <= 2 eps |root| + tolerance.  Raises ConvergenceError if the
     iteration cap is hit first (which a genuine bracket never does).
     """
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
     if fa == 0.0:
         return RootResult(a, 0, 0.0)
     if fb == 0.0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Literal, Optional
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, QuadratureError
 from .rootfind import RootResult, brent
 from .taxonomy import _check_probability
 from .welfare import (
@@ -78,32 +78,16 @@ class SolveOutcome:
     def is_value(self) -> bool:
         return self.tag == "value"
 
-    @classmethod
-    def of(cls, value: float, iterations: int = 0, residual: float = 0.0) -> "SolveOutcome":
-        return cls("value", value, iterations, residual)
-
-    @classmethod
-    def no_tai_preferred(cls) -> "SolveOutcome":
-        return cls("no_tai_preferred")
-
-    @classmethod
-    def tai_preferred(cls) -> "SolveOutcome":
-        return cls("tai_preferred")
-
-    @classmethod
-    def no_solution(cls) -> "SolveOutcome":
-        return cls("no_solution")
-
 
 def _classify_probability(p: float) -> SolveOutcome:
     """Map a linear probability solution onto the outcome taxonomy."""
     if math.isnan(p):
         raise DomainError("the probability solution is NaN; inputs out of float range")
     if p < -BOUNDARY_BAND:
-        return SolveOutcome.no_tai_preferred()
+        return SolveOutcome("no_tai_preferred")
     if p > 1.0 + BOUNDARY_BAND:
-        return SolveOutcome.tai_preferred()
-    return SolveOutcome.of(min(max(p, 0.0), 1.0))
+        return SolveOutcome("tai_preferred")
+    return SolveOutcome("value", min(max(p, 0.0), 1.0))
 
 
 def _residual_ok(resid: float, w0: float) -> float:
@@ -184,11 +168,11 @@ def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> Sol
     grown upward from T = 1; either way _residual_ok checks its root.
     """
     if target < -BOUNDARY_BAND:
-        return SolveOutcome.no_tai_preferred()
+        return SolveOutcome("no_tai_preferred")
     if target >= w_sup:
-        return SolveOutcome.no_solution()
+        return SolveOutcome("no_solution")
     if abs(target) <= BOUNDARY_BAND:
-        return SolveOutcome.of(0.0)
+        return SolveOutcome("value", 0.0)
     w_trunc = partial(discounted_crra_closed_form, spec.log_c0, spec.g_ai,
                       spec.prefs.rho, spec.prefs.theta_rra)
     f = lambda t: w_trunc(t) - target
@@ -197,7 +181,7 @@ def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> Sol
         bracket = _bracket_upward(f, -target, 1.0, T_DELAYED_MAX)
         if bracket is None:
             # root beyond the admissible [0, 1e6] window
-            return SolveOutcome.no_solution()
+            return SolveOutcome("no_solution")
         lo, hi, f_lo, f_hi = bracket
         # a root below T = 1: step down four-fold, as Brent creeps to a root decades under hi
         while lo == 0.0 and (t := 0.25 * hi) > 0.0:
@@ -208,7 +192,7 @@ def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> Sol
         bracket = lo, hi, f_lo, f_hi
     result = _brent_in(f, bracket)
     resid = _residual_ok(result.residual, target)
-    return SolveOutcome.of(result.root, result.iterations, resid)
+    return SolveOutcome("value", result.root, result.iterations, resid)
 
 
 def solve_extinction_time(spec: ScenarioSpec) -> SolveOutcome:
@@ -239,7 +223,7 @@ def solve_p3_delayed(spec: ScenarioSpec, p4: float, T: float) -> SolveOutcome:
     w_b = _closed(spec, spec.g_ai, T)
     mix = lottery_value(w_a, w_b, 0.0, p4)
     if mix <= 0.0:
-        return SolveOutcome.no_tai_preferred()
+        return SolveOutcome("no_tai_preferred")
     return _classify_probability(1.0 - w0 / mix)
 
 
@@ -247,7 +231,7 @@ def solve_p4_delayed(spec: ScenarioSpec, p3: float, T: float) -> SolveOutcome:
     """p4 in the delayed-doom lottery, holding p3 and T fixed; closed form."""
     _check_probability("p3", p3)
     if p3 >= 1.0:
-        return SolveOutcome.no_tai_preferred()
+        return SolveOutcome("no_tai_preferred")
     w0 = _closed(spec, spec.g_baseline)
     w_a = _closed(spec, spec.g_ai)
     w_b = _closed(spec, spec.g_ai, T)
@@ -255,7 +239,7 @@ def solve_p4_delayed(spec: ScenarioSpec, p3: float, T: float) -> SolveOutcome:
     numerator = w_a - w0 / (1.0 - p3)
     if spread <= 0.0:
         # T so large that delayed doom is indistinguishable from cornucopia
-        return SolveOutcome.no_solution()
+        return SolveOutcome("no_solution")
     return _classify_probability(numerator / spread)
 
 
@@ -285,19 +269,22 @@ def _polished_epsilon(
 
     The root is the last point evaluated once a step is within Brent's
     tolerance, 1e-10 eps; iterations counts the evaluations.  None when the
-    slope is not negative and finite, an iterate leaves (0, EPSILON_MAX] or
-    _POLISH_STEPS steps do not settle.
+    slope is not negative and finite, the quadrature fails, an iterate leaves
+    (0, EPSILON_MAX] or _POLISH_STEPS steps do not settle.
     """
     if not -math.inf < slope < 0.0:  # 0 where the closed form is flat to the ulp
         return None
-    for evaluations in range(1, _POLISH_STEPS + 2):
-        f_eps = f(eps)
-        step = f_eps / slope
-        if abs(step) <= 1e-10 * eps:
-            return RootResult(eps, evaluations, abs(f_eps))
-        eps -= step
-        if not 0.0 < eps <= EPSILON_MAX:
-            return None
+    try:
+        for evaluations in range(1, _POLISH_STEPS + 2):
+            f_eps = f(eps)
+            step = f_eps / slope
+            if abs(step) <= 1e-10 * eps:
+                return RootResult(eps, evaluations, abs(f_eps))
+            eps -= step
+            if not 0.0 < eps <= EPSILON_MAX:
+                return None
+    except QuadratureError:  # an overflowing integrand or an exhausted budget
+        pass
     return None
 
 
@@ -310,22 +297,22 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     (rel_tol 1e-10) runs in it; no bracket below EPSILON_MAX reports
     no_solution.  Newton steps on the quadrature _mounting_quadrature, with
     the closed form's slope, then polish that root, as the t4 golden holds
-    the quadrature's rounding in one cell; when the polish gives up, the
-    closed form's root stands.  iterations counts the polish's evaluations or
-    Brent's iterations.  An overflowing closed form raises OverflowError and
-    a failed quadrature QuadratureError.
+    the quadrature's rounding in one cell; when the polish gives up, a failed
+    quadrature included, the closed form's root stands.  iterations counts
+    the polish's evaluations or Brent's iterations.  An overflowing closed
+    form raises OverflowError.
     """
     w0 = _closed(spec, spec.g_baseline)
     w_a = _closed(spec, spec.g_ai)
     if w_a <= w0:
-        return SolveOutcome.no_solution()
+        return SolveOutcome("no_solution")
 
     def exact(eps: float) -> float:
         return _mounting_closed_form(spec, eps) - w0
 
     bracket = _bracket_upward(exact, w_a - w0, _EPSILON_START, EPSILON_MAX)
     if bracket is None:
-        return SolveOutcome.no_solution()
+        return SolveOutcome("no_solution")
     result = _brent_in(exact, bracket)
     lo, hi = result.root * (1.0 - 1e-6), result.root * (1.0 + 1e-6)
     slope = (exact(hi) - exact(lo)) / (hi - lo)
@@ -334,4 +321,4 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     )
     result = result if polished is None else polished
     resid = _residual_ok(result.residual, w0)
-    return SolveOutcome.of(result.root, result.iterations, resid)
+    return SolveOutcome("value", result.root, result.iterations, resid)

@@ -20,7 +20,7 @@ hands a target exactly the values SOLVE_TARGETS or compensation.PANELS say it re
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .compensation import EvResult, ev_panel
 from .config import RunConfig, format_number
@@ -96,9 +96,8 @@ class TableSpec:
     theta_set: tuple[float, ...]
 
 
-def table_spec(table_id: str, config: Optional[RunConfig] = None) -> TableSpec:
+def table_spec(table_id: str, config: RunConfig) -> TableSpec:
     """TableSpec for a table id, honouring grid/theta overrides in config."""
-    config = config or RunConfig()
     if table_id not in TABLES:
         raise ConfigError(f"unknown table id {table_id!r}")
     return TableSpec(
@@ -115,26 +114,25 @@ def table_spec(table_id: str, config: Optional[RunConfig] = None) -> TableSpec:
 
 
 def solve_cell(target: str, config: RunConfig, theta: float, g_ai: float, rho: float,
-               values: dict, epsilon: Optional[float] = None) -> Union[SolveOutcome, EvResult]:
+               values: dict) -> Union[SolveOutcome, EvResult]:
     """One (theta, g_ai, rho) cell of a SOLVE_TARGETS target or an EV panel.
 
-    values holds the lottery values the target reads.  Panel d takes its
-    hazard slope from epsilon; without one it re-solves the slope at the
-    log-like curvature theta = 1.0001 and evaluates the EV at theta, and when
-    that solve finds no slope its sentinel outcome is returned instead.
+    values holds the values the target reads, panel d's hazard slope
+    "epsilon" included when it is given.  Without one, panel d re-solves the
+    slope at the log-like curvature theta = 1.0001 and evaluates the EV at
+    theta, and when that solve finds no slope its sentinel outcome is
+    returned instead.
     """
     spec = ScenarioSpec(c0=config.resolved_c0(), g_ai=g_ai, g_baseline=config.g_baseline,
                         prefs=Preferences(rho=rho, theta_rra=theta))
     if target in SOLVE_TARGETS:
         return SOLVE_TARGETS[target][1](spec, **values)
-    if target == "d" and epsilon is None:
+    if target == "d" and "epsilon" not in values:
         eps_spec = replace(spec, prefs=replace(spec.prefs, theta_rra=1.0001))
         solved = solve_epsilon_mounting(eps_spec)
         if not solved.is_value:
             return solved
-        epsilon = solved.value
-    if epsilon is not None:
-        values = {**values, "epsilon": epsilon}
+        values = {**values, "epsilon": solved.value}
     return ev_panel(spec, target, **values)
 
 
@@ -151,14 +149,13 @@ def format_cell(outcome: Union[SolveOutcome, EvResult]) -> str:
     return SENTINEL_TOKENS[outcome.tag]
 
 
-def emit_table(spec: TableSpec, config: Optional[RunConfig] = None) -> str:
+def emit_table(spec: TableSpec, config: RunConfig) -> str:
     """Render one table as CSV or markdown text, deterministically.
 
     Cells are evaluated in a fixed row-major order; a solver error in one
     cell becomes an ERROR:<ExceptionClassName> token, free of the commas and
     pipes that delimit cells, and the rest of the table proceeds.
     """
-    config = config or RunConfig()
     target, _, values = TABLES[spec.table_id]
     header = ["g_ai"]
     for theta in spec.theta_set:

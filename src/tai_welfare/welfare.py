@@ -248,7 +248,9 @@ def welfare_mounting(spec: ScenarioSpec, epsilon: float) -> WelfareResult:
 
 def _mounting_quadrature(spec: ScenarioSpec, epsilon: float) -> float:
     # welfare_mounting's integral, eps > 0, by adaptive quadrature at 1e-10: only
-    # the epsilon polish reads it, as the t4 golden holds its root in one cell
+    # the epsilon polish reads it, as the t4 golden holds its root in one cell.
+    # An overflowing integrand raises QuadratureError on its panel, so numpy's
+    # overflow warnings would only reach stderr
     import numpy as np
 
     from .quadrature import integrate_transformed
@@ -260,7 +262,8 @@ def _mounting_quadrature(spec: ScenarioSpec, epsilon: float) -> float:
     def excess(t: np.ndarray) -> np.ndarray:
         return np.exp(neg_eps * (lam * t + half_g * t * t))
 
-    return integrate_transformed(flow, excess, spec.prefs.rho).value
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integrate_transformed(flow, excess, spec.prefs.rho).value
 
 
 def integrate_discounted(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from tai_welfare import Preferences, ScenarioSpec
-from tai_welfare.config import calibrate_c0
+from tai_welfare.config import calibrate_c0, format_number
 
 
 # every property test replays the same examples, keeps no example database and
@@ -50,3 +50,26 @@ def mounting_welfare_mp(spec, epsilon):
     if q == 0:
         return lam * G(a0) + g * (1 - a0 * G(a0)) / b
     return (mp.exp(q * lam) * G(a0 - q * g) - G(a0)) / q
+
+
+def epsilon_excess(spec, eps):
+    """W_mounting(eps) - W0 to 80 digits."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(80):
+        lam, rho, g0 = mp.log(mpf(spec.c0)), mpf(spec.prefs.rho), mpf(spec.g_baseline)
+        q = 1 - mpf(spec.prefs.theta_rra)
+        w0 = lam / rho + g0 / rho**2 if q == 0 else (
+            (rho * mp.expm1(q * lam) / q + g0) / (rho * (rho - q * g0)))
+        return mounting_welfare_mp(spec, eps) - w0
+
+
+def assert_prints_the_root(spec, out, printed):
+    """out is the eps root printed as printed, and the exact W - W0 changes
+    sign inside the interval that rounds to printed."""
+    from decimal import Decimal
+
+    assert out.is_value and format_number(out.value) == printed
+    d = Decimal(printed)
+    half = Decimal(5) * Decimal(10) ** (d.adjusted() - 6)
+    assert epsilon_excess(spec, str(d - half)) > 0 > epsilon_excess(spec, str(d + half))

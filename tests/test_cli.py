@@ -16,12 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tai_welfare
-from tai_welfare import ConvergenceError, growth, quadrature, solvers, tables
+from tai_welfare import (ConvergenceError, QuadratureError, growth, quadrature, rootfind,
+                         solvers, tables, welfare)
 from tai_welfare.compensation import PANELS, EvResult
 from tai_welfare.cli import COMMANDS, build_parser, main
 from tai_welfare.config import RunConfig, parse_config
 from tai_welfare.rootfind import RootResult
-from conftest import make_spec
+from conftest import assert_prints_the_root, make_spec
 
 
 def run_cli(capsys, *argv):
@@ -171,8 +172,8 @@ def test_domain_error_exits_2(capsys):
 
 
 def test_non_convergence_exits_3(capsys, monkeypatch):
-    # a two-interval budget exhausts the quadrature's subdivision
-    monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
+    # Brent capped at one iteration cannot close the epsilon bracket
+    monkeypatch.setattr(rootfind, "BRENT_MAX_ITERATIONS", 1)
     code, _, err = run_cli(
         capsys, "solve", "--target", "epsilon",
         "--theta", "1.0001", "--g-ai", "0.2", "--rho", "0.05",
@@ -182,25 +183,39 @@ def test_non_convergence_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("g_ai,code,out", [
-    # the quadrature returns W = 0 here, so the polish gives up and the closed
-    # form's root stands (test_solvers holds both roots to mpmath)
+    # the quadrature returns W = 0 at 1e10 and 1e300, and its integrand
+    # overflows at 1e308, so the polish gives up and the closed form's root
+    # stands (test_solvers holds the three roots to mpmath)
     ("1e10", 0, "0.00450126\n"),
     ("1e300", 0, "0.0045013\n"),
-    ("1e308", 3, ""),  # the polish's integrand overflows: QuadratureError
+    ("1e308", 0, "0.0045013\n"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at g_ai = 1e308
 def test_epsilon_at_a_huge_g_ai(capsys, g_ai, code, out):
     assert run_cli(capsys, "solve", "--target", "epsilon", "--theta", "1",
-                   "--rho", "0.05", "--g-ai", g_ai)[:2] == (code, out)
+                   "--rho", "0.05", "--g-ai", g_ai) == (code, out, "")
+
+
+def test_epsilon_next_to_log_utility(capsys):
+    # theta = 1 + 2^-52 takes the closed form's small-|q| branch
+    argv = ("--theta", "1.0000000000000002", "--rho", "0.05", "--g-ai", "0.2")
+    assert run_cli(capsys, "solve", "--target", "epsilon", *argv) == (0, "8.89052e-04\n", "")
+    spec = make_spec(RunConfig().resolved_c0(), theta=1.0000000000000002, g_ai=0.2, rho=0.05)
+    assert_prints_the_root(spec, solvers.solve_epsilon_mounting(spec), "8.89052e-04")
 
 
 def test_quadrature_failure_reaches_panel_d_ev(capsys, monkeypatch):
-    # panel d's EV is the closed form; its epsilon re-solve polishes on the quadrature
+    # a two-interval budget fails the quadrature of panel d's epsilon polish:
+    # the re-solve keeps the closed form's root, and the EV is printed at it
     monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
-    code, out, err = run_cli(capsys, "ev", "--panel", "d", "--g-ai", "0.3", "--rho", "0.03")
-    assert code == 3
-    assert out == ""
-    assert "non-convergence" in err
+    cell = ("ev", "--panel", "d", "--g-ai", "0.3", "--rho", "0.03")
+    code, out, err = run_cli(capsys, *cell)
+    assert (code, err) == (0, "")
+    spec = make_spec(RunConfig().resolved_c0(), theta=1.0001, g_ai=0.3, rho=0.03)
+    monkeypatch.setattr(solvers, "_polished_epsilon", lambda f, eps, slope: None)
+    root = solvers.solve_epsilon_mounting(spec).value
+    with pytest.raises(QuadratureError):
+        welfare._mounting_quadrature(spec, root)
+    assert out == run_cli(capsys, *cell, "--epsilon", repr(root))[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -246,7 +261,7 @@ GIVEN = {"p3": 0.1, "p4": 0.2, "T": 30.0, "epsilon": 1e-3}
 def test_solve_hands_a_target_exactly_its_reads(capsys, monkeypatch, target):
     reads, _ = tables.SOLVE_TARGETS[target]
     seen = []
-    spy = lambda spec, **values: seen.append(values) or solvers.SolveOutcome.no_solution()
+    spy = lambda spec, **values: seen.append(values) or solvers.SolveOutcome("no_solution")
     monkeypatch.setitem(tables.SOLVE_TARGETS, target, (reads, spy))
     code, out, _ = run_cli(capsys, "solve", "--target", target, *CELL_FLAGS)
     assert (code, out) == (0, "NO_SOLUTION\n")
@@ -266,7 +281,7 @@ def test_ev_hands_a_panel_exactly_its_reads(capsys, monkeypatch, tmp_path, panel
     monkeypatch.setattr(tables, "ev_panel", spy)
     # without --epsilon, panel d re-solves its slope; this one stands in for it
     monkeypatch.setattr(tables, "solve_epsilon_mounting",
-                        lambda spec: solvers.SolveOutcome.of(1e-3))
+                        lambda spec: solvers.SolveOutcome("value", 1e-3))
     config = tmp_path / "run.cfg"
     config.write_text("epsilon=0.5\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "ev", "--panel", panel, "--config", str(config),

@@ -6,7 +6,6 @@ import pytest
 from tai_welfare import (
     DomainError,
     MountingLogHazard,
-    OneOffHazard,
     ProductionParams,
     ZeroHazard,
     asymptotic_growth_rate,
@@ -18,6 +17,7 @@ from tai_welfare import (
     trajectory_csv,
 )
 from tai_welfare import growth
+from tai_welfare.config import DEFAULT_G_BASELINE
 
 
 class TestCes:
@@ -67,21 +67,21 @@ class TestCes:
 class TestOutput:
     def test_increasing_in_capital(self):
         params = ProductionParams()
-        ys = [output(params, k, "full_automation") for k in (0.5, 1.0, 2.0, 8.0)]
+        ys = [output(params, k, "full_automation", params.A) for k in (0.5, 1.0, 2.0, 8.0)]
         assert all(b > a for a, b in zip(ys, ys[1:]))
 
     def test_bottleneck_saturates_in_capital(self):
         params = ProductionParams()
-        y1 = output(params, 1e4, "bottlenecked")
-        y2 = output(params, 1e6, "bottlenecked")
+        y1 = output(params, 1e4, "bottlenecked", params.A)
+        y2 = output(params, 1e6, "bottlenecked", params.A)
         assert (y2 - y1) / y1 < 0.01
 
     def test_full_automation_becomes_linear_in_capital(self):
         # at fixed technology, Y/K tends to F(alpha, A psi chi); the CES
         # asymptote is the further limit where technology also diverges
         params = ProductionParams()
-        r1 = output(params, 1e6, "full_automation") / 1e6
-        r2 = output(params, 1e8, "full_automation") / 1e8
+        r1 = output(params, 1e6, "full_automation", params.A) / 1e6
+        r2 = output(params, 1e8, "full_automation", params.A) / 1e8
         assert r1 == pytest.approx(r2, rel=1e-2)
         limit = ces(params.alpha, params.A * params.psi * params.chi,
                     params.share_hw, params.sigma)
@@ -89,7 +89,7 @@ class TestOutput:
 
     def test_declared_asymptote_reached_with_high_technology(self):
         params = ProductionParams(A=1e9)
-        ratio = output(params, 1e8, "full_automation") / 1e8
+        ratio = output(params, 1e8, "full_automation", params.A) / 1e8
         # lim_{S->inf} F(alpha, S) = alpha * share_hw^(1/sigma) for sigma < 0
         asymptote = params.share_hw ** (1.0 / params.sigma)
         assert ratio == pytest.approx(params.alpha * asymptote, rel=1e-2)
@@ -97,7 +97,7 @@ class TestOutput:
     def test_rejects_nonpositive_capital(self):
         for K in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="K must be"):
-                output(ProductionParams(), K, "full_automation")
+                output(ProductionParams(), K, "full_automation", 1.0)
 
 
 class TestSimulate:
@@ -208,20 +208,8 @@ class TestFailureModes:
             "fm5", c0=1.0, g_ai=0.05, switch_time=10.0, crash_factor=0.01
         )
         assert path.crash_clamped
+        assert path.g_post == DEFAULT_G_BASELINE
         assert isinstance(hazard, ZeroHazard)
-
-    def test_fm5_optional_post_stop_extinction(self):
-        _, hazard = failure_mode_path(
-            "fm5", switch_time=10.0, crash_factor=0.5, post_stop_extinction=60.0
-        )
-        assert isinstance(hazard, OneOffHazard)
-        assert expected_lifespan(hazard) == 60.0
-
-    def test_fm5_rejects_extinction_before_stop(self):
-        with pytest.raises(DomainError):
-            failure_mode_path(
-                "fm5", switch_time=10.0, crash_factor=0.5, post_stop_extinction=5.0
-            )
 
 
 class TestTrajectoryCsv:

@@ -25,7 +25,7 @@ class TestCrraUtility:
 
     def test_rejects_sub_subsistence(self):
         with pytest.raises(DomainError):
-            ScenarioSpec(c0=0.99, g_ai=0.05, prefs=Preferences())
+            ScenarioSpec(c0=0.99, g_ai=0.05, prefs=Preferences(rho=0.03, theta_rra=1.0))
 
     def test_continuous_in_theta_near_one(self, rng):
         # the theta-derivative of utility at theta = 1 is (log c)^2 / 2, so a
@@ -61,10 +61,10 @@ class TestEffectiveDiscount:
     # rho is the one discount rate every welfare integral uses
     def test_validation(self):
         with pytest.raises(DomainError):
-            Preferences(rho=-0.01)
+            Preferences(rho=-0.01, theta_rra=1.0)
 
     def test_rejects_non_finite(self):
         for name in ("rho", "theta_rra"):
             for value in (math.nan, math.inf):
                 with pytest.raises(DomainError, match=name):
-                    Preferences(**{name: value})
+                    Preferences(**{"rho": 0.03, "theta_rra": 1.0, name: value})

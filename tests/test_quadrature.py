@@ -91,11 +91,9 @@ def test_transform_with_gaussian_excess():
 
 
 def test_requested_tolerance_bounds_error_estimate():
-    result = integrate_transformed(
-        lambda t: 10.0 + t, lambda t: np.ones_like(t), 0.01,
-        abs_tol=1e-9, rel_tol=1e-9,
-    )
-    assert result.abs_error_estimate <= max(1e-9, 1e-9 * abs(result.value)) * 2.0
+    # integrate_transformed runs at the one tolerance 1e-10
+    result = integrate_transformed(lambda t: 10.0 + t, lambda t: np.ones_like(t), 0.01)
+    assert result.abs_error_estimate <= max(1e-10, 1e-10 * abs(result.value)) * 2.0
 
 
 U = Fraction(1, 2**53)  # unit roundoff of binary64

@@ -10,7 +10,6 @@ from tai_welfare import (
     ConvergenceError,
     DivergenceError,
     Preferences,
-    QuadratureError,
     ScenarioSpec,
     solvers,
     lottery_value,
@@ -28,7 +27,7 @@ from tai_welfare import (
 from tai_welfare.rootfind import RootResult
 from tai_welfare.solvers import RESIDUAL_REL_TOL
 from tai_welfare.welfare import _flow_from_log, _mounting_quadrature, integrate_discounted
-from conftest import make_spec, mounting_welfare_mp
+from conftest import assert_prints_the_root, epsilon_excess, make_spec
 
 
 class TestExtinctionTime:
@@ -172,28 +171,6 @@ def _scaled_slope(factor):
     return scaled
 
 
-def _epsilon_excess(spec, eps):
-    """W_mounting(eps) - W0 to 80 digits."""
-    from mpmath import mp, mpf
-
-    with mp.workdps(80):
-        lam, rho, g0 = mp.log(mpf(spec.c0)), mpf(spec.prefs.rho), mpf(spec.g_baseline)
-        q = 1 - mpf(spec.prefs.theta_rra)
-        w0 = lam / rho + g0 / rho**2 if q == 0 else (
-            (rho * mp.expm1(q * lam) / q + g0) / (rho * (rho - q * g0)))
-        return mounting_welfare_mp(spec, eps) - w0
-
-
-def _assert_prints_the_root(spec, out, printed):
-    # the exact W - W0 changes sign inside the interval that rounds to printed
-    from decimal import Decimal
-
-    assert out.is_value and f"{out.value:.6g}" == printed
-    d = Decimal(printed)
-    half = Decimal(5) * Decimal(10) ** (d.adjusted() - 6)
-    assert _epsilon_excess(spec, str(d - half)) > 0 > _epsilon_excess(spec, str(d + half))
-
-
 def _root_tolerance(spec, rel_w):
     """How far a solved eps may lie from another root, relative.
 
@@ -277,16 +254,15 @@ class TestMountingEpsilon:
         # its root 3.6e-5 away, so the polish gives up and the closed form's
         # root stands; the 60-digit root is 1.01082784142768e-11
         spec = make_spec(c0, theta=2.7, g_ai=0.206, rho=0.0337)
-        _assert_prints_the_root(spec, solve_epsilon_mounting(spec), "1.01083e-11")
+        assert_prints_the_root(spec, solve_epsilon_mounting(spec), "1.01083e-11")
 
     @pytest.mark.parametrize("theta,g_ai,rho,g_baseline,c0_value,expected", [
         (0.5, 0.2, 0.05, 0.0175, None, DivergenceError),  # the cornucopia diverges
         (1.0, 1e10, 0.05, 0.0175, None, "0.00450126"),  # the quadrature returns W = 0
         (1.0, 1e300, 0.05, 0.0175, None, "0.0045013"),  # about 1 / W0 as g_ai grows
-        (1.0, 1e308, 0.05, 0.0175, None, QuadratureError),  # the polish's integrand overflows
+        (1.0, 1e308, 0.05, 0.0175, None, "0.0045013"),  # the polish's quadrature overflows
         (1.0, 0.2, 0.05, 1e-6, 1.0, "no_solution"),  # root near 2500
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at g_ai = 1e308
     def test_unusable_closed_form_keeps_the_quadrature_outcome(
         self, c0, theta, g_ai, rho, g_baseline, c0_value, expected
     ):
@@ -295,7 +271,7 @@ class TestMountingEpsilon:
         if expected == "no_solution":
             assert solve_epsilon_mounting(spec).tag == expected
         elif isinstance(expected, str):
-            _assert_prints_the_root(spec, solve_epsilon_mounting(spec), expected)
+            assert_prints_the_root(spec, solve_epsilon_mounting(spec), expected)
         else:
             with pytest.raises(expected):
                 solve_epsilon_mounting(spec)
@@ -337,8 +313,8 @@ class TestMountingEpsilon:
         assert fallback.is_value
         assert (fallback.value, fallback.iterations) == (predicted.root, predicted.iterations)
         tol = _root_tolerance(spec, 1e-13)
-        assert _epsilon_excess(spec, fallback.value * (1.0 - tol)) > 0
-        assert _epsilon_excess(spec, fallback.value * (1.0 + tol)) < 0
+        assert epsilon_excess(spec, fallback.value * (1.0 - tol)) > 0
+        assert epsilon_excess(spec, fallback.value * (1.0 + tol)) < 0
         assert fallback.value == pytest.approx(polished.value, rel=_root_tolerance(spec, 1e-10))
 
     @pytest.mark.parametrize("factor", [0.0, -1.0])
@@ -358,8 +334,8 @@ class TestMountingEpsilon:
         out = solve_epsilon_mounting(spec)
         assert evaluated == [] and out.is_value
         tol = _root_tolerance(spec, 1e-13)
-        assert _epsilon_excess(spec, out.value * (1.0 - tol)) > 0
-        assert _epsilon_excess(spec, out.value * (1.0 + tol)) < 0
+        assert epsilon_excess(spec, out.value * (1.0 - tol)) > 0
+        assert epsilon_excess(spec, out.value * (1.0 + tol)) < 0
 
     def test_closed_form_flat_to_the_ulp_falls_back_to_the_bracket(self, c0, monkeypatch):
         # the root is 2e-14, so the closed form at the root (1 -/+ 1e-6) moves
@@ -376,7 +352,7 @@ class TestMountingEpsilon:
         monkeypatch.setattr(solvers, "_polished_epsilon", spying)
         out = solve_epsilon_mounting(spec)
         assert slopes == [0.0]
-        _assert_prints_the_root(spec, out, "2.11636e-14")
+        assert_prints_the_root(spec, out, "2.11636e-14")
 
     def test_root_up_to_epsilon_max_is_a_value(self):
         # at c0 = 1 and theta = 1, W_mounting(eps) ~ 1/eps and W0 = g_baseline / rho^2;

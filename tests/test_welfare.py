@@ -49,7 +49,7 @@ class TestClosedForms:
         assert welfare_cornucopia(spec).value == pytest.approx(235.16, abs=5e-3)
 
     def test_flat_subsistence_path_is_worthless(self):
-        spec = ScenarioSpec(c0=1.0, g_ai=0.0, prefs=Preferences(rho=0.05))
+        spec = ScenarioSpec(c0=1.0, g_ai=0.0, prefs=Preferences(rho=0.05, theta_rra=1.0))
         assert welfare_cornucopia(spec).value == 0.0
 
     def test_cornucopia_dominates_baseline(self, c0, rng):
@@ -237,7 +237,7 @@ class TestMounting:
             assert w_in == pytest.approx(w_out, rel=1e-11), (g_ai, rho, eps)
 
     def test_value_between_zero_and_cornucopia(self):
-        spec = ScenarioSpec(c0=1.0, g_ai=0.05, prefs=Preferences(rho=0.05))
+        spec = ScenarioSpec(c0=1.0, g_ai=0.05, prefs=Preferences(rho=0.05, theta_rra=1.0))
         w = welfare_mounting(spec, 1e-4).value
         assert 0.0 < w < welfare_cornucopia(spec).value
 
@@ -294,6 +294,19 @@ class TestMounting:
         oracle = _mounting_oracle(spec, eps)
         assert _mounting_closed_form(spec, eps) == pytest.approx(oracle, rel=1e-10)
         assert _mounting_quadrature(spec, eps) == pytest.approx(oracle, rel=1e-10)
+
+    # |1 - theta| from 2^-52 to 1e-3 on both sides of 1, across the
+    # closed form's |q| = 1e-5 switch to its small-|q| series
+    @settings(max_examples=100)
+    @given(log2_dq=st.one_of(st.floats(-52.0, math.log2(1e-5)),
+                             st.floats(math.log2(1e-5), math.log2(1e-3), exclude_max=True)),
+           sign=st.sampled_from([1.0, -1.0]), g_ai=st.floats(0.02, 0.5),
+           rho=st.floats(0.002, 0.08), log10_eps=st.floats(-9.0, -2.0))
+    def test_random_cells_next_to_log_utility(self, c0, log2_dq, sign, g_ai, rho, log10_eps):
+        spec = make_spec(c0, theta=1.0 + sign * 2.0**log2_dq, g_ai=g_ai, rho=rho)
+        eps = 10.0 ** log10_eps
+        assert _mounting_closed_form(spec, eps) == pytest.approx(
+            _mounting_oracle(spec, eps), rel=1e-10)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
     def test_rejects_non_finite_epsilon(self, c0, eps):
@@ -382,18 +395,18 @@ class TestLotteries:
 class TestValidation:
     def test_rejects_sub_subsistence_c0(self):
         with pytest.raises(DomainError):
-            ScenarioSpec(c0=0.5, g_ai=0.05, prefs=Preferences())
+            ScenarioSpec(c0=0.5, g_ai=0.05, prefs=Preferences(rho=0.03, theta_rra=1.0))
 
     def test_rejects_negative_growth(self):
         with pytest.raises(DomainError):
-            ScenarioSpec(c0=2.0, g_ai=-0.01, prefs=Preferences())
+            ScenarioSpec(c0=2.0, g_ai=-0.01, prefs=Preferences(rho=0.03, theta_rra=1.0))
 
     def test_rejects_non_finite(self):
         for name in ("c0", "g_ai", "g_baseline"):
             for value in (math.nan, math.inf):
                 fields = {"c0": 2.0, "g_ai": 0.05, name: value}
                 with pytest.raises(DomainError, match=name):
-                    ScenarioSpec(prefs=Preferences(), **fields)
+                    ScenarioSpec(prefs=Preferences(rho=0.03, theta_rra=1.0), **fields)
 
     def test_lottery_validation(self, c0):
         with pytest.raises(DomainError):
