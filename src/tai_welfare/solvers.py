@@ -9,18 +9,11 @@ equals the no-takeover welfare W0.  A solve can end four ways:
   no_solution      no root exists in the admissible domain
 
 The probability solvers are linear given the underlying welfare values, so
-they are closed-form; the time and hazard-slope solvers run Brent on a
-function that is monotone in the solved parameter, in a bracket across which
-its sign is checked.  The time solves run it on the truncated closed form
-minus the target, with its scalars bound once, in a bracket one Brent
-tolerance wide that Newton steps on the tail identity place (_tail_bracket),
-so Brent stops at its first iteration.  Where f does not change sign across
-it, they fall back on the bracket both solvers share: trial points
-start * 4^n, capped at the domain's end, grow upward until the sign differs
-from f(0)'s, and the last point that kept f(0)'s sign (0 at first) is the
-lower end; a time root below T = 1 is then closed in from above, four-fold.
-The hazard slope runs Brent in that bracket on the exact erfcx closed form,
-and the quadrature, its one runtime reader, only polishes the root.
+they are closed-form.  The time solves run Newton, with no bracket, on
+whichever form of W_trunc(T) = target does not cancel, given the exact gap
+W_cornucopia - W0 (_solve_monotone_time, _exact_gap).  The hazard slope runs
+Brent on the exact erfcx closed form in a bracket grown upward, across which
+its sign is checked; the quadrature, its one runtime reader, polishes the root.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -30,9 +23,7 @@ sentinel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal, NamedTuple, Optional
 
 from .errors import ConvergenceError, DomainError, QuadratureError
 from .rootfind import RootResult, brent
@@ -62,13 +53,14 @@ T_DELAYED_MAX = 1e6
 EPSILON_MAX = 10.0
 _EPSILON_START = 1e-6  # first trial slope of the geometric eps bracket
 _POLISH_STEPS = 4  # Newton steps on the quadrature before the closed form's root stands
-_TAIL_STEPS = 8  # Newton steps on the time solves' tail identity before the upward bracket
+_NEWTON_STEPS = 50  # Newton steps a time solve may take before it gives up
 
 OutcomeTag = Literal["value", "no_tai_preferred", "tai_preferred", "no_solution"]
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
+    """iterations counts Newton steps (time), or Brent iterations or polish evaluations (eps)."""
+
     tag: OutcomeTag
     value: Optional[float] = None
     iterations: int = 0
@@ -91,7 +83,7 @@ def _classify_probability(p: float) -> SolveOutcome:
 
 
 def _residual_ok(resid: float, w0: float) -> float:
-    # resid is Brent's RootResult.residual, |f(root)| = |W(root) - w0|; nan fails
+    # resid is |W(root) - w0| at the solved root; nan fails
     if not resid <= RESIDUAL_REL_TOL * max(1.0, abs(w0)):
         raise ConvergenceError(
             f"indifference residual {resid!r} exceeds tolerance; solver bug"
@@ -124,75 +116,72 @@ def _brent_in(f: Callable[[float], float], bracket: _Bracket) -> RootResult:
     return brent(f, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
 
 
-def _tail_bracket(
-    f: Callable[[float], float], spec: ScenarioSpec, target: float, w_sup: float
-) -> Optional[_Bracket]:
-    """T (1 -/+ 5e-11) around the root of f = W_trunc - target, once f changes sign there.
-
-    With W_inf(lam') the infinite-horizon closed form at log c0 = lam', the
-    tail identity w_sup - W_trunc(T) = e^(-rho T) W_inf(lam + g T) puts the
-    root at the zero of phi(T) = log W_inf(lam + g T) - rho T - log gap,
-    gap = w_sup - target.  W_inf rises in lam', so log(w_sup / gap) / rho
-    bounds it from below; Newton steps on phi (which falls, and is concave
-    for theta >= 1) run from there until a step is under 1e-12 T.  None when
-    _TAIL_STEPS steps do not settle, an evaluation fails, the bracket leaves
-    (0, T_DELAYED_MAX] or f keeps one sign across it: where the gap is within
-    about 1e-6 of w_sup, rounding in f moves its zero further than that.
-    """
-    lam, g, rho, theta = spec.log_c0, spec.g_ai, spec.prefs.rho, spec.prefs.theta_rra
-    q, gap = 1.0 - theta, w_sup - target
-    t, log_gap = math.log(w_sup / gap) / rho, math.log(gap)
-    try:
-        for _ in range(_TAIL_STEPS):
-            lam_t = lam + g * t
-            w = discounted_crra_closed_form(lam_t, g, rho, theta)
-            slope = g * math.exp(q * lam_t) / ((rho - q * g) * w) - rho
-            step = (math.log(w) - rho * t - log_gap) / slope
-            t -= step
-            if abs(step) <= 1e-12 * t:
-                break
-        else:
-            return None
-    except (ArithmeticError, ValueError):  # overflow, or the log of a value <= 0
-        return None
-    lo, hi = t * (1.0 - 5e-11), t * (1.0 + 5e-11)
-    if 0.0 < lo and hi <= T_DELAYED_MAX and (f_lo := f(lo)) < 0.0 <= (f_hi := f(hi)):
-        return lo, hi, f_lo, f_hi
-    return None
+def _exact_gap(spec: ScenarioSpec) -> float:
+    """W_cornucopia - W0, subtracting no welfare values: with q = 1 - theta it is
+    (g_ai - g_b) e^(q lam) / ((rho - q g_ai)(rho - q g_b)), and (g_ai - g_b) / rho^2 at q = 0."""
+    rho, q, dg = spec.prefs.rho, 1.0 - spec.prefs.theta_rra, spec.g_ai - spec.g_baseline
+    if q == 0.0:
+        return dg / rho**2
+    return dg * math.exp(q * spec.log_c0) / ((rho - q * spec.g_ai) * (rho - q * spec.g_baseline))
 
 
-def _solve_monotone_time(spec: ScenarioSpec, target: float, w_sup: float) -> SolveOutcome:
-    """Solve W_trunc(T) = target; W_trunc rises from W(0) = 0 toward sup W = w_sup.
+def _log_utility(log_c: float, q: float) -> float:
+    # log u for u = (c^q - 1) / q at log c > 0, finite where c^q overflows
+    x = q * log_c
+    if x > 0.0:
+        return x + math.log(-math.expm1(-x) / q)
+    if x < 0.0:
+        return math.log(math.expm1(x) / q)
+    return math.log(log_c)
 
-    Brent runs in _tail_bracket's bracket or, where that is None, in the one
-    grown upward from T = 1; either way _residual_ok checks its root.
+
+def _solve_monotone_time(
+    spec: ScenarioSpec, target: float, w_sup: float, gap: float
+) -> SolveOutcome:
+    """Newton on whichever form of W_trunc(T) = target does not cancel; gap = w_sup - target.
+
+    Where target > gap, on phi(T) = log W_inf(lam + g T) - rho T - log gap, the tail
+    identity w_sup - W_trunc(T) = e^(-rho T) W_inf(lam + g T) in logs, with slope -u / W_inf,
+    from its lower bound log(w_sup / gap) / rho.  Elsewhere, on W_trunc(T) - target, with
+    slope e^(-rho T) u, from the root of u(lam) T + g e^(q lam) T^2 / 2 = target.  Either
+    stops once a step is within 1e-12 T; gap must come without that subtraction.
     """
     if target < -BOUNDARY_BAND:
         return SolveOutcome("no_tai_preferred")
-    if target >= w_sup:
+    if gap <= 0.0:
         return SolveOutcome("no_solution")
     if abs(target) <= BOUNDARY_BAND:
         return SolveOutcome("value", 0.0)
-    w_trunc = partial(discounted_crra_closed_form, spec.log_c0, spec.g_ai,
-                      spec.prefs.rho, spec.prefs.theta_rra)
-    f = lambda t: w_trunc(t) - target
-    bracket = _tail_bracket(f, spec, target, w_sup)
-    if bracket is None:
-        bracket = _bracket_upward(f, -target, 1.0, T_DELAYED_MAX)
-        if bracket is None:
-            # root beyond the admissible [0, 1e6] window
-            return SolveOutcome("no_solution")
-        lo, hi, f_lo, f_hi = bracket
-        # a root below T = 1: step down four-fold, as Brent creeps to a root decades under hi
-        while lo == 0.0 and (t := 0.25 * hi) > 0.0:
-            if (f_t := f(t)) < 0.0:
-                lo, f_lo = t, f_t
-            else:
-                hi, f_hi = t, f_t
-        bracket = lo, hi, f_lo, f_hi
-    result = _brent_in(f, bracket)
-    resid = _residual_ok(result.residual, target)
-    return SolveOutcome("value", result.root, result.iterations, resid)
+    lam, g, rho, theta = spec.log_c0, spec.g_ai, spec.prefs.rho, spec.prefs.theta_rra
+    q = 1.0 - theta
+    if target > gap:
+        # W_inf = u h / (rho a), with h = rho + g / u and a = rho - q g
+        rho_a = rho * (rho - q * g)
+        shift, t = math.log(rho_a * gap), math.log(w_sup / gap) / rho
+
+        def newton_step(t: float) -> float:
+            log_u = _log_utility(lam + g * t, q)
+            h = rho + g * math.exp(-log_u)
+            return -(log_u + math.log(h) - rho * t - shift) * h / rho_a
+    else:
+        u0 = lam if q == 0.0 else math.expm1(q * lam) / q
+        root_c = math.sqrt(2.0 * (1.0 + q * u0) * target) * math.sqrt(g)  # finite at g = 1e308
+        t = 2.0 * target / (u0 + math.hypot(u0, root_c))
+
+        def newton_step(t: float) -> float:
+            f = discounted_crra_closed_form(lam, g, rho, theta, t) - target
+            return f / math.exp(_log_utility(lam + g * t, q) - rho * t)
+    for steps in range(1, _NEWTON_STEPS + 1):
+        step = newton_step(t)
+        t -= step
+        if abs(step) <= 1e-12 * t:
+            break
+    else:
+        raise ConvergenceError(f"time solve did not settle in {_NEWTON_STEPS} Newton steps")
+    if t > T_DELAYED_MAX:  # root beyond the admissible [0, 1e6] window
+        return SolveOutcome("no_solution")
+    resid = _residual_ok(abs(discounted_crra_closed_form(lam, g, rho, theta, t) - target), target)
+    return SolveOutcome("value", t, steps, resid)
 
 
 def solve_extinction_time(spec: ScenarioSpec) -> SolveOutcome:
@@ -204,7 +193,7 @@ def solve_extinction_time(spec: ScenarioSpec) -> SolveOutcome:
     """
     w0 = _closed(spec, spec.g_baseline)
     w_a = _closed(spec, spec.g_ai)
-    return _solve_monotone_time(spec, w0, w_a)
+    return _solve_monotone_time(spec, w0, w_a, _exact_gap(spec))
 
 
 def solve_p3_immediate(spec: ScenarioSpec) -> SolveOutcome:
@@ -259,7 +248,9 @@ def solve_T_delayed(spec: ScenarioSpec, p3: float, p4: float) -> SolveOutcome:
     w_a = _closed(spec, spec.g_ai)
     keep = 1.0 - p3
     target = (w0 - keep * (1.0 - p4) * w_a) / (keep * p4)
-    return _solve_monotone_time(spec, target, w_a)
+    # w_a - target = ((1-p3) w_a - w0) / ((1-p3) p4), and (1-p3) w_a - w0 = gap - p3 w_a
+    gap = (_exact_gap(spec) - p3 * w_a) / (keep * p4)
+    return _solve_monotone_time(spec, target, w_a, gap)
 
 
 def _polished_epsilon(

@@ -122,7 +122,9 @@ def discounted_crra_closed_form(
     """int_0^H e^(-rate t) u(c0 e^(g t)) dt with u isoelastic of index theta.
 
     H = None means the infinite horizon, which requires rate > 0 and
-    rate > (1 - theta) g; a finite horizon converges for any rates.
+    rate > (1 - theta) g; a finite horizon converges for any rates.  For
+    |1 - theta| (log c0 + g H) < 1e-3 and rates > 0, the finite form is summed
+    so that its difference over 1 - theta does not cancel.
     """
     q = 1.0 - theta
     a = rate - q * g
@@ -140,6 +142,12 @@ def discounted_crra_closed_form(
     e_rho = _exp_decay_integral(rate, horizon)
     if q == 0.0:
         return log_c0 * e_rho + g * _t_exp_decay_integral(rate, horizon, e_rho)
+    if abs(q * (log_c0 + g * horizon)) < 1e-3 and min(a, rate) > 0.0:
+        # (E_a - E_rate)/q = g (rate^2 M1 - x e^-x (expm1(y)/y - 1))/(a rate), M1 = int t e^-rate t
+        x, y = rate * horizon, q * g * horizon
+        r1 = 0.5 * y * (1.0 + y / 3.0 * (1.0 + 0.25 * y * (1.0 + 0.2 * y * (1.0 + y / 6.0))))
+        n = rate * rate * _t_exp_decay_integral(rate, horizon, e_rho) - x * math.exp(-x) * r1
+        return math.expm1(q * log_c0) / q * _exp_decay_integral(a, horizon) + g * n / (a * rate)
     return (math.exp(q * log_c0) * _exp_decay_integral(a, horizon) - e_rho) / q
 
 

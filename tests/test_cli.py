@@ -21,7 +21,6 @@ from tai_welfare import (ConvergenceError, QuadratureError, growth, quadrature, 
 from tai_welfare.compensation import PANELS, EvResult
 from tai_welfare.cli import COMMANDS, build_parser, main
 from tai_welfare.config import RunConfig, parse_config
-from tai_welfare.rootfind import RootResult
 from conftest import assert_prints_the_root, make_spec
 
 
@@ -417,13 +416,15 @@ def test_error_cells_keep_the_column_count(capsys, output_format, sep):
 
 
 def test_solver_bug_is_a_convergence_error(c0, capsys, monkeypatch):
-    # a root outside any bracket [a, b] (a >= 0), reported with its own
-    # residual |f(root)| as brent reports it
-    def wrong_root(f, a, b, **kwargs):
-        root = 2.0 * b + 1.0
-        return RootResult(root=root, iterations=1, residual=abs(f(root)))
+    # a root the closed form does not confirm: this cell's root comes from the
+    # tail identity, and only the residual W_trunc(root) - W0 reads the
+    # truncated closed form, here evaluated at the wrong date 2 T + 1
+    closed_form = solvers.discounted_crra_closed_form
 
-    monkeypatch.setattr(solvers, "brent", wrong_root)
+    def wrong_date(log_c0, g, rate, theta, horizon):
+        return closed_form(log_c0, g, rate, theta, 2.0 * horizon + 1.0)
+
+    monkeypatch.setattr(solvers, "discounted_crra_closed_form", wrong_date)
     with pytest.raises(ConvergenceError, match="solver bug"):
         solvers.solve_extinction_time(make_spec(c0, theta=2.0))
     code, _, err = run_cli(

@@ -24,7 +24,6 @@ from tai_welfare import (
     welfare_no_takeover,
     welfare_truncated,
 )
-from tai_welfare.rootfind import RootResult
 from tai_welfare.solvers import RESIDUAL_REL_TOL
 from tai_welfare.welfare import _flow_from_log, _mounting_quadrature, integrate_discounted
 from conftest import assert_prints_the_root, epsilon_excess, make_spec
@@ -397,33 +396,31 @@ class TestComparativeStatics:
 
 # (theta, g_ai, rho, p3, p4, lo, hi): inputs whose extinction-time and
 # delayed-lottery roots in T both lie in (lo, hi), at the edges of the time
-# solves' brackets: the tail identity's, one tolerance wide and capped at
-# T_DELAYED_MAX, and the fallback's, which grows upward from T = 1 in steps
-# of 4, capped at T_DELAYED_MAX, and steps down from T = 1 when the root lies below it
+# solves' domain and of their two Newton forms: roots far below a year, where
+# the truncated form's quadratic start must be close; roots at and past
+# T_DELAYED_MAX; theta < 1; and a gap W_cornucopia - W0 so small that only the
+# tail identity with the exact gap places the root
 TIME_BRACKET_EDGES = (
     (1.0, 1e4, 0.03, 0.5, 1.0, 0.0, 1.0),  # below 1
-    (1.0, 0.1, 1e-6, 0.2, 0.9, 4.0**9, solvers.T_DELAYED_MAX),  # the capped last step
+    (1.0, 0.1, 1e-6, 0.2, 0.9, 4.0**9, solvers.T_DELAYED_MAX),  # just inside the domain
     (1.0, 0.1, 4e-7, 0.2, 0.9, solvers.T_DELAYED_MAX, math.inf),  # beyond the domain
-    # roots 49 and 149 decades below the first trial point T = 1
+    # roots 49 and 149 decades below a year
     (1.0, 1e100, 0.03, 0.5, 1.0, 0.0, 1.0),
     (1.0, 1e300, 0.03, 0.5, 1.0, 0.0, 1.0),
     (0.5, 0.05, 0.05, 0.2, 0.9, 16.0, 64.0),  # theta < 1, where phi need not be concave
-    # W_cornucopia - W0 is 4.9e-9 of W_cornucopia: f = W_trunc - W0 changes sign
-    # 2.7e-9 away from the tail identity's root, so the fallback brackets it
+    # W_cornucopia - W0 is 4.9e-9 of W_cornucopia: rounding in the float
+    # W_trunc - W0 moves its zero 2.7e-9 away from the root
     (2.6023218191182513, 0.44553775822494124, 0.00519211653933816, 0.0, 1.0, 4.0**5, 4.0**6),
     (1.5, 0.3, 1e-6, 0.0, 1.0, solvers.T_DELAYED_MAX, math.inf),  # beyond, at theta != 1
 )
 
 
 def _time_roots_oracle(spec, p3, p4):
-    """(root, slack) in T of W_trunc(T) = W0 and of the delayed lottery = W0.
+    """The roots in T of W_trunc(T) = W0 and of the delayed lottery = W0.
 
     Roots to 40 digits by bisection; where the target lies outside
     (0, W_cornucopia), so that no root exists, the outcome tag that implies
-    takes the pair's place.  slack is how far the root
-    moves when the target moves by 4 ulps of the sum of the terms it is
-    computed from: W_trunc - target is known no better than that in double
-    precision, which matters where W_trunc is flat at the root.
+    takes the root's place.
     """
     from mpmath import mp, mpf
 
@@ -444,7 +441,7 @@ def _time_roots_oracle(spec, p3, p4):
                 return lam * e(rho) + g * (-mp.expm1(-x) - x * mp.exp(-x)) / rho**2
             return (mp.exp(q * lam) * e(rho - q * g) - e(rho)) / q
 
-        def root(target, scale):
+        def root(target):
             if not 0 < target < w_a:
                 return "no_tai_preferred" if target <= 0 else "no_solution"
             lo, hi = mpf(0), mpf(1)
@@ -455,24 +452,21 @@ def _time_roots_oracle(spec, p3, p4):
             for _ in range(150):
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if w_trunc(mid) < target else (lo, mid)
-            log_c = lam + g * lo
-            slope = mp.exp(-rho * lo) * (log_c if q == 0 else mp.expm1(q * log_c) / q)
-            return float(lo), float(4 * mpf(2) ** -52 * scale / slope)
+            return float(lo)
 
         w0, w_a = w_inf(mpf(spec.g_baseline)), w_inf(g)
         keep, p4 = 1 - mpf(p3), mpf(p4)
-        rest = keep * (1 - p4) * w_a
-        return root(w0, w0), root((w0 - rest) / (keep * p4), (w0 + rest) / (keep * p4))
+        return root(w0), root((w0 - keep * (1 - p4) * w_a) / (keep * p4))
 
 
 def _check_time_root(out, exact):
     if isinstance(exact, str):
         assert out.tag == exact
-    elif exact[0] > solvers.T_DELAYED_MAX:
+    elif exact > solvers.T_DELAYED_MAX:
         assert out.tag == "no_solution"
     else:
         assert out.is_value
-        assert out.value == pytest.approx(exact[0], rel=1e-9, abs=exact[1])
+        assert out.value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("theta,g_ai,rho,p3,p4,lo,hi", TIME_BRACKET_EDGES)
@@ -480,15 +474,19 @@ def test_time_roots_at_the_bracket_edges(c0, theta, g_ai, rho, p3, p4, lo, hi):
     spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
     outcomes = (solve_extinction_time(spec), solve_T_delayed(spec, p3=p3, p4=p4))
     for out, exact in zip(outcomes, _time_roots_oracle(spec, p3, p4)):
-        assert lo < exact[0] < hi
+        assert lo < exact < hi
         _check_time_root(out, exact)
 
 
-# theta < 1 needs rho > (1 - theta) g_ai for the welfare to converge
+# theta < 1 needs rho > (1 - theta) g_ai for the welfare to converge; the
+# example is a sweep cell whose truncated closed form, cancelling 2.5e-6 from
+# theta = 1, once kept its Newton steps from settling
 @settings(max_examples=40)
 @given(theta=st.one_of(st.just(1.0), st.just(1.0001), st.floats(0.5, 3.0)),
        g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
        p3=st.floats(0.0, 0.5), p4=st.floats(0.5, 1.0))
+@example(theta=1.0000024582636016, g_ai=0.48485587808677827, rho=0.03479620572270543,
+         p3=0.05366413446999008, p4=0.41915470110523556)
 def test_time_roots_match_the_oracle(c0, theta, g_ai, rho, p3, p4):
     assume(rho > (1.0 - theta) * g_ai)
     spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
@@ -497,18 +495,48 @@ def test_time_roots_match_the_oracle(c0, theta, g_ai, rho, p3, p4):
         _check_time_root(out, exact)
 
 
-def test_most_extinction_times_take_the_tail_bracket(c0):
-    # Brent stops at its first iteration in the tail identity's bracket; in 200
-    # cells drawn as the closed-form sweep draws them, 183 do (the rest fall
-    # back where W_cornucopia - W0 is within about 1e-6 of W_cornucopia)
+def test_time_solves_settle_without_a_bracket(c0, monkeypatch):
+    # Newton alone settles every time solve: 200 cells drawn as the
+    # closed-form sweep draws them, and every bracket-edge row, with Brent
+    # made to raise; no solve takes more than 7 Newton steps
+    def no_brent(*args, **kwargs):
+        raise AssertionError("a time solve ran Brent")
+
+    monkeypatch.setattr(solvers, "brent", no_brent)
     rng = random.Random(22)
-    fast = 0
+    cells = [(theta, g_ai, rho, p3, p4) for theta, g_ai, rho, p3, p4, _, _ in TIME_BRACKET_EDGES]
     for _ in range(200):
         theta = rng.choice((1.0, 1.0001, rng.uniform(1.0, 3.0)))
-        g_ai, rho = rng.uniform(0.02, 0.5), rng.uniform(0.001, 0.08)
+        cells.append((theta, rng.uniform(0.02, 0.5), rng.uniform(0.001, 0.08),
+                      rng.random(), 1.0 - rng.random()))
+    for i, (theta, g_ai, rho, p3, p4) in enumerate(cells):
         spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
-        fast += solve_extinction_time(spec).iterations == 1
-    assert fast >= 170
+        extinction, delayed = solve_extinction_time(spec), solve_T_delayed(spec, p3=p3, p4=p4)
+        assert extinction.iterations <= 7 and delayed.iterations <= 7
+        # every drawn g_ai is above g_baseline, so each drawn cell has an extinction time
+        assert extinction.is_value or i < len(TIME_BRACKET_EDGES)
+
+
+# q = 1 - theta is drawn at 0 and at +-1e-9, where the two welfare values
+# agree in their leading digits for a different reason than a small gap
+@settings(max_examples=100)
+@given(theta=st.one_of(st.just(1.0), st.just(1.0 + 1e-9), st.just(1.0 - 1e-9), st.floats(0.5, 3.0)),
+       g_ai=st.floats(0.0, 0.5), rho=st.floats(0.001, 0.08))
+def test_exact_gap_matches_the_50_digit_difference(c0, theta, g_ai, rho):
+    from mpmath import mp, mpf
+
+    assume(rho > (1.0 - theta) * g_ai)
+    spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
+    with mp.workdps(50):
+        lam, r, q = mp.log(mpf(c0)), mpf(rho), 1 - mpf(theta)
+
+        def w_inf(g):
+            if q == 0:
+                return lam / r + g / r**2
+            return (r * mp.expm1(q * lam) / q + g) / (r * (r - q * g))
+
+        exact = w_inf(mpf(g_ai)) - w_inf(mpf(spec.g_baseline))
+        assert abs(solvers._exact_gap(spec) - exact) <= 1e-14 * abs(exact)
 
 
 # p3 and p4 are drawn where about half the delayed lotteries have a root in T
@@ -592,11 +620,17 @@ def test_polished_epsilon_equals_the_bracketed_root(c0, theta, g_ai, rho):
             closed_form.value, rel=_root_tolerance(spec, 1e-10))
 
 
-def test_nan_residual_is_a_convergence_error(c0, monkeypatch):
-    # a root whose residual is nan must not pass the residual check
-    def nan_root(f, a, b, **kwargs):
-        return RootResult(root=0.5 * (a + b), iterations=1, residual=math.nan)
+def test_unsettled_newton_is_a_convergence_error(c0, monkeypatch):
+    # a time solve that runs out of Newton steps raises; nothing else is tried
+    monkeypatch.setattr(solvers, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not settle in 1 Newton steps"):
+        solvers.solve_extinction_time(make_spec(c0, theta=1.0))
 
-    monkeypatch.setattr(solvers, "brent", nan_root)
+
+def test_nan_residual_is_a_convergence_error(c0, monkeypatch):
+    # a root whose residual is nan must not pass the residual check: this
+    # cell's root comes from the tail identity, and only the residual
+    # W_trunc(root) - W0 reads the closed form made to return nan
+    monkeypatch.setattr(solvers, "discounted_crra_closed_form", lambda *args: math.nan)
     with pytest.raises(ConvergenceError, match="residual nan"):
         solvers.solve_extinction_time(make_spec(c0, theta=2.0))

@@ -110,6 +110,26 @@ class TestTruncated:
                 value = welfare_truncated(spec, float(T)).value
                 assert value == pytest.approx(exact, rel=1e-14), T
 
+    # |1 - theta| from 2^-52 to 1e-2 on both sides of 1, across the finite
+    # form's switch at |1 - theta| (log c0 + g T) = 1e-3, where the plain
+    # difference over 1 - theta was off by up to 5e8 relative
+    @settings(max_examples=100)
+    @given(log2_dq=st.floats(-52.0, math.log2(1e-2)), sign=st.sampled_from([1.0, -1.0]),
+           unit_c0=st.booleans(), g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
+           log10_T=st.floats(-6.0, 3.0))
+    def test_truncated_next_to_log_utility_matches_mpmath(
+        self, c0, log2_dq, sign, unit_c0, g_ai, rho, log10_T
+    ):
+        from mpmath import mp, mpf
+
+        theta, T = 1.0 + sign * 2.0**log2_dq, 10.0**log10_T
+        spec = make_spec(1.0 if unit_c0 else c0, theta=theta, g_ai=g_ai, rho=rho)
+        with mp.workdps(50):
+            lam, q, r = mp.log(mpf(spec.c0)), 1 - mpf(theta), mpf(rho)
+            e = lambda rate: -mp.expm1(-rate * T) / rate
+            exact = (mp.exp(q * lam) * e(r - q * g_ai) - e(r)) / q
+            assert welfare_truncated(spec, T).value == pytest.approx(float(exact), rel=1e-11)
+
     def test_converges_to_cornucopia(self, c0):
         for theta in (1.0, 2.0):
             spec = make_spec(c0, theta=theta, g_ai=0.1, rho=0.03)
