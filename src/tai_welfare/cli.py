@@ -78,8 +78,8 @@ def _cmd_pdoom(args: argparse.Namespace) -> int:
     probs = TaxonomyProbs(p1=config.p1, p2=config.p2, p3=config.p3, p4=config.p4)
     leaves = leaf_distribution(probs)
     print(f"p_doom,{format_number(p_doom(probs))}")
-    for field in dataclasses.fields(leaves):
-        print(f"{field.name},{format_number(getattr(leaves, field.name))}")
+    for name, value in zip(leaves._fields, leaves):
+        print(f"{name},{format_number(value)}")
     return 0
 
 

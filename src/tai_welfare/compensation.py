@@ -17,8 +17,7 @@ and comparisons should happen on the log scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .errors import DomainError
 from .preferences import Preferences
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvResult:
+class EvResult(NamedTuple):
     """Consumption-equivalent comparison of a safe and a risky scenario."""
 
     ev: float
@@ -63,17 +61,18 @@ def equivalent_variation(
 
 
 # Each panel letter maps to the values it reads and to the welfare of its
-# risky scenario, given the spec, the cornucopia welfare w_a and those values:
+# risky scenario, given the spec, the cornucopia welfare w_a and those values
+# in that order:
 #   a  certain extinction at T              W_trunc(T)
 #   b  immediate doom with probability p3   (1-p3) W_cornucopia
 #   c  the full lottery (p3, p4, T)         lottery value
 #   d  mounting hazard with slope epsilon   W_mounting(epsilon), the erfcx closed form
 PANELS = {
-    "a": (("T",), lambda spec, w_a, *, T: _closed(spec, spec.g_ai, T)),
-    "b": (("p3",), lambda spec, w_a, *, p3: lottery_value(w_a, 0.0, p3, 0.0)),
-    "c": (("p3", "p4", "T"), lambda spec, w_a, *, p3, p4, T: lottery_value(
+    "a": (("T",), lambda spec, w_a, T: _closed(spec, spec.g_ai, T)),
+    "b": (("p3",), lambda spec, w_a, p3: lottery_value(w_a, 0.0, p3, 0.0)),
+    "c": (("p3", "p4", "T"), lambda spec, w_a, p3, p4, T: lottery_value(
         w_a, _closed(spec, spec.g_ai, T), p3, p4)),
-    "d": (("epsilon",), lambda spec, w_a, *, epsilon: _mounting_closed_form(spec, epsilon)),
+    "d": (("epsilon",), lambda spec, w_a, epsilon: _mounting_closed_form(spec, epsilon)),
 }
 
 
@@ -95,11 +94,11 @@ def ev_panel(
         raise DomainError(f"unknown panel {panel!r}")
     reads, risky = PANELS[panel]
     given = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon}
-    values = {name: given[name] for name in reads}
-    if None in values.values():
+    values = [given[name] for name in reads]
+    if None in values:
         raise DomainError(f"panel {panel} needs {', '.join(reads)}")
     w_a = _closed(spec, spec.g_ai)
-    return equivalent_variation(w_a, risky(spec, w_a, **values), spec.prefs)
+    return equivalent_variation(w_a, risky(spec, w_a, *values), spec.prefs)
 
 
 def wtp_per_period(ev: EvResult, consumption_level: float) -> float:

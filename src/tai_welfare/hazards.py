@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DomainError
 from .special import gauss_laplace
@@ -51,18 +51,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentialPath:
+class ExponentialPath(NamedTuple("ExponentialPath", [("c0", float), ("growth", float)])):
     """C(t) = c0 * exp(growth t) with c0 >= 1; both fields are required."""
 
-    c0: float
-    growth: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.c0 < math.inf:
-            raise DomainError(f"c0 must be finite and >= 1, got {self.c0!r}")
-        if not -math.inf < self.growth < math.inf:
-            raise DomainError(f"growth must be finite, got {self.growth!r}")
+    def __new__(cls, c0: float, growth: float) -> ExponentialPath:
+        if not 1.0 <= c0 < math.inf:
+            raise DomainError(f"c0 must be finite and >= 1, got {c0!r}")
+        if not -math.inf < growth < math.inf:
+            raise DomainError(f"growth must be finite, got {growth!r}")
+        return tuple.__new__(cls, (c0, growth))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,8 @@ class OneOffHazard:
         return self.t_ext
 
 
-@dataclass(frozen=True)
-class MountingLogHazard:
+class MountingLogHazard(NamedTuple("MountingLogHazard", [
+        ("epsilon", float), ("path", ExponentialPath)])):
     """Hazard proportional to log consumption: m(t) = eps * log C(t).
 
     The path is exponential with growth >= 0, so the rate stays nonnegative
@@ -167,20 +168,18 @@ class MountingLogHazard:
     g t^2 / 2).
     """
 
-    epsilon: float
-    path: ExponentialPath
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon < math.inf:
-            raise DomainError(
-                f"epsilon must be finite and >= 0, got {self.epsilon!r}"
-            )
-        if not isinstance(self.path, ExponentialPath):
-            raise DomainError(
-                f"mounting hazard needs an ExponentialPath, got {self.path!r}"
-            )
-        if self.path.growth < 0.0:
+    def __new__(cls, epsilon: float, path: ExponentialPath) -> MountingLogHazard:
+        if not 0.0 <= epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+        if not isinstance(path, ExponentialPath):
+            raise DomainError(f"mounting hazard needs an ExponentialPath, got {path!r}")
+        if path.growth < 0.0:
             raise DomainError("mounting hazard with negative growth is not supported")
+        return tuple.__new__(cls, (epsilon, path))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def cumulative(self, t: float) -> float:
         return self.epsilon * (math.log(self.path.c0) * t + 0.5 * self.path.growth * t * t)

@@ -10,28 +10,27 @@ rho is the one exponential rate at which every welfare integral discounts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 __all__ = ["Preferences"]
 
 
-@dataclass(frozen=True)
-class Preferences:
+class Preferences(NamedTuple("Preferences", [("rho", float), ("theta_rra", float)])):
     """Time preference and curvature parameters of the planner; no defaults.
 
     rho: pure rate of time preference per year
     theta_rra: coefficient of relative risk aversion (1 = log utility)
     """
 
-    rho: float
-    theta_rra: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < math.inf:
-            raise DomainError(f"rho must be finite and >= 0, got {self.rho!r}")
-        if not 0.0 <= self.theta_rra < math.inf:
-            raise DomainError(
-                f"theta_rra must be finite and >= 0, got {self.theta_rra!r}"
-            )
+    def __new__(cls, rho: float, theta_rra: float) -> Preferences:
+        if not 0.0 <= rho < math.inf:
+            raise DomainError(f"rho must be finite and >= 0, got {rho!r}")
+        if not 0.0 <= theta_rra < math.inf:
+            raise DomainError(f"theta_rra must be finite and >= 0, got {theta_rra!r}")
+        return tuple.__new__(cls, (rho, theta_rra))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too

@@ -19,7 +19,7 @@ hands a target exactly the values SOLVE_TARGETS or compensation.PANELS say it re
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .compensation import EvResult, ev_panel
@@ -128,7 +128,8 @@ def solve_cell(target: str, config: RunConfig, theta: float, g_ai: float, rho: f
     if target in SOLVE_TARGETS:
         return SOLVE_TARGETS[target][1](spec, **values)
     if target == "d" and "epsilon" not in values:
-        eps_spec = replace(spec, prefs=replace(spec.prefs, theta_rra=1.0001))
+        eps_spec = ScenarioSpec(c0=spec.c0, g_ai=g_ai, g_baseline=config.g_baseline,
+                                prefs=Preferences(rho=rho, theta_rra=1.0001))
         solved = solve_epsilon_mounting(eps_spec)
         if not solved.is_value:
             return solved

@@ -8,7 +8,7 @@ branches end in doom; the rest are survivable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -20,8 +20,8 @@ def _check_probability(name: str, value: float) -> None:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class TaxonomyProbs:
+class TaxonomyProbs(NamedTuple("TaxonomyProbs", [
+        ("p1", float), ("p2", float), ("p3", float), ("p4", float)])):
     """Branch probabilities of the outcome tree.
 
     p1: TAI arrives within the horizon
@@ -30,38 +30,36 @@ class TaxonomyProbs:
     p4: non-corrigible, conditional on an initially aligned takeover
     """
 
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in ("p1", "p2", "p3", "p4"):
-            _check_probability(f, getattr(self, f))
+    def __new__(cls, p1: float, p2: float, p3: float, p4: float) -> TaxonomyProbs:
+        _check_probability("p1", p1)
+        _check_probability("p2", p2)
+        _check_probability("p3", p3)
+        _check_probability("p4", p4)
+        return tuple.__new__(cls, (p1, p2, p3, p4))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class LeafDistribution:
+class LeafDistribution(NamedTuple("LeafDistribution", [
+        ("no_tai", float), ("tai_no_takeover", float), ("cornucopia", float),
+        ("doom_immediate", float), ("doom_delayed", float)])):
     """Probabilities of the five terminal outcomes; always sums to one."""
 
-    no_tai: float
-    tai_no_takeover: float
-    cornucopia: float
-    doom_immediate: float
-    doom_delayed: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            _check_probability(f.name, getattr(self, f.name))
-        total = (
-            self.no_tai
-            + self.tai_no_takeover
-            + self.cornucopia
-            + self.doom_immediate
-            + self.doom_delayed
-        )
+    def __new__(cls, no_tai: float, tai_no_takeover: float, cornucopia: float,
+                doom_immediate: float, doom_delayed: float) -> LeafDistribution:
+        leaves = (no_tai, tai_no_takeover, cornucopia, doom_immediate, doom_delayed)
+        for name, value in zip(cls._fields, leaves):
+            _check_probability(name, value)
+        total = no_tai + tai_no_takeover + cornucopia + doom_immediate + doom_delayed
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"leaf probabilities sum to {total!r}, expected 1")
+        return tuple.__new__(cls, leaves)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     @property
     def survival(self) -> float:

@@ -30,8 +30,7 @@ further normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Literal
+from typing import TYPE_CHECKING, Callable, Literal, NamedTuple
 
 from .config import DEFAULT_G_BASELINE
 from .errors import DivergenceError, DomainError
@@ -54,35 +53,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple("ScenarioSpec", [
+        ("c0", float), ("g_ai", float), ("prefs", Preferences), ("g_baseline", float),
+        ("log_c0", float)])):
     """Everything a welfare evaluation needs.
 
     c0 is baseline consumption relative to subsistence, g_baseline the growth
-    rate without TAI, g_ai the growth rate under an AI-run economy.
+    rate without TAI, g_ai the growth rate under an AI-run economy.  log_c0 is
+    a derived field, never passed: __new__ sets it to log(c0) once, for the
+    closed forms that read it, most more than once.  _replace, copy and pickle
+    rebuild a spec from its four inputs, so log_c0 always follows c0.
     """
 
-    c0: float
-    g_ai: float
-    prefs: Preferences
-    g_baseline: float = DEFAULT_G_BASELINE
-    # log(c0), set once in __post_init__: the closed forms read it, most more than once
-    log_c0: float = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.c0 < math.inf:
-            raise DomainError(f"c0 must be finite and >= 1, got {self.c0!r}")
-        if not 0.0 <= self.g_ai < math.inf:
-            raise DomainError(f"g_ai must be finite and >= 0, got {self.g_ai!r}")
-        if not 0.0 <= self.g_baseline < math.inf:
-            raise DomainError(
-                f"g_baseline must be finite and >= 0, got {self.g_baseline!r}"
-            )
-        object.__setattr__(self, "log_c0", math.log(self.c0))
+    def __new__(cls, c0: float, g_ai: float, prefs: Preferences,
+                g_baseline: float = DEFAULT_G_BASELINE) -> ScenarioSpec:
+        if not 1.0 <= c0 < math.inf:
+            raise DomainError(f"c0 must be finite and >= 1, got {c0!r}")
+        if not 0.0 <= g_ai < math.inf:
+            raise DomainError(f"g_ai must be finite and >= 0, got {g_ai!r}")
+        if not 0.0 <= g_baseline < math.inf:
+            raise DomainError(f"g_baseline must be finite and >= 0, got {g_baseline!r}")
+        return tuple.__new__(cls, (c0, g_ai, prefs, g_baseline, math.log(c0)))
+
+    _make = classmethod(lambda cls, values: cls(*tuple(values)[:4]))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
 
 
-@dataclass(frozen=True)
-class WelfareResult:
+class WelfareResult(NamedTuple):
     value: float
     method: Literal["closed_form", "quadrature"]
     abs_error_estimate: float = 0.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tai_welfare import (
@@ -19,7 +19,12 @@ from tai_welfare import (
     welfare_no_takeover,
     welfare_truncated,
 )
-from tai_welfare.welfare import _flow_from_log, _mounting_closed_form, _mounting_quadrature
+from tai_welfare.welfare import (
+    _flow_from_log,
+    _mounting_closed_form,
+    _mounting_quadrature,
+    discounted_crra_closed_form,
+)
 from conftest import make_spec, mounting_welfare_mp
 
 
@@ -129,6 +134,34 @@ class TestTruncated:
             e = lambda rate: -mp.expm1(-rate * T) / rate
             exact = (mp.exp(q * lam) * e(r - q * g_ai) - e(r)) / q
             assert welfare_truncated(spec, T).value == pytest.approx(float(exact), rel=1e-11)
+
+    # the tail identity W_c - W_trunc(T) = e^(-rho T) W_inf(lam + g T), on which the
+    # time solves run Newton.  W_inf grows with lam, so the tail is at least
+    # e^(-rho T) W_c, and T up to log(1e6) / rho keeps it above 1e-6 W_c.  The
+    # margin on a = rho - (1 - theta) g keeps the float 1 / a within 100 ulps
+    @settings(max_examples=100)
+    @given(theta=st.one_of(st.just(1.0), st.just(1.0 + 1e-9), st.just(1.0 - 1e-9),
+                           st.floats(0.5, 3.0)),
+           g_ai=st.floats(0.0, 0.5), rho=st.floats(0.001, 0.08), u=st.floats(0.0, 1.0))
+    def test_tail_identity_matches_the_50_digit_difference(self, c0, theta, g_ai, rho, u):
+        from mpmath import mp, mpf
+
+        assume(rho - (1.0 - theta) * g_ai > 0.01 * rho)
+        T = u * math.log(1e6) / rho
+        lam = math.log(c0)
+        tail = math.exp(-rho * T) * discounted_crra_closed_form(lam + g_ai * T, g_ai, rho, theta)
+        with mp.workdps(50):
+            lam, q, r, g = mp.log(mpf(c0)), 1 - mpf(theta), mpf(rho), mpf(g_ai)
+            e = lambda rate: -mp.expm1(-rate * T) / rate
+            if q == 0:
+                w_c = lam / r + g / r**2
+                w_trunc = lam * e(r) + g * (e(r) - T * mp.exp(-r * T)) / r
+            else:
+                w_c = (r * mp.expm1(q * lam) / q + g) / (r * (r - q * g))
+                w_trunc = (mp.exp(q * lam) * e(r - q * g) - e(r)) / q
+            exact = w_c - w_trunc
+            assert exact >= mpf("1e-6") * w_c
+            assert tail == pytest.approx(float(exact), rel=1e-13)
 
     def test_converges_to_cornucopia(self, c0):
         for theta in (1.0, 2.0):
