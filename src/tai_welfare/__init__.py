@@ -14,7 +14,7 @@ growth simulator and every other evaluator are pure Python.
 
 # each public name, grouped by the module that defines it
 _EXPORTS = {
-    "compensation": ("EvResult", "equivalent_variation", "ev_panel", "wtp_per_period"),
+    "compensation": ("EvResult", "ev_panel", "wtp_per_period"),
     "config": ("RunConfig", "calibrate_c0", "parse_config"),
     "errors": ("ConfigError", "ConvergenceError", "DivergenceError", "DomainError",
                "QuadratureError", "TaiWelfareError"),

@@ -4,11 +4,14 @@ Under log utility, scaling every period's consumption by a factor k shifts
 lifetime welfare by exactly log(k) / rho, so the consumption factor that
 makes a safe cornucopia exactly as good as a risky scenario is
 
-    EV = exp(-(W_cornucopia - W_risky) * rho),
+    EV = exp(-rho * loss),   loss = W_cornucopia - W_risky,
 
 and 1 - EV is the fraction of consumption a planner would pay, every period
 forever, to trade the risky world for the safe one.  That identity holds only
-at theta = 1, so EV is defined here for log utility only.
+at theta = 1, so EV is defined here for log utility only.  Each panel states
+its loss in closed form; panels a-c subtract no two welfare values, through
+the tail identity W_cornucopia - W_trunc(T) = e^(-rho T) W_inf(log c0 + g T),
+so their EV never exceeds 1.
 
 EV values here range down to ~1e-90, so results carry log_ev alongside ev
 and comparisons should happen on the log scale.
@@ -20,16 +23,10 @@ import math
 from typing import Literal, NamedTuple, Optional
 
 from .errors import DomainError
-from .preferences import Preferences
-from .welfare import ScenarioSpec, _closed, _mounting_closed_form, lottery_value
+from .taxonomy import _check_probability
+from .welfare import ScenarioSpec, _closed, _mounting_closed_form, _tail
 
-__all__ = [
-    "EvResult",
-    "equivalent_variation",
-    "ev_panel",
-    "wtp_per_period",
-    "PANELS",
-]
+__all__ = ["EvResult", "ev_panel", "wtp_per_period", "PANELS"]
 
 
 class EvResult(NamedTuple):
@@ -40,39 +37,19 @@ class EvResult(NamedTuple):
     wtp_fraction: float
 
 
-def equivalent_variation(
-    w_cornucopia: float, w_risky: float, prefs: Preferences
-) -> EvResult:
-    """EV = exp(-(W_cornucopia - W_risky) * rho); requires log utility.
-
-    The consumption-scaling reading of EV is exact only at theta = 1; other
-    curvatures raise a domain error.
-    """
-    if prefs.theta_rra != 1.0:
-        raise DomainError(
-            "equivalent variation is defined here for theta = 1 only, "
-            f"got theta = {prefs.theta_rra!r}"
-        )
-    if not (math.isfinite(w_cornucopia) and math.isfinite(w_risky)):
-        raise DomainError("welfare values must be finite")
-    log_ev = -(w_cornucopia - w_risky) * prefs.rho
-    ev = math.exp(log_ev)
-    return EvResult(ev=ev, log_ev=log_ev, wtp_fraction=1.0 - ev)
-
-
-# Each panel letter maps to the values it reads and to the welfare of its
-# risky scenario, given the spec, the cornucopia welfare w_a and those values
-# in that order:
-#   a  certain extinction at T              W_trunc(T)
-#   b  immediate doom with probability p3   (1-p3) W_cornucopia
-#   c  the full lottery (p3, p4, T)         lottery value
-#   d  mounting hazard with slope epsilon   W_mounting(epsilon), the erfcx closed form
+# Each panel letter maps to the values it reads and to its welfare loss
+# W_cornucopia - W_risky, given the spec, the cornucopia welfare w_a and those
+# values in that order; tail(T) = W_cornucopia - W_trunc(T), the tail identity:
+#   a  certain extinction at T              tail(T)
+#   b  immediate doom with probability p3   p3 W_cornucopia
+#   c  the full lottery (p3, p4, T)         p3 W_cornucopia + (1-p3) p4 tail(T)
+#   d  mounting hazard with slope epsilon   W_cornucopia - W_mounting(epsilon), the erfcx closed form
 PANELS = {
-    "a": (("T",), lambda spec, w_a, T: _closed(spec, spec.g_ai, T)),
-    "b": (("p3",), lambda spec, w_a, p3: lottery_value(w_a, 0.0, p3, 0.0)),
-    "c": (("p3", "p4", "T"), lambda spec, w_a, p3, p4, T: lottery_value(
-        w_a, _closed(spec, spec.g_ai, T), p3, p4)),
-    "d": (("epsilon",), lambda spec, w_a, epsilon: _mounting_closed_form(spec, epsilon)),
+    "a": (("T",), lambda spec, w_a, T: _tail(spec, T)),
+    "b": (("p3",), lambda spec, w_a, p3: p3 * w_a),
+    "c": (("p3", "p4", "T"),
+          lambda spec, w_a, p3, p4, T: p3 * w_a + (1.0 - p3) * p4 * _tail(spec, T)),
+    "d": (("epsilon",), lambda spec, w_a, epsilon: w_a - _mounting_closed_form(spec, epsilon)),
 }
 
 
@@ -87,18 +64,28 @@ def ev_panel(
 ) -> EvResult:
     """EV of one PANELS scenario against the cornucopia on the same growth path.
 
-    Values the panel does not read are ignored; a missing one it reads is a
-    domain error.
+    log EV = -rho * loss, so panels a-c never exceed EV = 1.  Values the panel
+    does not read are ignored; a missing one it reads is a domain error.
     """
+    if spec.prefs.theta_rra != 1.0:
+        raise DomainError(
+            "equivalent variation is defined here for theta = 1 only, "
+            f"got theta = {spec.prefs.theta_rra!r}"
+        )
     if panel not in PANELS:
         raise DomainError(f"unknown panel {panel!r}")
-    reads, risky = PANELS[panel]
+    reads, loss = PANELS[panel]
     given = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon}
     values = [given[name] for name in reads]
     if None in values:
         raise DomainError(f"panel {panel} needs {', '.join(reads)}")
-    w_a = _closed(spec, spec.g_ai)
-    return equivalent_variation(w_a, risky(spec, w_a, *values), spec.prefs)
+    for name in reads:
+        if name in ("p3", "p4"):
+            _check_probability(name, given[name])
+    log_ev = -spec.prefs.rho * loss(spec, _closed(spec, spec.g_ai), *values)
+    if not math.isfinite(log_ev):
+        raise DomainError("welfare values must be finite")
+    return EvResult(math.exp(log_ev), log_ev, -math.expm1(log_ev))
 
 
 def wtp_per_period(ev: EvResult, consumption_level: float) -> float:

@@ -170,6 +170,15 @@ def _closed(spec: ScenarioSpec, g: float, horizon: float | None = None) -> float
     )
 
 
+def _tail(spec: ScenarioSpec, horizon: float) -> float:
+    # W_cornucopia - W_trunc(horizon) = e^(-rho T) W_inf(log c0 + g T), with no subtraction
+    if not 0.0 <= horizon < math.inf:
+        raise DomainError(f"horizon must be finite and >= 0, got {horizon!r}")
+    rho, g = spec.prefs.rho, spec.g_ai
+    return math.exp(-rho * horizon) * discounted_crra_closed_form(
+        spec.log_c0 + g * horizon, g, rho, spec.prefs.theta_rra)
+
+
 def welfare_no_takeover(spec: ScenarioSpec) -> WelfareResult:
     """Welfare of the no-takeover world: growth g_baseline, no extinction."""
     return WelfareResult(_closed(spec, spec.g_baseline), "closed_form")

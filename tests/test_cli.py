@@ -78,6 +78,15 @@ def test_ev_panel_b(capsys):
     assert "ev,0.308575" in out
 
 
+def test_ev_small_loss_keeps_its_digits(capsys):
+    # the loss is 9e-14 of W_cornucopia, so W_cornucopia - W_trunc(400) keeps three digits of it
+    code, out, _ = run_cli(
+        capsys, "ev", "--panel", "a", "--g-ai", "0.2", "--rho", "0.08", "--T", "400",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["log_ev,-1.18103e-12", "wtp_fraction,1.18103e-12"]
+
+
 def test_et_constant(capsys):
     code, out, _ = run_cli(capsys, "et", "--hazard", "constant", "--m", "0.01")
     assert code == 0

@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "QuadratureError", "RunConfig", "ScenarioSpec", "SolveOutcome", "TableSpec",
     "TaiWelfareError", "TaxonomyProbs", "Trajectory", "WelfareResult", "ZeroHazard",
     "asymptotic_growth_rate", "calibrate_c0", "ces", "emit_table",
-    "equivalent_variation", "erf", "erfc", "erfcx", "ev_panel", "expected_lifespan",
+    "erf", "erfc", "erfcx", "ev_panel", "expected_lifespan",
     "failure_mode_path", "integrate_discounted", "leaf_distribution", "lottery_value",
     "output", "p_doom", "parse_config", "simulate", "solve_T_delayed",
     "solve_epsilon_mounting", "solve_extinction_time", "solve_p3_delayed",
