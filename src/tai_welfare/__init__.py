@@ -18,10 +18,11 @@ _EXPORTS = {
     "config": ("RunConfig", "calibrate_c0", "parse_config"),
     "errors": ("ConfigError", "ConvergenceError", "DivergenceError", "DomainError",
                "QuadratureError", "TaiWelfareError"),
-    "growth": ("ProductionParams", "Trajectory", "asymptotic_growth_rate", "ces",
-               "failure_mode_path", "output", "simulate", "trajectory_csv"),
+    "growth": ("ProductionParams", "Trajectory", "asymptotic_growth_rate", "simulate",
+               "trajectory_csv"),
     "hazards": ("ConstantHazard", "CrashPath", "ExponentialPath", "MountingLogHazard",
-                "OneOffHazard", "ZeroHazard", "expected_lifespan", "survival"),
+                "OneOffHazard", "ZeroHazard", "expected_lifespan", "failure_mode_path",
+                "survival"),
     "preferences": ("Preferences",),
     "solvers": ("SolveOutcome", "solve_T_delayed", "solve_epsilon_mounting",
                 "solve_extinction_time", "solve_p3_delayed", "solve_p3_immediate",

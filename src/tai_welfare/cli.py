@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Collection, Optional, Sequence, get_args
+from typing import Collection, Optional, Sequence
 
 from .config import (DEFAULT_ANCHOR, DEFAULT_ANCHOR_TARGET, LIST_KEYS, RunConfig,
                      calibrate_c0, format_number, parse_config, parse_finite, parse_list)
@@ -231,9 +231,9 @@ def _et_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _simulate_growth_arguments(p: argparse.ArgumentParser) -> None:
-    from .growth import ProductionParams, Regime
+    from .growth import SOFTWARE, ProductionParams
 
-    regimes = get_args(Regime)
+    regimes = tuple(SOFTWARE)
     p.add_argument("--regime", choices=regimes, default=regimes[0])
     p.add_argument("--k0", type=float, default=1.0)
     p.add_argument("--horizon", type=float, default=200.0)

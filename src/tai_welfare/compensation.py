@@ -90,8 +90,8 @@ def ev_panel(
 
 def wtp_per_period(ev: EvResult, consumption_level: float) -> float:
     """Willingness to pay per period: (1 - EV) times current consumption."""
-    if not consumption_level > 0.0:
+    if not 0.0 < consumption_level < math.inf:
         raise DomainError(
-            f"consumption_level must be > 0, got {consumption_level!r}"
+            f"consumption_level must be finite and > 0, got {consumption_level!r}"
         )
     return ev.wtp_fraction * consumption_level

@@ -1,4 +1,4 @@
-"""Hardware-software production, capital accumulation, and failure-mode paths.
+"""Hardware-software production and capital accumulation.
 
 Output combines hardware X (everything that acts physically) and software S
 (everything that decides what to do) through a CES aggregate
@@ -18,41 +18,25 @@ Software depends on the regime:
 
 Capital follows K' = s Y - delta K, integrated by classic fourth-order
 Runge-Kutta on a fixed grid.  The saving rate is exogenous throughout; no
-optimal-control problem is solved here.
+optimal-control problem is solved here.  Each input is checked once, where it
+enters; the failure-mode paths fm1-fm5 live in hazards.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
-from .config import DEFAULT_G_BASELINE
 from .errors import DomainError
-from .hazards import (
-    ConsumptionPath,
-    CrashPath,
-    ExponentialPath,
-    HazardModel,
-    MountingLogHazard,
-    OneOffHazard,
-    ZeroHazard,
-)
 
 __all__ = [
     "ProductionParams",
     "Trajectory",
-    "Regime",
-    "ces",
-    "output",
+    "SOFTWARE",
     "simulate",
     "asymptotic_growth_rate",
-    "failure_mode_path",
     "trajectory_csv",
 ]
-
-Regime = Literal["full_automation", "bottlenecked"]
-FailureMode = Literal["fm1", "fm2", "fm3", "fm4", "fm5"]
 
 # largest horizon / dt that simulate accepts, checked before the first step;
 # each step makes four Python-level output calls, so a million steps already
@@ -108,39 +92,29 @@ class Trajectory:
     C: tuple[float, ...]
 
 
-def ces(x: float, s: float, weight: float, sigma: float) -> float:
+# each regime's software input S at capital K and technology level A; the first
+# is the default regime
+SOFTWARE = {
+    "full_automation": lambda p, K, A: A * (p.h * p.N + p.psi * p.chi * K),
+    "bottlenecked": lambda p, K, A: p.gamma * A * p.h * p.N,
+}
+
+
+def _ces(x: float, s: float, weight: float, sigma: float) -> float:
     """[w x^sigma + (1-w) s^sigma]^(1/sigma), homogeneous of degree one.
 
     Factors out the dominant argument so extreme sigma neither overflows nor
     loses the min/max limit behaviour.
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"CES argument x must be finite and > 0, got {x!r}")
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"CES argument s must be finite and > 0, got {s!r}")
-    if not 0.0 < weight < 1.0:
-        raise DomainError(f"CES weight must lie in (0, 1), got {weight!r}")
-    if not (-math.inf < sigma < 1.0 and sigma != 0.0):
-        raise DomainError(f"sigma must be finite, < 1 and nonzero, got {sigma!r}")
     ref = min(x, s) if sigma < 0.0 else max(x, s)
     inner = weight * (x / ref) ** sigma + (1.0 - weight) * (s / ref) ** sigma
     return ref * inner ** (1.0 / sigma)
 
 
-def _software(params: ProductionParams, K: float, A: float, regime: Regime) -> float:
-    if regime == "full_automation":
-        return A * (params.h * params.N + params.psi * params.chi * K)
-    if regime == "bottlenecked":
-        return params.gamma * A * params.h * params.N
-    raise DomainError(f"unknown regime {regime!r}")
-
-
-def output(params: ProductionParams, K: float, regime: Regime, A: float) -> float:
+def _output(params: ProductionParams, K: float, regime: str, A: float) -> float:
     """Production Y = F(alpha K, S) at capital K and technology level A."""
-    if not 0.0 < K < math.inf:
-        raise DomainError(f"K must be finite and > 0, got {K!r}")
-    s = _software(params, K, A, regime)
-    return ces(params.alpha * K, s, params.share_hw, params.sigma)
+    s = SOFTWARE[regime](params, K, A)
+    return _ces(params.alpha * K, s, params.share_hw, params.sigma)
 
 
 def simulate(
@@ -151,14 +125,16 @@ def simulate(
     tech_growth: float,
     horizon: float,
     dt: float,
-    regime: Regime = "full_automation",
+    regime: str = "full_automation",
 ) -> Trajectory:
     """Integrate K' = s Y - delta K with A(t) = A exp(tech_growth * t).
 
     Fixed-step fourth-order Runge-Kutta; consumption closes the accounts as
-    C = (1 - s) Y.  A step that would drive capital nonpositive raises a
-    domain error naming the offending time.
+    C = (1 - s) Y.  A stage or step whose capital is nonpositive, or whose
+    output is not finite and > 0, raises a domain error naming its time.
     """
+    if regime not in SOFTWARE:
+        raise DomainError(f"unknown regime {regime!r}")
     if not 0.0 < K0 < math.inf:
         raise DomainError(f"K0 must be finite and > 0, got {K0!r}")
     if not 0.0 <= saving_rate < 1.0:
@@ -179,39 +155,46 @@ def simulate(
     def tech(t: float) -> float:
         return params.A * math.exp(tech_growth * t)
 
-    def kdot(t: float, K: float) -> float:
-        # a Runge-Kutta stage can undershoot zero when delta * dt is large
+    def guard(t: float, K: float) -> float:
+        # the output at (t, K), and the one check on the path: a Runge-Kutta
+        # stage can undershoot zero when delta * dt is large, and a long run
+        # can overflow capital or software to inf, which makes Y inf or nan
         if not K > 0.0:
             raise DomainError(
                 f"capital became nonpositive at t = {t:.6g}; "
                 "reduce dt or the depreciation rate"
             )
-        return saving_rate * output(params, K, regime, A=tech(t)) - delta * K
+        y = _output(params, K, regime, tech(t))
+        if not 0.0 < y < math.inf:
+            raise DomainError(
+                f"output is not finite and > 0 at t = {t:.6g} (K = {K:.6g}, "
+                f"Y = {y!r}); shorten the horizon"
+            )
+        return y
+
+    def kdot(t: float, K: float) -> float:
+        return saving_rate * guard(t, K) - delta * K
 
     times = [0.0]
     K_path = [K0]
+    Y_path = [guard(0.0, K0)]
     K = K0
     for i in range(int(round(horizon / dt))):
         t = i * dt
-        k1 = kdot(t, K)
+        k1 = saving_rate * Y_path[-1] - delta * K
         k2 = kdot(t + 0.5 * dt, K + 0.5 * dt * k1)
         k3 = kdot(t + 0.5 * dt, K + 0.5 * dt * k2)
         k4 = kdot(t + dt, K + dt * k3)
         K = K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_next = (i + 1) * dt
-        if not K > 0.0:
-            raise DomainError(
-                f"capital became nonpositive at t = {t_next:.6g}; "
-                "reduce dt or the depreciation rate"
-            )
+        Y_path.append(guard(t_next, K))
         times.append(t_next)
         K_path.append(K)
 
-    Y_path = tuple(output(params, k, regime, A=tech(t)) for t, k in zip(times, K_path))
     return Trajectory(
         times=tuple(times),
         K=tuple(K_path),
-        Y=Y_path,
+        Y=tuple(Y_path),
         C=tuple((1.0 - saving_rate) * y for y in Y_path),
     )
 
@@ -236,52 +219,6 @@ def asymptotic_growth_rate(trajectory: Trajectory) -> float:
     return math.fsum(d * (v - log_y_mean) for d, v in zip(dev, log_y)) / math.fsum(
         d * d for d in dev
     )
-
-
-def failure_mode_path(
-    mode: FailureMode,
-    *,
-    c0: float = 1.0,
-    g_ai: float = 0.3,
-    switch_time: float = 0.0,
-    crash_factor: float = 1.0,
-    epsilon: float = 0.0,
-) -> tuple[ConsumptionPath, HazardModel]:
-    """Consumption path and hazard model for each misalignment failure mode.
-
-    fm1  the TAI optimizes something other than human consumption: doom at 0
-    fm2  consumption proxy too narrow; a life-support component is zeroed
-         out once technology allows, at switch_time
-    fm3  consumption proxy too wide; a lethal component arrives at
-         switch_time
-    fm4  mounting side effects: hazard epsilon * log C on the fast path
-    fm5  the TAI stops working at switch_time: consumption crashes by
-         crash_factor (clamped at subsistence) and grows on at the baseline
-         rate DEFAULT_G_BASELINE; humanity survives, so the hazard is zero
-    """
-    if switch_time < 0.0:
-        raise DomainError(f"switch_time must be >= 0, got {switch_time!r}")
-    if not 0.0 < crash_factor <= 1.0:
-        raise DomainError(f"crash_factor must lie in (0, 1], got {crash_factor!r}")
-    fast = ExponentialPath(c0=c0, growth=g_ai)
-    if mode == "fm1":
-        return fast, OneOffHazard(0.0)
-    if mode in ("fm2", "fm3"):
-        return fast, OneOffHazard(switch_time)
-    if mode == "fm4":
-        if epsilon <= 0.0:
-            raise DomainError("fm4 needs a positive epsilon")
-        return fast, MountingLogHazard(epsilon, fast)
-    if mode == "fm5":
-        path = CrashPath(
-            c0=c0,
-            g_pre=g_ai,
-            t_stop=switch_time,
-            crash_factor=crash_factor,
-            g_post=DEFAULT_G_BASELINE,
-        )
-        return path, ZeroHazard()
-    raise DomainError(f"unknown failure mode {mode!r}")
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:

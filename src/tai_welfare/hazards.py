@@ -1,4 +1,4 @@
-"""Extinction-hazard models, survival curves, and expected lifespan.
+"""Extinction-hazard models, survival curves, expected lifespan, failure modes.
 
 A hazard model defines an extinction rate m(t) >= 0.  Each model evaluates
 its own cumulative hazard, cumulative(t) = int_0^t m, and its own expected
@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Literal, NamedTuple, Union
 
+from .config import DEFAULT_G_BASELINE
 from .errors import DomainError
 from .special import gauss_laplace
 
@@ -43,7 +44,10 @@ __all__ = [
     "HazardModel",
     "survival",
     "expected_lifespan",
+    "failure_mode_path",
 ]
+
+FailureMode = Literal["fm1", "fm2", "fm3", "fm4", "fm5"]
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +217,54 @@ def survival(model: HazardModel, t: float) -> float:
 def expected_lifespan(model: HazardModel) -> float:
     """Mean time to extinction ET = int_0^inf M(t) dt; +inf when M(t) -/-> 0."""
     return model.lifespan()
+
+
+# ---------------------------------------------------------------------------
+# failure modes
+# ---------------------------------------------------------------------------
+
+
+def failure_mode_path(
+    mode: FailureMode,
+    *,
+    c0: float = 1.0,
+    g_ai: float = 0.3,
+    switch_time: float = 0.0,
+    crash_factor: float = 1.0,
+    epsilon: float = 0.0,
+) -> tuple[ConsumptionPath, HazardModel]:
+    """Consumption path and hazard model for each misalignment failure mode.
+
+    fm1  the TAI optimizes something other than human consumption: doom at 0
+    fm2  consumption proxy too narrow; a life-support component is zeroed
+         out once technology allows, at switch_time
+    fm3  consumption proxy too wide; a lethal component arrives at
+         switch_time
+    fm4  mounting side effects: hazard epsilon * log C on the fast path
+    fm5  the TAI stops working at switch_time: consumption crashes by
+         crash_factor (clamped at subsistence) and grows on at the baseline
+         rate DEFAULT_G_BASELINE; humanity survives, so the hazard is zero
+    """
+    if not 0.0 <= switch_time < math.inf:
+        raise DomainError(f"switch_time must be finite and >= 0, got {switch_time!r}")
+    if not 0.0 < crash_factor <= 1.0:
+        raise DomainError(f"crash_factor must lie in (0, 1], got {crash_factor!r}")
+    fast = ExponentialPath(c0=c0, growth=g_ai)
+    if mode == "fm1":
+        return fast, OneOffHazard(0.0)
+    if mode in ("fm2", "fm3"):
+        return fast, OneOffHazard(switch_time)
+    if mode == "fm4":
+        if epsilon <= 0.0:
+            raise DomainError("fm4 needs a positive epsilon")
+        return fast, MountingLogHazard(epsilon, fast)
+    if mode == "fm5":
+        path = CrashPath(
+            c0=c0,
+            g_pre=g_ai,
+            t_stop=switch_time,
+            crash_factor=crash_factor,
+            g_post=DEFAULT_G_BASELINE,
+        )
+        return path, ZeroHazard()
+    raise DomainError(f"unknown failure mode {mode!r}")

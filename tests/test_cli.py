@@ -449,11 +449,22 @@ def test_huge_simulation_is_refused_before_allocating(capsys, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("a step was taken")
 
-    monkeypatch.setattr(growth, "output", no_step)
+    monkeypatch.setattr(growth, "_output", no_step)
     code, out, err = run_cli(capsys, "simulate-growth", "--horizon", "1e6", "--dt", "1e-6")
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and "steps" in err
+
+
+def test_overflowing_simulation_names_the_time(capsys):
+    # capital and software grow past the float range; this once blamed the
+    # CES argument, and must not report a nonpositive capital
+    code, out, err = run_cli(capsys, "simulate-growth", "--horizon", "3000", "--dt", "1",
+                             "--alpha", "1", "--sigma", "0.5", "--saving-rate", "0.9",
+                             "--delta", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "t = " in err
+    assert "nonpositive" not in err
 
 
 # the modules that evaluate welfare or solve for a threshold
@@ -473,7 +484,7 @@ COLD_RUNS = (
     (["ev", "--panel", "d", "--epsilon", "1e-3", "--g-ai", "0.2", "--rho", "0.03"],
      {"quadrature"}),
     (["simulate-growth", "--print-growth-rate", "--horizon", "50"],
-     {"solvers", "tables", "compensation", "quadrature"}),
+     EVALUATORS | {"quadrature", "hazards", "special", "preferences", "taxonomy"}),
 )
 
 

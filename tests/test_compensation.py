@@ -167,3 +167,9 @@ class TestWtp:
         assert wtp_per_period(result, 2.0) == pytest.approx(
             2.0 * result.wtp_fraction
         )
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_consumption_level_outside_finite_positive(self, c0, level):
+        result = ev_panel(make_spec(c0), "b", p3=0.0)
+        with pytest.raises(DomainError, match="^consumption_level must be finite and > 0"):
+            wtp_per_period(result, level)

@@ -5,49 +5,49 @@ import pytest
 
 from tai_welfare import (
     DomainError,
-    MountingLogHazard,
     ProductionParams,
-    ZeroHazard,
     asymptotic_growth_rate,
-    ces,
-    expected_lifespan,
-    failure_mode_path,
-    output,
     simulate,
     trajectory_csv,
 )
 from tai_welfare import growth
-from tai_welfare.config import DEFAULT_G_BASELINE
+from tai_welfare.growth import _ces, _output
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a step was taken")
 
 
 class TestCes:
     def test_hand_computed_value(self):
         # sigma = 0.5, equal weights: (0.5 * 1 + 0.5 * sqrt(2))^2
         expected = (0.5 + 0.5 * math.sqrt(2.0)) ** 2
-        assert ces(1.0, 2.0, 0.5, 0.5) == pytest.approx(1.45711, abs=1e-5)
-        assert ces(1.0, 2.0, 0.5, 0.5) == pytest.approx(expected, rel=1e-12)
+        assert _ces(1.0, 2.0, 0.5, 0.5) == pytest.approx(1.45711, abs=1e-5)
+        assert _ces(1.0, 2.0, 0.5, 0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_equal_arguments_pass_through(self):
         for c in (0.3, 1.0, 17.0):
-            assert ces(c, c, 0.5, -1.0) == pytest.approx(c, rel=1e-14)
+            assert _ces(c, c, 0.5, -1.0) == pytest.approx(c, rel=1e-14)
 
     def test_degree_one_homogeneity(self, rng):
         for _ in range(50):
             x, s = rng.uniform(0.1, 10.0, size=2)
             lam = float(rng.uniform(0.1, 100.0))
             for sigma in (-2.0, -1.0, 0.5):
-                assert ces(lam * x, lam * s, 0.4, sigma) == pytest.approx(
-                    lam * ces(x, s, 0.4, sigma), rel=1e-12
+                assert _ces(lam * x, lam * s, 0.4, sigma) == pytest.approx(
+                    lam * _ces(x, s, 0.4, sigma), rel=1e-12
                 )
 
     def test_complements_limit_toward_min(self):
-        assert ces(1.0, 100.0, 0.5, -40.0) == pytest.approx(1.0, rel=2e-2)
+        assert _ces(1.0, 100.0, 0.5, -40.0) == pytest.approx(1.0, rel=2e-2)
 
+    # _ces checks nothing: each CES input is checked once, where it enters,
+    # by ProductionParams; an x = alpha K or an s = A (...) that overflows on
+    # the path is test_overflow_reports_time's
     def test_rejects_bad_sigma(self):
-        with pytest.raises(DomainError):
-            ces(1.0, 1.0, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            ces(1.0, 1.0, 0.5, 1.5)
+        for sigma in (0.0, 1.5, -math.inf):
+            with pytest.raises(DomainError, match="^sigma must be finite, < 1 and nonzero"):
+                ProductionParams(sigma=sigma)
 
     @pytest.mark.parametrize("args, name", [
         ((1.0, 2.0, 1.5, -1.0), "weight"),
@@ -60,44 +60,50 @@ class TestCes:
         ((1.0, 2.0, 0.5, -math.inf), "sigma"),
     ])
     def test_rejects_out_of_domain(self, args, name):
-        with pytest.raises(DomainError, match=name):
-            ces(*args)
+        x, s, weight, sigma = args
+        # the field through which each CES input enters, and its value here
+        field, value = {"weight": ("share_hw", weight), "sigma": ("sigma", sigma),
+                        "argument x": ("alpha", x), "argument s": ("A", s)}[name]
+        with pytest.raises(DomainError, match=f"^{field} must"):
+            ProductionParams(**{field: value})
 
 
 class TestOutput:
     def test_increasing_in_capital(self):
         params = ProductionParams()
-        ys = [output(params, k, "full_automation", params.A) for k in (0.5, 1.0, 2.0, 8.0)]
+        ys = [_output(params, k, "full_automation", params.A) for k in (0.5, 1.0, 2.0, 8.0)]
         assert all(b > a for a, b in zip(ys, ys[1:]))
 
     def test_bottleneck_saturates_in_capital(self):
         params = ProductionParams()
-        y1 = output(params, 1e4, "bottlenecked", params.A)
-        y2 = output(params, 1e6, "bottlenecked", params.A)
+        y1 = _output(params, 1e4, "bottlenecked", params.A)
+        y2 = _output(params, 1e6, "bottlenecked", params.A)
         assert (y2 - y1) / y1 < 0.01
 
     def test_full_automation_becomes_linear_in_capital(self):
         # at fixed technology, Y/K tends to F(alpha, A psi chi); the CES
         # asymptote is the further limit where technology also diverges
         params = ProductionParams()
-        r1 = output(params, 1e6, "full_automation", params.A) / 1e6
-        r2 = output(params, 1e8, "full_automation", params.A) / 1e8
+        r1 = _output(params, 1e6, "full_automation", params.A) / 1e6
+        r2 = _output(params, 1e8, "full_automation", params.A) / 1e8
         assert r1 == pytest.approx(r2, rel=1e-2)
-        limit = ces(params.alpha, params.A * params.psi * params.chi,
-                    params.share_hw, params.sigma)
+        limit = _ces(params.alpha, params.A * params.psi * params.chi,
+                     params.share_hw, params.sigma)
         assert r2 == pytest.approx(limit, rel=1e-2)
 
     def test_declared_asymptote_reached_with_high_technology(self):
         params = ProductionParams(A=1e9)
-        ratio = output(params, 1e8, "full_automation", params.A) / 1e8
+        ratio = _output(params, 1e8, "full_automation", params.A) / 1e8
         # lim_{S->inf} F(alpha, S) = alpha * share_hw^(1/sigma) for sigma < 0
         asymptote = params.share_hw ** (1.0 / params.sigma)
         assert ratio == pytest.approx(params.alpha * asymptote, rel=1e-2)
 
     def test_rejects_nonpositive_capital(self):
+        # _output checks nothing: capital enters through simulate's K0, and the
+        # path's guard checks every later capital
         for K in (0.0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="K must be"):
-                output(ProductionParams(), K, "full_automation", 1.0)
+            with pytest.raises(DomainError, match="^K0 must be finite and > 0"):
+                simulate(ProductionParams(), K, 0.3, 0.05, 0.0, 10.0, 0.5)
 
 
 class TestSimulate:
@@ -155,14 +161,25 @@ class TestSimulate:
         with pytest.raises(DomainError, match="t ="):
             simulate(ProductionParams(), 1e-2, 0.0, 5.0, 0.0, 10.0, 0.5)
 
+    @pytest.mark.parametrize("regime, alpha", [("full_automation", 1.0),
+                                                ("bottlenecked", 1e3)])
+    def test_overflow_reports_time(self, regime, alpha):
+        # the first overflows software A (h N + psi chi K) as A grows, the
+        # second hardware alpha K; either makes Y nan, not a nonpositive K
+        params = ProductionParams(alpha=alpha, sigma=0.5)
+        with pytest.raises(DomainError, match="^output is not finite and > 0 at t = "):
+            simulate(params, 1.0, 0.9, 0.0, 0.0175, 3000.0, 1.0, regime=regime)
+
     def test_step_cap_raises_before_allocating(self, monkeypatch):
         # the paths grow one step at a time, so no step means nothing allocated
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step was taken")
-
-        monkeypatch.setattr(growth, "output", no_step)
+        monkeypatch.setattr(growth, "_output", _no_step)
         with pytest.raises(DomainError, match="steps exceeds"):
             simulate(ProductionParams(), 1.0, 0.3, 0.05, 0.0, 1e6, 1e-6)
+
+    def test_unknown_regime_raises_before_a_step(self, monkeypatch):
+        monkeypatch.setattr(growth, "_output", _no_step)
+        with pytest.raises(DomainError, match="^unknown regime 'feudal'"):
+            simulate(ProductionParams(), 1.0, 0.3, 0.05, 0.0, 10.0, 0.5, regime="feudal")
 
 
 class TestAsymptoticGrowthRate:
@@ -182,34 +199,6 @@ class TestAsymptoticGrowthRate:
         traj = Trajectory(t, y, y, y)
         with pytest.raises(DomainError):
             asymptotic_growth_rate(traj)
-
-
-class TestFailureModes:
-    def test_fm1_immediate_doom(self):
-        _, hazard = failure_mode_path("fm1")
-        assert expected_lifespan(hazard) == 0.0
-
-    def test_fm2_lifespan_is_switch_time(self):
-        _, hazard = failure_mode_path("fm2", switch_time=50.0)
-        assert expected_lifespan(hazard) == 50.0
-
-    def test_fm3_lifespan_is_switch_time(self):
-        _, hazard = failure_mode_path("fm3", switch_time=12.5)
-        assert expected_lifespan(hazard) == 12.5
-
-    def test_fm4_pairs_mounting_hazard_with_fast_path(self):
-        path, hazard = failure_mode_path("fm4", epsilon=2e-4, g_ai=0.2)
-        assert isinstance(hazard, MountingLogHazard)
-        assert hazard.path is path
-        assert expected_lifespan(hazard) == pytest.approx(198.17, abs=0.01)
-
-    def test_fm5_crash_clamps_at_subsistence(self):
-        path, hazard = failure_mode_path(
-            "fm5", c0=1.0, g_ai=0.05, switch_time=10.0, crash_factor=0.01
-        )
-        assert path.crash_clamped
-        assert path.g_post == DEFAULT_G_BASELINE
-        assert isinstance(hazard, ZeroHazard)
 
 
 class TestTrajectoryCsv:

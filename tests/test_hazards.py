@@ -12,8 +12,10 @@ from tai_welfare import (
     OneOffHazard,
     ZeroHazard,
     expected_lifespan,
+    failure_mode_path,
     survival,
 )
+from tai_welfare.config import DEFAULT_G_BASELINE
 
 ALL_MODELS = [
     ZeroHazard(),
@@ -167,3 +169,37 @@ class TestCrashPath:
         path = CrashPath(c0=1.0, g_pre=0.05, t_stop=10.0, crash_factor=0.5, g_post=0.0)
         with pytest.raises(DomainError, match="ExponentialPath"):
             MountingLogHazard(1e-3, path)
+
+
+class TestFailureModes:
+    def test_fm1_immediate_doom(self):
+        _, hazard = failure_mode_path("fm1")
+        assert expected_lifespan(hazard) == 0.0
+
+    def test_fm2_lifespan_is_switch_time(self):
+        _, hazard = failure_mode_path("fm2", switch_time=50.0)
+        assert expected_lifespan(hazard) == 50.0
+
+    def test_fm3_lifespan_is_switch_time(self):
+        _, hazard = failure_mode_path("fm3", switch_time=12.5)
+        assert expected_lifespan(hazard) == 12.5
+
+    def test_fm4_pairs_mounting_hazard_with_fast_path(self):
+        path, hazard = failure_mode_path("fm4", epsilon=2e-4, g_ai=0.2)
+        assert isinstance(hazard, MountingLogHazard)
+        assert hazard.path is path
+        assert expected_lifespan(hazard) == pytest.approx(198.17, abs=0.01)
+
+    def test_fm5_crash_clamps_at_subsistence(self):
+        path, hazard = failure_mode_path(
+            "fm5", c0=1.0, g_ai=0.05, switch_time=10.0, crash_factor=0.01
+        )
+        assert path.crash_clamped
+        assert path.g_post == DEFAULT_G_BASELINE
+        assert isinstance(hazard, ZeroHazard)
+
+    @pytest.mark.parametrize("mode", ["fm1", "fm2", "fm3", "fm4", "fm5"])
+    @pytest.mark.parametrize("switch_time", [math.nan, math.inf, -1.0])
+    def test_rejects_a_switch_time_outside_finite_nonnegative(self, mode, switch_time):
+        with pytest.raises(DomainError, match="^switch_time must be finite and >= 0"):
+            failure_mode_path(mode, switch_time=switch_time, epsilon=1e-4)

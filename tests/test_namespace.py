@@ -17,10 +17,10 @@ PUBLIC_NAMES = {
     "MountingLogHazard", "OneOffHazard", "Preferences", "ProductionParams",
     "QuadratureError", "RunConfig", "ScenarioSpec", "SolveOutcome", "TableSpec",
     "TaiWelfareError", "TaxonomyProbs", "Trajectory", "WelfareResult", "ZeroHazard",
-    "asymptotic_growth_rate", "calibrate_c0", "ces", "emit_table",
+    "asymptotic_growth_rate", "calibrate_c0", "emit_table",
     "erf", "erfc", "erfcx", "ev_panel", "expected_lifespan",
     "failure_mode_path", "integrate_discounted", "leaf_distribution", "lottery_value",
-    "output", "p_doom", "parse_config", "simulate", "solve_T_delayed",
+    "p_doom", "parse_config", "simulate", "solve_T_delayed",
     "solve_epsilon_mounting", "solve_extinction_time", "solve_p3_delayed",
     "solve_p3_immediate", "solve_p4_delayed", "survival", "table_spec", "trajectory_csv",
     "welfare_cornucopia", "welfare_mounting", "welfare_no_takeover", "welfare_truncated",
