@@ -112,9 +112,10 @@ def _ces(x: float, s: float, weight: float, sigma: float) -> float:
 
 
 def _output(params: ProductionParams, K: float, regime: str, A: float) -> float:
-    """Production Y = F(alpha K, S) at capital K and technology level A."""
-    s = SOFTWARE[regime](params, K, A)
-    return _ces(params.alpha * K, s, params.share_hw, params.sigma)
+    """Production Y = F(alpha K, S), or nan where alpha K or S overflows."""
+    x, s = params.alpha * K, SOFTWARE[regime](params, K, A)
+    # for sigma < 0 the CES would take an infinite argument as its finite limit
+    return _ces(x, s, params.share_hw, params.sigma) if x + s < math.inf else math.nan
 
 
 def simulate(
@@ -152,19 +153,19 @@ def simulate(
             f"horizon / dt = {horizon / dt:.6g} steps exceeds the limit of {MAX_STEPS}"
         )
 
-    def tech(t: float) -> float:
-        return params.A * math.exp(tech_growth * t)
-
     def guard(t: float, K: float) -> float:
         # the output at (t, K), and the one check on the path: a Runge-Kutta
-        # stage can undershoot zero when delta * dt is large, and a long run
-        # can overflow capital or software to inf, which makes Y inf or nan
-        if not K > 0.0:
+        # stage can undershoot zero when delta * dt is large, and a long run can
+        # overflow K, alpha K, S, exp(tech_growth * t) or a CES power
+        if K <= 0.0:
             raise DomainError(
                 f"capital became nonpositive at t = {t:.6g}; "
                 "reduce dt or the depreciation rate"
             )
-        y = _output(params, K, regime, tech(t))
+        try:
+            y = _output(params, K, regime, params.A * math.exp(tech_growth * t))
+        except OverflowError:
+            y = math.inf
         if not 0.0 < y < math.inf:
             raise DomainError(
                 f"output is not finite and > 0 at t = {t:.6g} (K = {K:.6g}, "

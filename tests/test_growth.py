@@ -42,28 +42,26 @@ class TestCes:
         assert _ces(1.0, 100.0, 0.5, -40.0) == pytest.approx(1.0, rel=2e-2)
 
     # _ces checks nothing: each CES input is checked once, where it enters,
-    # by ProductionParams; an x = alpha K or an s = A (...) that overflows on
-    # the path is test_overflow_reports_time's
+    # by a ProductionParams field; an x = alpha K or an s = A (...) that
+    # overflows on the path is test_overflow_reports_time's
     def test_rejects_bad_sigma(self):
         for sigma in (0.0, 1.5, -math.inf):
             with pytest.raises(DomainError, match="^sigma must be finite, < 1 and nonzero"):
                 ProductionParams(sigma=sigma)
 
+    # args: the ProductionParams field and value; name: the CES input it feeds
     @pytest.mark.parametrize("args, name", [
-        ((1.0, 2.0, 1.5, -1.0), "weight"),
-        ((1.0, 2.0, -0.5, -1.0), "weight"),
-        ((1.0, 2.0, 0.0, -1.0), "weight"),
-        ((1.0, 2.0, 1.0, -1.0), "weight"),
-        ((1.0, 2.0, math.nan, -1.0), "weight"),
-        ((math.inf, 1.0, 0.5, 0.5), "argument x"),
-        ((1.0, math.inf, 0.5, 0.5), "argument s"),
-        ((1.0, 2.0, 0.5, -math.inf), "sigma"),
+        (("share_hw", 1.5), "weight"),
+        (("share_hw", -0.5), "weight"),
+        (("share_hw", 0.0), "weight"),
+        (("share_hw", 1.0), "weight"),
+        (("share_hw", math.nan), "weight"),
+        (("alpha", 0.0), "argument x"),
+        (("gamma", -1.0), "argument s"),
+        (("sigma", math.nan), "sigma"),
     ])
     def test_rejects_out_of_domain(self, args, name):
-        x, s, weight, sigma = args
-        # the field through which each CES input enters, and its value here
-        field, value = {"weight": ("share_hw", weight), "sigma": ("sigma", sigma),
-                        "argument x": ("alpha", x), "argument s": ("A", s)}[name]
+        field, value = args
         with pytest.raises(DomainError, match=f"^{field} must"):
             ProductionParams(**{field: value})
 
@@ -99,11 +97,11 @@ class TestOutput:
         assert ratio == pytest.approx(params.alpha * asymptote, rel=1e-2)
 
     def test_rejects_nonpositive_capital(self):
-        # _output checks nothing: capital enters through simulate's K0, and the
+        # _output checks nothing: capital enters through simulate's K0 (its
+        # nan and inf are test_rejects_non_finite_input_by_name's), and the
         # path's guard checks every later capital
-        for K in (0.0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="^K0 must be finite and > 0"):
-                simulate(ProductionParams(), K, 0.3, 0.05, 0.0, 10.0, 0.5)
+        with pytest.raises(DomainError, match="^K0 must be finite and > 0"):
+            simulate(ProductionParams(), 0.0, 0.3, 0.05, 0.0, 10.0, 0.5)
 
 
 class TestSimulate:
@@ -161,14 +159,28 @@ class TestSimulate:
         with pytest.raises(DomainError, match="t ="):
             simulate(ProductionParams(), 1e-2, 0.0, 5.0, 0.0, 10.0, 0.5)
 
-    @pytest.mark.parametrize("regime, alpha", [("full_automation", 1.0),
-                                                ("bottlenecked", 1e3)])
-    def test_overflow_reports_time(self, regime, alpha):
-        # the first overflows software A (h N + psi chi K) as A grows, the
-        # second hardware alpha K; either makes Y nan, not a nonpositive K
-        params = ProductionParams(alpha=alpha, sigma=0.5)
+    @pytest.mark.parametrize("params, regime, saving_rate, tech_growth, horizon", [
+        # software A (h N + psi chi K) overflows as A grows; Y is nan
+        pytest.param({"sigma": 0.5}, "full_automation", 0.9, 0.0175, 3000.0,
+                     id="software"),
+        # hardware alpha K overflows; Y is nan
+        pytest.param({"alpha": 1e3, "sigma": 0.5}, "bottlenecked", 0.9, 0.0175, 3000.0,
+                     id="hardware"),
+        # capital overflows while Y = 2 S stays finite, as the CES of complements
+        # would take alpha K = inf as its limit
+        pytest.param({}, "bottlenecked", 0.9, 0.1, 7200.0, id="capital"),
+        # software overflows before exp(tech_growth * t) raises OverflowError
+        pytest.param({}, "full_automation", 0.0, 1.0, 800.0, id="technology"),
+        # s / x overflows, so the CES is share_hw^(1/sigma) x, and 0.01^-1000
+        # raises OverflowError at t = 0
+        pytest.param({"alpha": 1e-300, "A": 1e300, "sigma": -1e-3, "share_hw": 0.01},
+                     "full_automation", 0.0, 0.0, 1.0, id="ces-power"),
+    ])
+    def test_overflow_reports_time(self, params, regime, saving_rate, tech_growth,
+                                   horizon):
         with pytest.raises(DomainError, match="^output is not finite and > 0 at t = "):
-            simulate(params, 1.0, 0.9, 0.0, 0.0175, 3000.0, 1.0, regime=regime)
+            simulate(ProductionParams(**params), 1.0, saving_rate, 0.0, tech_growth,
+                     horizon, 1.0, regime=regime)
 
     def test_step_cap_raises_before_allocating(self, monkeypatch):
         # the paths grow one step at a time, so no step means nothing allocated
