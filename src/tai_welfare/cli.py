@@ -32,7 +32,7 @@ def _flag(name: str) -> str:
 CELL_KEYS = ("c0", "g_baseline", "p3", "p4", "T")
 # the growth rate of et's mounting-hazard path when --g-ai is not given
 ET_G_AI = 0.2
-# the ProductionParams fields simulate-growth exposes, at the dataclass defaults
+# the ProductionParams fields simulate-growth exposes, at their field defaults
 PRODUCTION_KEYS = ("alpha", "gamma", "sigma", "share_hw", "psi", "chi")
 
 
@@ -239,7 +239,7 @@ def _simulate_growth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=0.1)
     for name in PRODUCTION_KEYS:
-        p.add_argument(_flag(name), type=float, default=getattr(ProductionParams, name))
+        p.add_argument(_flag(name), type=float, default=ProductionParams._field_defaults[name])
     p.add_argument("--print-growth-rate", action="store_true")
     _add_config_flags(p, "saving_rate", "delta", "tech_growth")
 

@@ -25,7 +25,8 @@ enters; the failure-mode paths fm1-fm5 live in hazards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -46,8 +47,9 @@ MAX_STEPS = 1_000_000
 FIT_WINDOW = 0.25  # the final fraction of a run asymptotic_growth_rate fits
 
 
-@dataclass(frozen=True)
-class ProductionParams:
+class ProductionParams(namedtuple(
+        "ProductionParams", "alpha gamma A h N psi chi sigma share_hw",
+        defaults=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 0.5))):
     """Technology and population constants of the production framework.
 
     alpha: hardware efficiency of capital
@@ -59,17 +61,10 @@ class ProductionParams:
     share_hw: CES weight on hardware
     """
 
-    alpha: float = 1.0
-    gamma: float = 1.0
-    A: float = 1.0
-    h: float = 1.0
-    N: float = 1.0
-    psi: float = 1.0
-    chi: float = 1.0
-    sigma: float = -1.0
-    share_hw: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: float, **kwargs: float) -> ProductionParams:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("alpha", "gamma", "A", "h", "N", "psi", "chi"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -80,10 +75,12 @@ class ProductionParams:
             )
         if not 0.0 < self.share_hw < 1.0:
             raise DomainError(f"share_hw must lie in (0, 1), got {self.share_hw!r}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Simulated paths on a fixed time grid, one float per grid point."""
 
     times: tuple[float, ...]

@@ -26,7 +26,6 @@ finite rate: m(t) = 0 before the date and M drops to zero at it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, NamedTuple, Union
 
 from .config import DEFAULT_G_BASELINE
@@ -70,8 +69,9 @@ class ExponentialPath(NamedTuple("ExponentialPath", [("c0", float), ("growth", f
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class CrashPath:
+class CrashPath(NamedTuple("CrashPath", [
+        ("c0", float), ("g_pre", float), ("t_stop", float), ("crash_factor", float),
+        ("g_post", float)])):
     """Growth at g_pre until t_stop, a one-time crash, then growth at g_post.
 
     The post-crash level is crash_factor * C(t_stop-), clamped at the
@@ -80,25 +80,22 @@ class CrashPath:
     pairs it with the zero or the one-off hazard.
     """
 
-    c0: float
-    g_pre: float
-    t_stop: float
-    crash_factor: float
-    g_post: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.c0 < math.inf:
-            raise DomainError(f"c0 must be finite and >= 1, got {self.c0!r}")
-        if not 0.0 <= self.t_stop < math.inf:
-            raise DomainError(f"t_stop must be finite and >= 0, got {self.t_stop!r}")
-        for name in ("g_pre", "g_post"):
-            value = getattr(self, name)
+    def __new__(cls, c0: float, g_pre: float, t_stop: float, crash_factor: float,
+                g_post: float) -> CrashPath:
+        if not 1.0 <= c0 < math.inf:
+            raise DomainError(f"c0 must be finite and >= 1, got {c0!r}")
+        if not 0.0 <= t_stop < math.inf:
+            raise DomainError(f"t_stop must be finite and >= 0, got {t_stop!r}")
+        for name, value in (("g_pre", g_pre), ("g_post", g_post)):
             if not -math.inf < value < math.inf:
                 raise DomainError(f"{name} must be finite, got {value!r}")
-        if not 0.0 < self.crash_factor <= 1.0:
-            raise DomainError(
-                f"crash_factor must lie in (0, 1], got {self.crash_factor!r}"
-            )
+        if not 0.0 < crash_factor <= 1.0:
+            raise DomainError(f"crash_factor must lie in (0, 1], got {crash_factor!r}")
+        return tuple.__new__(cls, (c0, g_pre, t_stop, crash_factor, g_post))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def _log_crashed(self) -> float:
         # log of crash_factor * C(t_stop-), before the subsistence clamp
@@ -118,8 +115,7 @@ ConsumptionPath = Union[ExponentialPath, CrashPath]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroHazard:
+class ZeroHazard(NamedTuple):
     """No extinction risk: M(t) = 1 forever."""
 
     def cumulative(self, t: float) -> float:
@@ -129,15 +125,17 @@ class ZeroHazard:
         return math.inf
 
 
-@dataclass(frozen=True)
-class ConstantHazard:
+class ConstantHazard(NamedTuple("ConstantHazard", [("m", float)])):
     """Constant rate m, e.g. background risk unrelated to AI; ET = 1/m."""
 
-    m: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.m < math.inf:
-            raise DomainError(f"m must be finite and >= 0, got {self.m!r}")
+    def __new__(cls, m: float) -> ConstantHazard:
+        if not 0.0 <= m < math.inf:
+            raise DomainError(f"m must be finite and >= 0, got {m!r}")
+        return tuple.__new__(cls, (m,))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def cumulative(self, t: float) -> float:
         return self.m * t
@@ -146,15 +144,17 @@ class ConstantHazard:
         return math.inf if self.m == 0.0 else 1.0 / self.m
 
 
-@dataclass(frozen=True)
-class OneOffHazard:
+class OneOffHazard(NamedTuple("OneOffHazard", [("t_ext", float)])):
     """Certain extinction at a known date: M = 1 before t_ext, 0 from it on."""
 
-    t_ext: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.t_ext < math.inf:
-            raise DomainError(f"t_ext must be finite and >= 0, got {self.t_ext!r}")
+    def __new__(cls, t_ext: float) -> OneOffHazard:
+        if not 0.0 <= t_ext < math.inf:
+            raise DomainError(f"t_ext must be finite and >= 0, got {t_ext!r}")
+        return tuple.__new__(cls, (t_ext,))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def cumulative(self, t: float) -> float:
         return 0.0 if t < self.t_ext else math.inf

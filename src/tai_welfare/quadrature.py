@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,8 +71,7 @@ _LOOKAHEAD = 8  # bisected pairs per integrand call
 TRUNCATION_EXPONENT = 60.0
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     abs_error_estimate: float
     intervals: int

@@ -9,8 +9,7 @@ its domain where f is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -20,8 +19,7 @@ _EPS = 2.220446049250313e-16
 BRENT_MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     root: float
     iterations: int
     residual: float

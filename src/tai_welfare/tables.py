@@ -19,7 +19,6 @@ hands a target exactly the values SOLVE_TARGETS or compensation.PANELS say it re
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .compensation import EvResult, ev_panel
@@ -88,8 +87,7 @@ TABLES = {
 TABLE_IDS = tuple(TABLES)
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     table_id: str
     g_ai_grid: tuple[float, ...]
     rho_grid: tuple[float, ...]
