@@ -9,9 +9,10 @@ makes a safe cornucopia exactly as good as a risky scenario is
 and 1 - EV is the fraction of consumption a planner would pay, every period
 forever, to trade the risky world for the safe one.  That identity holds only
 at theta = 1, so EV is defined here for log utility only.  Each panel states
-its loss in closed form; panels a-c subtract no two welfare values, through
-the tail identity W_cornucopia - W_trunc(T) = e^(-rho T) W_inf(log c0 + g T),
-so their EV never exceeds 1.
+its loss in closed form and subtracts no two welfare values: panels a-c
+through the tail identity W_cornucopia - W_trunc(T) = e^(-rho T) W_inf(log c0
++ g T), panel d through the moment identity of welfare._mounting_loss.  So
+no EV exceeds 1.
 
 EV values here range down to ~1e-90, so results carry log_ev alongside ev
 and comparisons should happen on the log scale.
@@ -24,7 +25,7 @@ from typing import Literal, NamedTuple, Optional
 
 from .errors import DomainError
 from .taxonomy import _check_probability
-from .welfare import ScenarioSpec, _closed, _mounting_closed_form, _tail
+from .welfare import ScenarioSpec, _closed, _mounting_loss, _tail
 
 __all__ = ["EvResult", "ev_panel", "wtp_per_period", "PANELS"]
 
@@ -43,13 +44,13 @@ class EvResult(NamedTuple):
 #   a  certain extinction at T              tail(T)
 #   b  immediate doom with probability p3   p3 W_cornucopia
 #   c  the full lottery (p3, p4, T)         p3 W_cornucopia + (1-p3) p4 tail(T)
-#   d  mounting hazard with slope epsilon   W_cornucopia - W_mounting(epsilon), the erfcx closed form
+#   d  mounting hazard with slope epsilon   the moment identity of welfare._mounting_loss
 PANELS = {
     "a": (("T",), lambda spec, w_a, T: _tail(spec, T)),
     "b": (("p3",), lambda spec, w_a, p3: p3 * w_a),
     "c": (("p3", "p4", "T"),
           lambda spec, w_a, p3, p4, T: p3 * w_a + (1.0 - p3) * p4 * _tail(spec, T)),
-    "d": (("epsilon",), lambda spec, w_a, epsilon: w_a - _mounting_closed_form(spec, epsilon)),
+    "d": (("epsilon",), lambda spec, w_a, epsilon: _mounting_loss(spec, epsilon)),
 }
 
 
@@ -64,7 +65,7 @@ def ev_panel(
 ) -> EvResult:
     """EV of one PANELS scenario against the cornucopia on the same growth path.
 
-    log EV = -rho * loss, so panels a-c never exceed EV = 1.  Values the panel
+    log EV = -rho * loss, so no panel exceeds EV = 1.  Values the panel
     does not read are ignored; a missing one it reads is a domain error.
     """
     if spec.prefs.theta_rra != 1.0:

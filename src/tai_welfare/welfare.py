@@ -16,8 +16,9 @@ grouping above is cancellation-free for all q, so theta arbitrarily close to
 
 The mounting-risk scenario multiplies the integrand by the Gaussian survival
 exp(-eps (lam t + g t^2 / 2)).  It too has an exact form in erfcx
-(_mounting_closed_form), which welfare_mounting, EV panel d and the epsilon
-solve read.  The adaptive quadrature of the same integral
+(_mounting_closed_form), which welfare_mounting and the epsilon solve read;
+EV panel d reads its loss against the cornucopia (_mounting_loss), stated
+with no difference.  The adaptive quadrature of the same integral
 (_mounting_quadrature) only polishes the epsilon root, while the t4 golden
 holds its rounding in one cell.
 
@@ -229,6 +230,42 @@ def _mounting_closed_form(spec: ScenarioSpec, epsilon: float) -> float:
     if not math.isfinite(w):
         raise OverflowError(f"mounting-risk welfare {w!r} at eps={epsilon!r}")
     return w
+
+
+def _mounting_loss(spec: ScenarioSpec, epsilon: float) -> float:
+    """W_cornucopia - W_mounting(eps) at theta = 1, as a sum of positive terms.
+
+    With the moments G, H, K of t^0, t^1, t^2 under exp(-a0 t - b t^2 / 2),
+    integration by parts gives a0 G + b H = 1 and a0 H + b K = G, so
+
+        loss = lam [eps lam / (rho a0) + b H / a0]
+             + g [eps lam (a0 + rho) / (rho^2 a0^2) + b (H / a0^2 + K / a0)],
+
+    where the difference of the two welfare values would cancel to noise for
+    small eps.  K is summed from sum (-b/2)^n (2n+2)! / (n! a0^(2n+3)) for
+    b < 1e-2 a0^2, where (G - a0 H) / b cancels to worse than 1e-11.  eps = 0
+    gives 0; bad and overflowing inputs raise as in _mounting_closed_form.
+    """
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if epsilon == 0.0:
+        return 0.0
+    lam, g, rho = spec.log_c0, spec.g_ai, spec.prefs.rho
+    b, a0, e_lam = epsilon * g, rho + epsilon * lam, epsilon * lam
+    loss = lam * e_lam / (rho * a0) + g * e_lam * (a0 + rho) / (rho * rho * a0 * a0)
+    if b != 0.0:  # g = 0 or an underflowed eps g leaves only the e^(-a0 t) terms
+        g0, h0 = gauss_laplace(a0, b)
+        if b < 1e-2 * a0 * a0:
+            term = k0 = 2.0 / a0**3
+            for n in range(40):  # terms shrink to n = 48 and pass 1e-17 k0 by n = 35
+                term *= -b * (n + 2) * (2 * n + 3) / ((n + 1) * a0 * a0)
+                k0 += term
+        else:
+            k0 = (g0 - a0 * h0) / b
+        loss += b * (lam * h0 / a0 + g * (h0 / (a0 * a0) + k0 / a0))
+    if not math.isfinite(loss):
+        raise OverflowError(f"mounting-risk welfare loss {loss!r} at eps={epsilon!r}")
+    return loss
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,17 @@ def test_ev_small_loss_keeps_its_digits(capsys):
     assert out.splitlines()[1:] == ["log_ev,-1.18103e-12", "wtp_fraction,1.18103e-12"]
 
 
+def test_ev_panel_d_tiny_loss_stays_below_one(capsys):
+    # W_cornucopia - W_mounting rounded to log_ev = +1.54608e-15; the 40-digit
+    # value is -9.41362e-18
+    code, out, _ = run_cli(
+        capsys, "ev", "--panel", "d", "--epsilon", "2.586189670882958e-21",
+        "--g-ai", "0.11577034312206609", "--rho", "0.054397808328970725",
+    )
+    assert code == 0
+    assert out.splitlines() == ["ev,1", "log_ev,-9.41362e-18", "wtp_fraction,9.41362e-18"]
+
+
 def test_et_constant(capsys):
     code, out, _ = run_cli(capsys, "et", "--hazard", "constant", "--m", "0.01")
     assert code == 0
@@ -110,6 +121,16 @@ def test_simulate_growth_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "t,K,Y,C"
     assert len(lines) == 12
+
+
+def test_simulate_growth_defaults_are_the_production_defaults():
+    from tai_welfare.cli import PRODUCTION_KEYS
+    from tai_welfare.growth import ProductionParams
+
+    args = build_parser(["simulate-growth"]).parse_args(["simulate-growth"])
+    defaults = ProductionParams()
+    for name in PRODUCTION_KEYS:
+        assert getattr(args, name) == getattr(defaults, name), name
 
 
 def test_calibrate_c0(capsys):

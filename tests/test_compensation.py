@@ -89,19 +89,23 @@ class TestEquivalentVariation:
             ev_panel(make_spec(c0, g_ai=1e308, rho=0.001), "b", p3=0.5)
 
 
-PANEL_VALUES = {"a": ("T",), "b": ("p3",), "c": ("p3", "p4", "T")}
+PANEL_VALUES = {"a": ("T",), "b": ("p3",), "c": ("p3", "p4", "T"), "d": ("epsilon",)}
 
 
-# panels a-c state their loss with no difference of welfare values, so EV never
-# rounds above 1.  Draws as the closed-form sweep draws; at the example cell the
-# difference W_cornucopia - W_trunc(T) rounds to log_ev = +2.25e-15
+# every panel states its loss with no difference of welfare values, so EV never
+# rounds above 1.  Draws as the closed-form sweep draws, with panel d's slope
+# 10^U[-22, -1]; at the example cells the differences W_cornucopia - W_trunc(T)
+# and W_cornucopia - W_mounting round to log_ev = +2.25e-15 and +1.55e-15
 @settings(max_examples=300)
-@given(panel=st.sampled_from("abc"), g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
-       T=st.floats(1.0, 500.0), p3=st.floats(0.0, 1.0), p4=st.floats(0.0, 1.0))
+@given(panel=st.sampled_from("abcd"), g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
+       T=st.floats(1.0, 500.0), p3=st.floats(0.0, 1.0), p4=st.floats(0.0, 1.0),
+       epsilon=st.floats(-22.0, -1.0).map(lambda e: 10.0**e))
 @example(panel="a", g_ai=0.11856039751911855, rho=0.07909412771201077,
-         T=482.4513738384713, p3=0.5, p4=0.5)
-def test_ev_lies_in_the_unit_interval(c0, panel, g_ai, rho, T, p3, p4):
-    given_values = {"T": T, "p3": p3, "p4": p4}
+         T=482.4513738384713, p3=0.5, p4=0.5, epsilon=1e-3)
+@example(panel="d", g_ai=0.11577034312206609, rho=0.054397808328970725,
+         T=1.0, p3=0.5, p4=0.5, epsilon=2.586189670882958e-21)
+def test_ev_lies_in_the_unit_interval(c0, panel, g_ai, rho, T, p3, p4, epsilon):
+    given_values = {"T": T, "p3": p3, "p4": p4, "epsilon": epsilon}
     values = {name: given_values[name] for name in PANEL_VALUES[panel]}
     result = ev_panel(make_spec(c0, g_ai=g_ai, rho=rho), panel, **values)
     assert result.log_ev <= 0.0

@@ -22,6 +22,7 @@ from tai_welfare import (
 from tai_welfare.welfare import (
     _flow_from_log,
     _mounting_closed_form,
+    _mounting_loss,
     _mounting_quadrature,
     discounted_crra_closed_form,
 )
@@ -396,6 +397,53 @@ def _mounting_oracle(spec, epsilon):
 
     with mp.workdps(40):
         return float(mounting_welfare_mp(spec, epsilon))
+
+
+def _mounting_loss_oracle(spec, epsilon):
+    # W_cornucopia - W_mounting at theta = 1, subtracted at 100 digits: at
+    # eps = 1e-22 the two agree to about 25 of them
+    from mpmath import mp, mpf
+
+    with mp.workdps(100):
+        lam, g, rho = mp.log(mpf(spec.c0)), mpf(spec.g_ai), mpf(spec.prefs.rho)
+        return float(lam / rho + g / rho**2 - mounting_welfare_mp(spec, epsilon))
+
+
+class TestMountingLoss:
+    # EV panel d's loss, stated with no difference of welfare values
+    @settings(max_examples=150)
+    @given(g_ai=st.floats(0.02, 0.5), rho=st.floats(0.001, 0.08),
+           epsilon=st.floats(-22.0, -1.0).map(lambda e: 10.0**e))
+    def test_against_mpmath(self, c0, g_ai, rho, epsilon):
+        spec = make_spec(c0, g_ai=g_ai, rho=rho)
+        assert _mounting_loss(spec, epsilon) == pytest.approx(
+            _mounting_loss_oracle(spec, epsilon), rel=1e-10)
+
+    @pytest.mark.parametrize("epsilon", [1e-20, 1e-9, 1e-3])
+    def test_at_subsistence(self, epsilon):
+        # c0 = 1: log c0 = 0 leaves only the b-terms
+        spec = make_spec(1.0, g_ai=0.2, rho=0.05)
+        assert _mounting_loss(spec, epsilon) == pytest.approx(
+            _mounting_loss_oracle(spec, epsilon), rel=1e-10)
+
+    def test_no_growth_and_no_hazard(self, c0):
+        lam = math.log(c0)
+        # g = 0 leaves no b-term: W_mounting = lam / (rho + eps lam)
+        flat = make_spec(c0, g_ai=0.0, rho=0.05)
+        assert _mounting_loss(flat, 1e-3) == pytest.approx(
+            lam / 0.05 - lam / (0.05 + 1e-3 * lam), rel=1e-12)
+        assert _mounting_loss(make_spec(c0, g_ai=0.2), 0.0) == 0.0
+
+    def test_errors_are_the_closed_forms(self, c0):
+        spec = make_spec(c0, g_ai=0.2, rho=0.05)
+        for epsilon in (-1e-3, math.inf, math.nan):
+            with pytest.raises(DomainError, match="epsilon must be finite"):
+                _mounting_loss(spec, epsilon)
+        # eps g overflows
+        huge = make_spec(c0, g_ai=1e10, rho=0.05)
+        for evaluate in (_mounting_closed_form, _mounting_loss):
+            with pytest.raises(OverflowError):
+                evaluate(huge, 1e300)
 
 
 def lottery(spec, p3, p4=0.0, T=0.0):
