@@ -27,7 +27,7 @@ _EXPORTS = {
     "solvers": ("SolveOutcome", "solve_T_delayed", "solve_epsilon_mounting",
                 "solve_extinction_time", "solve_p3_delayed", "solve_p3_immediate",
                 "solve_p4_delayed"),
-    "special": ("erf", "erfc", "erfcx"),
+    "special": ("erf", "erfcx"),
     "tables": ("TableSpec", "emit_table", "table_spec"),
     "taxonomy": ("LeafDistribution", "TaxonomyProbs", "leaf_distribution", "p_doom"),
     "welfare": ("ScenarioSpec", "WelfareResult", "integrate_discounted", "lottery_value",

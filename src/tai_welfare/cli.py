@@ -4,7 +4,8 @@ Subcommands: pdoom, table, solve, ev, et, simulate-growth, calibrate-c0.
 Each subcommand has a flag for each config key its handler reads; a --config
 file supplies defaults and flags override it.  Exit codes: 0 success, 2 bad
 config, domain input or float overflow, 3 numerical non-convergence (a Brent
-solve that hits its iteration cap, or a root that fails the residual check).
+solve that hits its iteration cap, a time solve whose Newton steps do not
+settle in 50, or a root that fails the residual check).
 
 Each handler imports the modules it runs, and main registers the arguments of
 the one subcommand it parses, so a cold start loads only what it runs: pdoom
@@ -71,10 +72,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_pdoom(args: argparse.Namespace) -> int:
+def _cmd_pdoom(args: argparse.Namespace, config: RunConfig) -> int:
     from .taxonomy import TaxonomyProbs, leaf_distribution, p_doom
 
-    config = _load_config(args)
     probs = TaxonomyProbs(p1=config.p1, p2=config.p2, p3=config.p3, p4=config.p4)
     leaves = leaf_distribution(probs)
     print(f"p_doom,{format_number(p_doom(probs))}")
@@ -83,29 +83,26 @@ def _cmd_pdoom(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace, config: RunConfig) -> int:
     from .tables import emit_table, table_spec
 
-    config = _load_config(args)
     spec = table_spec(args.table_id, config)
     sys.stdout.write(emit_table(spec, config))
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace, config: RunConfig) -> int:
     from .tables import SOLVE_TARGETS, format_cell, solve_cell
 
-    config = _load_config(args)
     values = {k: getattr(config, k) for k in SOLVE_TARGETS[args.target][0]}
     print(format_cell(solve_cell(args.target, config, args.theta, args.g_ai, args.rho, values)))
     return 0
 
 
-def _cmd_ev(args: argparse.Namespace) -> int:
+def _cmd_ev(args: argparse.Namespace, config: RunConfig) -> int:
     from .compensation import PANELS, EvResult
     from .tables import format_cell, solve_cell
 
-    config = _load_config(args)
     reads = PANELS[args.panel][0]
     if args.epsilon is not None and "epsilon" not in reads:
         raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
@@ -122,11 +119,10 @@ def _cmd_ev(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_et(args: argparse.Namespace) -> int:
+def _cmd_et(args: argparse.Namespace, config: RunConfig) -> int:
     from .hazards import (ConstantHazard, ExponentialPath, MountingLogHazard,
                           OneOffHazard, ZeroHazard, expected_lifespan)
 
-    config = _load_config(args)
     # a flag given to a hazard that does not read it is an error, not ignored
     needs = {"m": "--hazard constant", "t_ext": "--hazard one-off",
              "epsilon": "--hazard mounting", "g_ai": "--hazard mounting",
@@ -155,10 +151,9 @@ def _cmd_et(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate_growth(args: argparse.Namespace) -> int:
+def _cmd_simulate_growth(args: argparse.Namespace, config: RunConfig) -> int:
     from .growth import ProductionParams, asymptotic_growth_rate, simulate, trajectory_csv
 
-    config = _load_config(args)
     params = ProductionParams(**{name: getattr(args, name) for name in PRODUCTION_KEYS})
     trajectory = simulate(
         params, K0=args.k0, saving_rate=config.saving_rate, delta=config.delta,
@@ -172,8 +167,7 @@ def _cmd_simulate_growth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate_c0(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_calibrate_c0(args: argparse.Namespace, config: RunConfig) -> int:
     c0 = calibrate_c0(args.target, g_ai=args.anchor_g_ai, rho=args.anchor_rho,
                       g_baseline=config.g_baseline)
     print(format_number(c0))
@@ -295,7 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float):
                 parse_finite(value, _flag(name))
-        return args.handler(args)
+        return args.handler(args, _load_config(args))
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

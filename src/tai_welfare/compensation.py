@@ -27,8 +27,6 @@ from .errors import DomainError
 from .taxonomy import _check_probability
 from .welfare import ScenarioSpec, _closed, _mounting_loss, _tail
 
-__all__ = ["EvResult", "ev_panel", "wtp_per_period", "PANELS"]
-
 
 class EvResult(NamedTuple):
     """Consumption-equivalent comparison of a safe and a risky scenario."""

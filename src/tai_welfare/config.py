@@ -25,10 +25,6 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["RunConfig", "parse_config", "format_number", "calibrate_c0",
-           "DEFAULT_ANCHOR", "DEFAULT_ANCHOR_TARGET", "DEFAULT_G_AI_GRID",
-           "DEFAULT_RHO_GRID", "DEFAULT_G_BASELINE"]
-
 DEFAULT_G_BASELINE = 0.0175
 DEFAULT_G_AI_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_RHO_GRID = (0.002, 0.01, 0.03, 0.05)

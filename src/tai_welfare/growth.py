@@ -30,15 +30,6 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-__all__ = [
-    "ProductionParams",
-    "Trajectory",
-    "SOFTWARE",
-    "simulate",
-    "asymptotic_growth_rate",
-    "trajectory_csv",
-]
-
 # largest horizon / dt that simulate accepts, checked before the first step;
 # each step makes four Python-level output calls, so a million steps already
 # runs for seconds

@@ -32,20 +32,6 @@ from .config import DEFAULT_G_BASELINE
 from .errors import DomainError
 from .special import gauss_laplace
 
-__all__ = [
-    "ExponentialPath",
-    "CrashPath",
-    "ConsumptionPath",
-    "ZeroHazard",
-    "ConstantHazard",
-    "OneOffHazard",
-    "MountingLogHazard",
-    "HazardModel",
-    "survival",
-    "expected_lifespan",
-    "failure_mode_path",
-]
-
 FailureMode = Literal["fm1", "fm2", "fm3", "fm4", "fm5"]
 
 
@@ -186,6 +172,8 @@ class MountingLogHazard(NamedTuple("MountingLogHazard", [
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def cumulative(self, t: float) -> float:
+        if self.epsilon == 0.0:  # not 0 * inf once g t^2 / 2 overflows
+            return 0.0
         return self.epsilon * (math.log(self.path.c0) * t + 0.5 * self.path.growth * t * t)
 
     def lifespan(self) -> float:

@@ -3,7 +3,8 @@
 Consumption is normalized so that the subsistence threshold sits at 1: flow
 utility is zero at subsistence, positive above it, and death contributes
 exactly zero.  theta_rra is the curvature of that flow utility; the utility
-itself is evaluated inside the welfare integrals (welfare._flow_from_log).
+itself is evaluated by the welfare module: in closed form by
+discounted_crra_closed_form, and pointwise by the quadrature's integrand.
 rho is the one exponential rate at which every welfare integral discounts.
 """
 
@@ -13,8 +14,6 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-
-__all__ = ["Preferences"]
 
 
 class Preferences(NamedTuple("Preferences", [("rho", float), ("theta_rra", float)])):

@@ -39,8 +39,6 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["QuadratureResult", "integrate_finite", "integrate_transformed"]
-
 # 15-point Kronrod nodes and weights with embedded 7-point Gauss rule
 _XGK = (
     0.991455371120813, 0.949107912342759, 0.864864423359769,

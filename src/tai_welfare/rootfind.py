@@ -2,8 +2,8 @@
 
 Every indifference condition in this package is monotone in the solved
 parameter, so a sign-change bracket both exists and pins a unique root
-whenever there is one.  Each solver grows its own bracket from the end of
-its domain where f is known.
+whenever there is one.  The caller supplies the bracket: the hazard-slope
+solve, the one caller, grows it upward from its domain's lower end.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
-
-__all__ = ["RootResult", "brent"]
 
 _EPS = 2.220446049250313e-16
 BRENT_MAX_ITERATIONS = 200

@@ -37,16 +37,6 @@ from .welfare import (
     lottery_value,
 )
 
-__all__ = [
-    "SolveOutcome",
-    "solve_extinction_time",
-    "solve_p3_immediate",
-    "solve_p3_delayed",
-    "solve_p4_delayed",
-    "solve_T_delayed",
-    "solve_epsilon_mounting",
-]
-
 BOUNDARY_BAND = 1e-12
 RESIDUAL_REL_TOL = 1e-8
 T_DELAYED_MAX = 1e6
@@ -89,31 +79,6 @@ def _residual_ok(resid: float, w0: float) -> float:
             f"indifference residual {resid!r} exceeds tolerance; solver bug"
         )
     return resid
-
-
-_Bracket = tuple[float, float, float, float]  # (lo, hi, f(lo), f(hi)) with a sign change
-
-
-def _bracket_upward(
-    f: Callable[[float], float], f0: float, start: float, cap: float
-) -> Optional[_Bracket]:
-    """[lo, hi] with hi = start * 4^n, capped at cap, at the first f(hi) without f0's sign.
-
-    f(0) = f0 != 0 is known; lo is the last point that kept its sign, 0 at
-    first.  None when f keeps f0's sign up to cap.
-    """
-    sign = math.copysign(1.0, f0)
-    lo, f_lo, hi = 0.0, f0, start
-    while sign * (f_hi := f(hi)) > 0.0:
-        if hi >= cap:
-            return None
-        lo, f_lo, hi = hi, f_hi, min(4.0 * hi, cap)
-    return lo, hi, f_lo, f_hi
-
-
-def _brent_in(f: Callable[[float], float], bracket: _Bracket) -> RootResult:
-    lo, hi, f_lo, f_hi = bracket
-    return brent(f, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
 
 
 def _exact_gap(spec: ScenarioSpec) -> float:
@@ -301,10 +266,13 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
     def exact(eps: float) -> float:
         return _mounting_closed_form(spec, eps) - w0
 
-    bracket = _bracket_upward(exact, w_a - w0, _EPSILON_START, EPSILON_MAX)
-    if bracket is None:
-        return SolveOutcome("no_solution")
-    result = _brent_in(exact, bracket)
+    # exact(0) = w_a - w0 > 0; lo keeps that sign, hi is the first 1e-6 * 4^n that does not
+    lo, f_lo, hi = 0.0, w_a - w0, _EPSILON_START
+    while (f_hi := exact(hi)) > 0.0:
+        if hi >= EPSILON_MAX:
+            return SolveOutcome("no_solution")
+        lo, f_lo, hi = hi, f_hi, min(4.0 * hi, EPSILON_MAX)
+    result = brent(exact, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
     lo, hi = result.root * (1.0 - 1e-6), result.root * (1.0 + 1e-6)
     slope = (exact(hi) - exact(lo)) / (hi - lo)
     polished = _polished_epsilon(

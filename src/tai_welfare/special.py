@@ -1,9 +1,9 @@
-"""Error-function kernel: the scaled complement erfcx, plus the stdlib erf/erfc.
+"""Error-function kernel: the scaled complement erfcx, plus the stdlib erf.
 
 The mounting-hazard closed forms (expected lifespan and welfare) multiply a
 huge Gaussian factor exp(z^2) by a tiny tail probability (1 - erf(z)); through
 erfcx(z) = exp(z^2) * erfc(z) every intermediate stays on a sane scale, so
-erfcx is the primitive here (erf and erfc are math.erf and math.erfc).
+erfcx is the primitive here (erf is math.erf).
 gauss_laplace builds the moments of the weight exp(-a t - b t^2 / 2) on it,
 and gauss_laplace_shift the change a small shift of a makes to the first.
 
@@ -17,9 +17,7 @@ Branch layout of erfcx:
 from __future__ import annotations
 
 import math
-from math import erf, erfc
-
-__all__ = ["erf", "erfc", "erfcx", "gauss_laplace", "gauss_laplace_shift"]
+from math import erf  # published as tai_welfare.erf
 
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _CF_CUTOFF = 2.5
@@ -60,7 +58,7 @@ def erfcx(x: float) -> float:
         return _erfcx_continued_fraction(x)
     # exp(x^2) overflows near x = -26.6, where erfcx is genuinely +inf
     try:
-        return math.exp(x * x) * erfc(x)
+        return math.exp(x * x) * math.erfc(x)
     except OverflowError:
         return math.inf
 

@@ -36,17 +36,6 @@ from .solvers import (
 )
 from .welfare import ScenarioSpec
 
-__all__ = [
-    "TableSpec",
-    "table_spec",
-    "emit_table",
-    "solve_cell",
-    "SOLVE_TARGETS",
-    "TABLES",
-    "TABLE_IDS",
-    "SENTINEL_TOKENS",
-]
-
 SENTINEL_TOKENS = {
     "no_tai_preferred": "NO_TAI_PREFERRED",  # published tables print "-"
     "tai_preferred": "TAI_PREFERRED",        # published tables print ">1"

@@ -12,8 +12,6 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-__all__ = ["TaxonomyProbs", "LeafDistribution", "p_doom", "leaf_distribution"]
-
 
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:

@@ -42,17 +42,6 @@ from .taxonomy import _check_probability
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "ScenarioSpec",
-    "WelfareResult",
-    "welfare_no_takeover",
-    "welfare_cornucopia",
-    "welfare_truncated",
-    "welfare_mounting",
-    "lottery_value",
-    "integrate_discounted",
-]
-
 
 class ScenarioSpec(NamedTuple("ScenarioSpec", [
         ("c0", float), ("g_ai", float), ("prefs", Preferences), ("g_baseline", float),

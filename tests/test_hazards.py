@@ -38,6 +38,10 @@ class TestSurvival:
         model = MountingLogHazard(1e-3, ExponentialPath(1.0, 0.2))
         assert survival(model, 10.0) == pytest.approx(math.exp(-0.01), rel=1e-12)
 
+    def test_zero_slope_mounting_survives_where_g_t_squared_overflows(self):
+        # g t^2 / 2 is inf at t = 1e200, and eps = 0 times it would be nan
+        assert survival(MountingLogHazard(0.0, ExponentialPath(1.0, 0.3)), 1e200) == 1.0
+
     def test_matches_exp_of_cumulative_hazard(self):
         for model in ALL_MODELS:
             for t in (0.0, 1.0, 10.0, 99.9):

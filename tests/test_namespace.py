@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves on first use, and
 importing the package alone loads none of its modules."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ PUBLIC_NAMES = {
     "QuadratureError", "RunConfig", "ScenarioSpec", "SolveOutcome", "TableSpec",
     "TaiWelfareError", "TaxonomyProbs", "Trajectory", "WelfareResult", "ZeroHazard",
     "asymptotic_growth_rate", "calibrate_c0", "emit_table",
-    "erf", "erfc", "erfcx", "ev_panel", "expected_lifespan",
+    "erf", "erfcx", "ev_panel", "expected_lifespan",
     "failure_mode_path", "integrate_discounted", "leaf_distribution", "lottery_value",
     "p_doom", "parse_config", "simulate", "solve_T_delayed",
     "solve_epsilon_mounting", "solve_extinction_time", "solve_p3_delayed",
@@ -30,6 +31,18 @@ PUBLIC_NAMES = {
 
 def test_all_is_the_public_names():
     assert sorted(tai_welfare.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_only_the_package_binds_all():
+    """_EXPORTS in __init__ is the one list of public names; no module restates it."""
+    binders = set()
+    for path in Path(tai_welfare.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                    binders.add(path.name)
+    assert binders == {"__init__.py"}
 
 
 def test_every_public_name_imports_and_is_listed():

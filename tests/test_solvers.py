@@ -24,6 +24,7 @@ from tai_welfare import (
     welfare_no_takeover,
     welfare_truncated,
 )
+from tai_welfare.rootfind import brent
 from tai_welfare.solvers import RESIDUAL_REL_TOL
 from tai_welfare.welfare import _flow_from_log, _mounting_quadrature, integrate_discounted
 from conftest import assert_prints_the_root, epsilon_excess, make_spec
@@ -286,9 +287,9 @@ class TestMountingEpsilon:
     @pytest.mark.parametrize("theta,g_ai,rho", [(1.0001, 0.2, 0.05), (2.0, 0.2, 0.05), (2.0, 0.05, 0.002)])
     def test_fallback_bracket_gives_the_predicted_answer(self, c0, monkeypatch, theta, g_ai, rho):
         # a polish that evaluates the quadrature and then gives up leaves
-        # Brent's root in the bracket grown on the closed form: that root and
-        # its iterations, the 80-digit root to Brent's tolerance, and the
-        # polished root to the quadrature's error
+        # Brent's root in the bracket grown on the closed form from 1e-6
+        # four-fold: that root and its iterations, the 80-digit root to
+        # Brent's tolerance, and the polished root to the quadrature's error
         spec = make_spec(c0, theta=theta, g_ai=g_ai, rho=rho)
         polished = solve_epsilon_mounting(spec)
         polish, tried = solvers._polished_epsilon, []
@@ -306,9 +307,10 @@ class TestMountingEpsilon:
         def exact(eps):
             return solvers._mounting_closed_form(spec, eps) - w0
 
-        bracket = solvers._bracket_upward(exact, w_a - w0, solvers._EPSILON_START,
-                                          solvers.EPSILON_MAX)
-        predicted = solvers._brent_in(exact, bracket)
+        lo, f_lo, hi = 0.0, w_a - w0, 1e-6
+        while (f_hi := exact(hi)) > 0.0:
+            lo, f_lo, hi = hi, f_hi, 4.0 * hi
+        predicted = brent(exact, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
         assert fallback.is_value
         assert (fallback.value, fallback.iterations) == (predicted.root, predicted.iterations)
         tol = _root_tolerance(spec, 1e-13)
