@@ -7,6 +7,8 @@ config, domain input or float overflow, 3 numerical non-convergence (a Brent
 solve that hits its iteration cap, a time solve whose Newton steps do not
 settle in 50, or a root that fails the residual check).
 
+solve and ev share _cmd_cell, reading what their registry names for the target.
+
 Each handler imports the modules it runs, and main registers the arguments of
 the one subcommand it parses, so a cold start loads only what it runs: pdoom
 loads no evaluator, and only the quadrature commands load numpy.
@@ -91,31 +93,23 @@ def _cmd_table(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace, config: RunConfig) -> int:
-    from .tables import SOLVE_TARGETS, format_cell, solve_cell
-
-    values = {k: getattr(config, k) for k in SOLVE_TARGETS[args.target][0]}
-    print(format_cell(solve_cell(args.target, config, args.theta, args.g_ai, args.rho, values)))
-    return 0
-
-
-def _cmd_ev(args: argparse.Namespace, config: RunConfig) -> int:
-    from .compensation import PANELS, EvResult
+def _cmd_cell(args: argparse.Namespace, config: RunConfig) -> int:
+    from .compensation import EvResult
     from .tables import format_cell, solve_cell
 
-    reads = PANELS[args.panel][0]
+    reads = args.registry[args.target][0]
     if args.epsilon is not None and "epsilon" not in reads:
         raise ConfigError("--epsilon is panel d's hazard slope; panels a-c take none")
     # RunConfig.epsilon is et's hazard slope: panel d's comes from --epsilon
     values = {k: getattr(config, k) for k in reads if k != "epsilon"}
     if args.epsilon is not None:
         values["epsilon"] = args.epsilon
-    result = solve_cell(args.panel, config, 1.0, args.g_ai, args.rho, values)
+    result = solve_cell(args.target, config, args.theta, args.g_ai, args.rho, values)
     if not isinstance(result, EvResult):
         print(format_cell(result))
         return 0
-    for name in ("ev", "log_ev", "wtp_fraction"):
-        print(f"{name},{format_number(getattr(result, name))}")
+    for name, value in zip(result._fields, result):
+        print(f"{name},{format_number(value)}")
     return 0
 
 
@@ -146,8 +140,7 @@ def _cmd_et(args: argparse.Namespace, config: RunConfig) -> int:
         path = ExponentialPath(c0=config.resolved_c0() if args.normalized else 1.0,
                                growth=ET_G_AI if args.g_ai is None else args.g_ai)
         model = MountingLogHazard(config.epsilon, path)
-    et = expected_lifespan(model)
-    print("inf" if et == float("inf") else format_number(et))
+    print(format_number(expected_lifespan(model)))
     return 0
 
 
@@ -160,10 +153,11 @@ def _cmd_simulate_growth(args: argparse.Namespace, config: RunConfig) -> int:
         tech_growth=config.tech_growth, horizon=args.horizon, dt=args.dt,
         regime=args.regime,
     )
+    # the rate is computed first, so a trajectory too short to fit prints nothing
+    rate = asymptotic_growth_rate(trajectory) if args.print_growth_rate else None
     sys.stdout.write(trajectory_csv(trajectory))
-    if args.print_growth_rate:
-        print(f"# asymptotic_growth_rate,{asymptotic_growth_rate(trajectory):.6g}",
-              file=sys.stderr)
+    if rate is not None:
+        print(f"# asymptotic_growth_rate,{rate:.6g}", file=sys.stderr)
     return 0
 
 
@@ -199,17 +193,19 @@ def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     _add_config_flags(p, *CELL_KEYS)
+    p.set_defaults(registry=SOLVE_TARGETS, epsilon=None)
 
 
 def _ev_arguments(p: argparse.ArgumentParser) -> None:
     from .compensation import PANELS
 
-    p.add_argument("--panel", choices=tuple(PANELS), required=True)
+    p.add_argument("--panel", choices=tuple(PANELS), required=True, dest="target")
     p.add_argument("--g-ai", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None,
                    help="panel d's hazard slope (default: re-solved as in table t5d)")
     _add_config_flags(p, *CELL_KEYS)
+    p.set_defaults(registry=PANELS, theta=1.0)
 
 
 def _et_arguments(p: argparse.ArgumentParser) -> None:
@@ -249,8 +245,8 @@ def _calibrate_c0_arguments(p: argparse.ArgumentParser) -> None:
 COMMANDS = {
     "pdoom": ("outcome-tree probabilities", _pdoom_arguments, _cmd_pdoom),
     "table": ("emit one reference table", _table_arguments, _cmd_table),
-    "solve": ("one indifference cell", _solve_arguments, _cmd_solve),
-    "ev": ("one equivalent-variation cell", _ev_arguments, _cmd_ev),
+    "solve": ("one indifference cell", _solve_arguments, _cmd_cell),
+    "ev": ("one equivalent-variation cell", _ev_arguments, _cmd_cell),
     "et": ("expected lifespan of a hazard model", _et_arguments, _cmd_et),
     "simulate-growth": ("capital-accumulation trajectory CSV",
                         _simulate_growth_arguments, _cmd_simulate_growth),

@@ -20,6 +20,7 @@ Every cell of every table is then an out-of-sample check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -30,6 +31,7 @@ DEFAULT_G_AI_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_RHO_GRID = (0.002, 0.01, 0.03, 0.05)
 DEFAULT_ANCHOR = {"g_ai": 0.05, "rho": 0.05}
 DEFAULT_ANCHOR_TARGET = 0.055282
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest log c0 whose exp is finite
 
 
 def calibrate_c0(
@@ -49,10 +51,18 @@ def calibrate_c0(
         raise DomainError(f"anchor target must lie in (0, 1), got {target!r}")
     if not g_ai > g_baseline:
         raise DomainError("anchor needs g_ai > g_baseline")
+    # a subnormal rho whose product with the target underflows is rejected too
+    if not 0.0 < rho * target < math.inf:
+        raise DomainError(f"anchor rho must be finite and > 0, got {rho!r}")
     log_c0 = ((1.0 - target) * g_ai - g_baseline) / (rho * target)
     if log_c0 < 0.0:
         raise DomainError(
             f"anchor target {target!r} implies c0 < 1; no admissible calibration"
+        )
+    if not log_c0 <= _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"anchor g_ai = {g_ai!r}, rho = {rho!r} implies log c0 = {log_c0:.6g}; "
+            "c0 overflows"
         )
     return math.exp(log_c0)
 

@@ -140,6 +140,11 @@ def simulate(
         raise DomainError(
             f"horizon / dt = {horizon / dt:.6g} steps exceeds the limit of {MAX_STEPS}"
         )
+    # the grid ends at the last i dt not past the horizon; the slack keeps a
+    # whole multiple that rounds below itself, such as 0.3 / 0.1, whole
+    steps = math.floor(horizon / dt + 1e-9)
+    if steps < 1:
+        raise DomainError(f"horizon {horizon!r} is shorter than one step of dt = {dt!r}")
 
     def guard(t: float, K: float) -> float:
         # the output at (t, K), and the one check on the path: a Runge-Kutta
@@ -168,7 +173,7 @@ def simulate(
     K_path = [K0]
     Y_path = [guard(0.0, K0)]
     K = K0
-    for i in range(int(round(horizon / dt))):
+    for i in range(steps):
         t = i * dt
         k1 = saving_rate * Y_path[-1] - delta * K
         k2 = kdot(t + 0.5 * dt, K + 0.5 * dt * k1)

@@ -198,8 +198,7 @@ def survival(model: HazardModel, t: float) -> float:
     """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    h = model.cumulative(t)
-    return math.exp(-h) if h != math.inf else 0.0
+    return math.exp(-model.cumulative(t))
 
 
 def expected_lifespan(model: HazardModel) -> float:

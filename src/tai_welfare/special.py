@@ -28,20 +28,14 @@ _ASYMPTOTIC_Z = 50.0  # gauss_laplace sums the asymptotic series from here
 def _erfcx_continued_fraction(x: float) -> float:
     # Laplace's continued fraction
     #   erfcx(x) = 1/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...)))))
-    # evaluated by the modified Lentz algorithm; reliable for x >= ~2.
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
+    # evaluated by the modified Lentz algorithm; reliable for x >= ~2.  Called
+    # at x >= _CF_CUTOFF only, where c and d stay positive and need no guard.
+    f = c = x
     d = 0.0
     for k in range(1, _MAX_CF_ITERATIONS):
         a_k = 0.5 * k
-        d = x + a_k * d
-        if d == 0.0:
-            d = tiny
+        d = 1.0 / (x + a_k * d)
         c = x + a_k / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-16:

@@ -43,15 +43,15 @@ SENTINEL_TOKENS = {
 }
 
 # Each target maps to the values its indifference condition holds fixed and
-# to its solver.  The lambdas call the solvers by module-global name, so a
-# patched solver is the one called.
+# to its solver, which takes them by those names.  The lambdas call the
+# solvers by module-global name, so a patched solver is the one called.
 SOLVE_TARGETS = {
-    "extinction-time": ((), lambda spec: solve_extinction_time(spec)),
-    "p3-immediate": ((), lambda spec: solve_p3_immediate(spec)),
-    "p3-delayed": (("p4", "T"), lambda spec, *, p4, T: solve_p3_delayed(spec, p4=p4, T=T)),
-    "p4-delayed": (("p3", "T"), lambda spec, *, p3, T: solve_p4_delayed(spec, p3=p3, T=T)),
-    "T-delayed": (("p3", "p4"), lambda spec, *, p3, p4: solve_T_delayed(spec, p3=p3, p4=p4)),
-    "epsilon": ((), lambda spec: solve_epsilon_mounting(spec)),
+    "extinction-time": ((), lambda spec, **values: solve_extinction_time(spec, **values)),
+    "p3-immediate": ((), lambda spec, **values: solve_p3_immediate(spec, **values)),
+    "p3-delayed": (("p4", "T"), lambda spec, **values: solve_p3_delayed(spec, **values)),
+    "p4-delayed": (("p3", "T"), lambda spec, **values: solve_p4_delayed(spec, **values)),
+    "T-delayed": (("p3", "p4"), lambda spec, **values: solve_T_delayed(spec, **values)),
+    "epsilon": ((), lambda spec, **values: solve_epsilon_mounting(spec, **values)),
 }
 
 

@@ -123,6 +123,55 @@ def test_simulate_growth_csv(capsys):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--horizon", "5", "--dt", "5", "--print-growth-rate"), "trajectory too short"),
+    (("--horizon", "0.1", "--dt", "0.3"), "shorter than one step"),
+])
+def test_simulate_growth_failure_prints_no_rows(capsys, argv, message):
+    # the growth rate is fitted before the CSV is written, and a horizon
+    # shorter than one step is rejected rather than printed as the t = 0 row
+    code, out, err = run_cli(capsys, "simulate-growth", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--anchor-rho", "0"), "anchor rho must be finite and > 0"),
+    (("--anchor-rho", "-0.05"), "anchor rho must be finite and > 0"),
+    (("--anchor-rho", "5e-324"), "anchor rho must be finite and > 0"),
+    (("--anchor-rho", "1e-300"), "c0 overflows"),
+    (("--anchor-g-ai", "1e308", "--anchor-rho", "1e-300"), "c0 overflows"),
+])
+def test_calibrate_c0_rejects_an_impossible_anchor(capsys, argv, message):
+    # these printed inf, raised ZeroDivisionError or blamed the target
+    code, out, err = run_cli(capsys, "calibrate-c0", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and message in err
+
+
+# branches of the cell solvers that no table or demo reaches
+@pytest.mark.parametrize("argv, expected", [
+    (("ev", "--panel", "d", "--g-ai", "0.01", "--rho", "0.05"), "NO_SOLUTION"),
+    (("solve", "--target", "p3-delayed", "--g-ai", "0.2", "--rho", "0.05",
+      "--p4", "1", "--T", "0"), "NO_TAI_PREFERRED"),  # the lottery is worth 0
+    (("solve", "--target", "p4-delayed", "--g-ai", "0.2", "--rho", "0.05",
+      "--p3", "1"), "NO_TAI_PREFERRED"),
+    (("solve", "--target", "p4-delayed", "--g-ai", "0.2", "--rho", "0.05",
+      "--T", "1e300"), "NO_SOLUTION"),  # W_trunc(T) rounds to W_cornucopia
+    (("solve", "--target", "extinction-time", "--g-ai", "0.2", "--rho", "0.05",
+      "--c0", "1", "--g-baseline", "0"), "0"),  # W0 = 0, so doom at once ties
+])
+def test_rarely_reached_cell_outcomes(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected + "\n", "")
+
+
+def test_T_delayed_needs_some_delayed_doom(capsys):
+    code, out, err = run_cli(capsys, "solve", "--target", "T-delayed", "--g-ai", "0.2",
+                             "--rho", "0.05", "--p4", "0")
+    assert (code, out) == (2, "")
+    assert err == "config error: solving for T needs p3 < 1 and p4 > 0\n"
+
+
 def test_simulate_growth_defaults_are_the_production_defaults():
     from tai_welfare.cli import PRODUCTION_KEYS
     from tai_welfare.growth import ProductionParams
@@ -559,6 +608,20 @@ def test_main_parses_as_the_full_parser(argv, capsys):
         build_parser().parse_args(argv)
     assert (lazy.value.code, lazy_output) == (full.value.code, capsys.readouterr())
     assert lazy.value.code == (2 if argv == ["table", "t9"] else 0)
+
+
+HELP_STDOUT = Path(__file__).resolve().parent / "help_stdout"
+
+
+@pytest.mark.parametrize("command", ["tai-welfare", *COMMANDS])
+def test_help_matches_its_snapshot(capsys, monkeypatch, command):
+    # COLUMNS pins the width argparse wraps to, whatever the terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"] if command == "tai-welfare" else [command, "-h"])
+    assert exit_info.value.code == 0
+    expected = (HELP_STDOUT / f"{command}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_every_config_key_is_a_flag_of_some_subcommand():

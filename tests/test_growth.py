@@ -188,6 +188,23 @@ class TestSimulate:
         with pytest.raises(DomainError, match="steps exceeds"):
             simulate(ProductionParams(), 1.0, 0.3, 0.05, 0.0, 1e6, 1e-6)
 
+    @pytest.mark.parametrize("horizon, dt, steps", [
+        (1.0, 0.6, 1), (0.3, 0.1, 3), (200.0, 0.1, 2000), (400.0, 0.05, 8000), (0.9, 0.3, 3),
+    ])
+    def test_grid_ends_at_the_last_step_not_past_the_horizon(self, monkeypatch, horizon,
+                                                             dt, steps):
+        # a whole multiple that rounds below itself, 0.3 / 0.1 = 2.9999999999999996,
+        # keeps its last step; 1 / 0.6 once ran 2 steps, to t = 1.2
+        monkeypatch.setattr(growth, "_output", lambda params, K, regime, A: 1.0)
+        traj = simulate(ProductionParams(), 1.0, 0.3, 0.05, 0.0, horizon, dt)
+        assert len(traj.times) == steps + 1
+        assert traj.times[-1] <= horizon + 1e-9 < traj.times[-1] + dt
+
+    def test_horizon_shorter_than_one_step_raises(self, monkeypatch):
+        monkeypatch.setattr(growth, "_output", _no_step)
+        with pytest.raises(DomainError, match="^horizon 0.1 is shorter than one step"):
+            simulate(ProductionParams(), 1.0, 0.3, 0.05, 0.0, 0.1, 0.3)
+
     def test_unknown_regime_raises_before_a_step(self, monkeypatch):
         monkeypatch.setattr(growth, "_output", _no_step)
         with pytest.raises(DomainError, match="^unknown regime 'feudal'"):

@@ -147,7 +147,7 @@ class TestReads:
         reads, risky = PANELS[panel]
         values = {name: 0.5 for name in reads}
         with pytest.raises(TypeError, match="unread"):
-            risky(None, 1.0, **values, unread=0.5)
+            risky(None, **values, unread=0.5)
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
