@@ -8,8 +8,8 @@ hardware-software growth simulator, plus a small CLI (`tai-welfare`).
 `import tai_welfare` loads no submodule: each public name below is imported
 from its module on first use (PEP 562), so a one-off query pays only for the
 modules it runs.  numpy is the one dependency, and only the adaptive
-quadrature imports it, which only the hazard-slope solve's polish runs.  The
-growth simulator and every other evaluator are pure Python.
+quadrature imports it, which only solve_epsilon_mounting's polish runs; panel
+d's EV, the growth simulator and every other evaluator are pure Python.
 """
 
 # each public name, grouped by the module that defines it

@@ -7,9 +7,9 @@ abscissae.  A bisection whose pair of panels is unsampled samples it with
 the pairs of its nested upper halves [mid, hi], [mid', hi], ..., _LOOKAHEAD
 pairs in one call, and later bisections take theirs from that store.  The
 greedy does take those next: the transform below puts the horizon tail at
-x -> 1, so it works down [1 - 2^-j, x_split] one level at a time (1,184 of
-the t4 and t5d tables' 1,351 bisections take the upper child of the one
-before), and 313 integrand calls sample their 1,515 intervals.  No value
+x -> 1, so it works down [1 - 2^-j, x_split] one level at a time (973 of
+the t4 table's 1,118 bisections take the upper child of the one before),
+and 254 integrand calls sample their 1,242 intervals.  No value
 changes: each pair's abscissae are lo + (hi - lo) * _UNIT_PAIR from its own
 ends, an elementwise integrand gives each the same float in any batch, and
 the greedy reduces the same pairs in the same order.  Every unit node lies

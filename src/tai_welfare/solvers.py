@@ -12,8 +12,8 @@ The probability solvers are linear given the underlying welfare values, so
 they are closed-form.  The time solves run Newton, with no bracket, on
 whichever form of W_trunc(T) = target does not cancel, given the exact gap
 W_cornucopia - W0 (_solve_monotone_time, _exact_gap).  The hazard slope runs
-Brent on the exact erfcx closed form in a bracket grown upward, across which
-its sign is checked; the quadrature, its one runtime reader, polishes the root.
+Brent on the exact erfcx closed form in a bracket grown upward (_epsilon_root);
+solve_epsilon_mounting alone polishes that root on the quadrature.
 
 Classification uses a 1e-12 band at the 0 and 1 boundaries: a linear
 solution within the band is clamped into the domain rather than pushed to a
@@ -244,22 +244,15 @@ def _polished_epsilon(
     return None
 
 
-def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
-    """Hazard slope eps at which mounting extinction risk cancels the TAI gain.
+def _epsilon_root(spec: ScenarioSpec) -> SolveOutcome:
+    """Hazard slope eps at which the exact erfcx closed form of W_mounting is W0.
 
-    W_mounting(eps) decreases strictly from the cornucopia value, so a root
-    exists whenever cornucopia beats the baseline.  The exact erfcx closed
-    form decides it: a bracket grows upward from 1e-6 four-fold, and Brent
-    (rel_tol 1e-10) runs in it; no bracket below EPSILON_MAX reports
-    no_solution.  Newton steps on the quadrature _mounting_quadrature, with
-    the closed form's slope, then polish that root, as the t4 golden holds
-    the quadrature's rounding in one cell; when the polish gives up, a failed
-    quadrature included, the closed form's root stands.  iterations counts
-    the polish's evaluations or Brent's iterations.  An overflowing closed
-    form raises OverflowError.
+    W_mounting(eps) falls strictly from the cornucopia value, so a root exists
+    whenever cornucopia beats the baseline.  Brent (rel_tol 1e-10) runs in a
+    bracket grown upward from 1e-6 four-fold; no bracket below EPSILON_MAX
+    reports no_solution.  An overflowing closed form raises OverflowError.
     """
-    w0 = _closed(spec, spec.g_baseline)
-    w_a = _closed(spec, spec.g_ai)
+    w0, w_a = _closed(spec, spec.g_baseline), _closed(spec, spec.g_ai)
     if w_a <= w0:
         return SolveOutcome("no_solution")
 
@@ -273,11 +266,22 @@ def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
             return SolveOutcome("no_solution")
         lo, f_lo, hi = hi, f_hi, min(4.0 * hi, EPSILON_MAX)
     result = brent(exact, lo, hi, fa=f_lo, fb=f_hi, rel_tol=1e-10)
-    lo, hi = result.root * (1.0 - 1e-6), result.root * (1.0 + 1e-6)
-    slope = (exact(hi) - exact(lo)) / (hi - lo)
-    polished = _polished_epsilon(
-        lambda eps: _mounting_quadrature(spec, eps) - w0, result.root, slope
-    )
-    result = result if polished is None else polished
-    resid = _residual_ok(result.residual, w0)
-    return SolveOutcome("value", result.root, result.iterations, resid)
+    return SolveOutcome("value", result.root, result.iterations, _residual_ok(result.residual, w0))
+
+
+def solve_epsilon_mounting(spec: ScenarioSpec) -> SolveOutcome:
+    """Hazard slope eps at which mounting extinction risk cancels the TAI gain.
+
+    Newton steps on _mounting_quadrature polish _epsilon_root's root, as the t4
+    golden holds the quadrature's rounding in one cell; if they give up, it stands.
+    """
+    root = _epsilon_root(spec)
+    if not root.is_value:
+        return root
+    w0, eps = _closed(spec, spec.g_baseline), root.value
+    lo, hi = eps * (1.0 - 1e-6), eps * (1.0 + 1e-6)
+    slope = ((_mounting_closed_form(spec, hi) - w0)
+             - (_mounting_closed_form(spec, lo) - w0)) / (hi - lo)
+    found = _polished_epsilon(lambda e: _mounting_quadrature(spec, e) - w0, eps, slope)
+    return root if found is None else SolveOutcome(
+        "value", found.root, found.iterations, _residual_ok(found.residual, w0))

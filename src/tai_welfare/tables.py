@@ -27,6 +27,7 @@ from .errors import ConfigError, TaiWelfareError
 from .preferences import Preferences
 from .solvers import (
     SolveOutcome,
+    _epsilon_root,
     solve_T_delayed,
     solve_epsilon_mounting,
     solve_extinction_time,
@@ -106,9 +107,9 @@ def solve_cell(target: str, config: RunConfig, theta: float, g_ai: float, rho: f
 
     values holds the values the target reads, panel d's hazard slope
     "epsilon" included when it is given.  Without one, panel d re-solves the
-    slope at the log-like curvature theta = 1.0001 and evaluates the EV at
-    theta, and when that solve finds no slope its sentinel outcome is
-    returned instead.
+    slope at the log-like curvature theta = 1.0001 as the closed form's root,
+    unpolished (the polish moves no six-digit EV), and evaluates the EV at
+    theta; a sentinel outcome of that solve is returned instead.
     """
     spec = ScenarioSpec(c0=config.resolved_c0(), g_ai=g_ai, g_baseline=config.g_baseline,
                         prefs=Preferences(rho=rho, theta_rra=theta))
@@ -117,7 +118,7 @@ def solve_cell(target: str, config: RunConfig, theta: float, g_ai: float, rho: f
     if target == "d" and "epsilon" not in values:
         eps_spec = ScenarioSpec(c0=spec.c0, g_ai=g_ai, g_baseline=config.g_baseline,
                                 prefs=Preferences(rho=rho, theta_rra=1.0001))
-        solved = solve_epsilon_mounting(eps_spec)
+        solved = _epsilon_root(eps_spec)
         if not solved.is_value:
             return solved
         values = {**values, "epsilon": solved.value}

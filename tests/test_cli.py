@@ -16,8 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tai_welfare
-from tai_welfare import (ConvergenceError, QuadratureError, growth, quadrature, rootfind,
-                         solvers, tables, welfare)
+from tai_welfare import ConvergenceError, growth, quadrature, rootfind, solvers, tables
 from tai_welfare.compensation import PANELS, EvResult
 from tai_welfare.cli import COMMANDS, build_parser, main
 from tai_welfare.config import RunConfig, parse_config
@@ -281,18 +280,20 @@ def test_epsilon_next_to_log_utility(capsys):
     assert_prints_the_root(spec, solvers.solve_epsilon_mounting(spec), "8.89052e-04")
 
 
-def test_quadrature_failure_reaches_panel_d_ev(capsys, monkeypatch):
-    # a two-interval budget fails the quadrature of panel d's epsilon polish:
-    # the re-solve keeps the closed form's root, and the EV is printed at it
-    monkeypatch.setattr(quadrature, "DEFAULT_MAX_INTERVALS", 2)
+def test_panel_d_runs_no_quadrature(capsys, monkeypatch):
+    # t5d and `ev --panel d` take the closed form's root of the hazard slope
+    # unpolished, so they print the same bytes with no quadrature to call
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("panel d ran the quadrature")
+
+    monkeypatch.setattr(quadrature, "integrate_finite", no_quadrature)
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "t5d.csv"
+    assert run_cli(capsys, "table", "t5d") == (0, golden.read_text(encoding="utf-8"), "")
     cell = ("ev", "--panel", "d", "--g-ai", "0.3", "--rho", "0.03")
     code, out, err = run_cli(capsys, *cell)
     assert (code, err) == (0, "")
     spec = make_spec(RunConfig().resolved_c0(), theta=1.0001, g_ai=0.3, rho=0.03)
-    monkeypatch.setattr(solvers, "_polished_epsilon", lambda f, eps, slope: None)
-    root = solvers.solve_epsilon_mounting(spec).value
-    with pytest.raises(QuadratureError):
-        welfare._mounting_quadrature(spec, root)
+    root = solvers._epsilon_root(spec).value
     assert out == run_cli(capsys, *cell, "--epsilon", repr(root))[1]
 
 
@@ -358,7 +359,7 @@ def test_ev_hands_a_panel_exactly_its_reads(capsys, monkeypatch, tmp_path, panel
 
     monkeypatch.setattr(tables, "ev_panel", spy)
     # without --epsilon, panel d re-solves its slope; this one stands in for it
-    monkeypatch.setattr(tables, "solve_epsilon_mounting",
+    monkeypatch.setattr(tables, "_epsilon_root",
                         lambda spec: solvers.SolveOutcome("value", 1e-3))
     config = tmp_path / "run.cfg"
     config.write_text("epsilon=0.5\n", encoding="utf-8")
@@ -553,6 +554,7 @@ COLD_RUNS = (
     (["ev", "--panel", "c", "--g-ai", "0.1", "--rho", "0.05"], set()),
     (["ev", "--panel", "d", "--epsilon", "1e-3", "--g-ai", "0.2", "--rho", "0.03"],
      {"quadrature"}),
+    (["ev", "--panel", "d", "--g-ai", "0.2", "--rho", "0.05"], {"quadrature"}),
     (["simulate-growth", "--print-growth-rate", "--horizon", "50"],
      EVALUATORS | {"quadrature", "hazards", "special", "preferences", "taxonomy"}),
 )
@@ -633,7 +635,7 @@ def test_every_config_key_is_a_flag_of_some_subcommand():
 
 
 # the commands that run quadrature take up to a second per call; leave them out
-QUADRATURE_TABLES = {"t4", "t5d"}
+QUADRATURE_TABLES = {"t4"}
 
 
 def _fuzz_value(action):
@@ -674,8 +676,7 @@ def _fuzz_argv(command):
 
 
 def _runs_quadrature(argv):
-    return ("--target=epsilon" in argv
-            or ("--panel=d" in argv and not any(a.startswith("--epsilon=") for a in argv)))
+    return "--target=epsilon" in argv
 
 
 @pytest.mark.parametrize("command", ["pdoom", "table", "solve", "ev", "et",
