@@ -7,7 +7,8 @@ config, domain input or float overflow, 3 numerical non-convergence (a Brent
 solve that hits its iteration cap, a time solve whose Newton steps do not
 settle in 50, or a root that fails the residual check).
 
-solve and ev share _cmd_cell, reading what their registry names for the target.
+solve and ev share _cmd_cell, reading what their registry names for the target;
+et builds the hazard model its --hazard names in hazards.HAZARDS.
 
 Each handler imports the modules it runs, and main registers the arguments of
 the one subcommand it parses, so a cold start loads only what it runs: pdoom
@@ -35,6 +36,8 @@ def _flag(name: str) -> str:
 CELL_KEYS = ("c0", "g_baseline", "p3", "p4", "T")
 # the growth rate of et's mounting-hazard path when --g-ai is not given
 ET_G_AI = 0.2
+# the et flags behind the mounting hazard's path, and behind --normalized
+ET_FLAGS = {"path": ("g_ai", "normalized"), "normalized": ("c0", "g_baseline")}
 # the ProductionParams fields simulate-growth exposes, at their field defaults
 PRODUCTION_KEYS = ("alpha", "gamma", "sigma", "share_hw", "psi", "chi")
 
@@ -114,33 +117,27 @@ def _cmd_cell(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_et(args: argparse.Namespace, config: RunConfig) -> int:
-    from .hazards import (ConstantHazard, ExponentialPath, MountingLogHazard,
-                          OneOffHazard, ZeroHazard, expected_lifespan)
+    from .hazards import HAZARDS, ExponentialPath, expected_lifespan
 
     # a flag given to a hazard that does not read it is an error, not ignored
-    needs = {"m": "--hazard constant", "t_ext": "--hazard one-off",
-             "epsilon": "--hazard mounting", "g_ai": "--hazard mounting",
-             "normalized": "--hazard mounting", "c0": "--normalized",
-             "g_baseline": "--normalized"}
+    needs = {flag: "--hazard " + hazard for hazard, (reads, _) in HAZARDS.items()
+             for name in reads for flag in ET_FLAGS.get(name, (name,))}
+    needs.update(dict.fromkeys(ET_FLAGS["normalized"], "--normalized"))
     given = {"--hazard " + args.hazard, "--normalized" if args.normalized else ""}
     for name, need in needs.items():
         if need not in given and getattr(args, name) not in (None, False):
             raise ConfigError(f"et reads {_flag(name)} only with {need}")
-    if args.hazard == "zero":
-        model = ZeroHazard()
-    elif args.hazard == "constant":
-        if args.m is None:
-            raise ConfigError("constant hazard needs --m")
-        model = ConstantHazard(args.m)
-    elif args.hazard == "one-off":
-        if args.t_ext is None:
-            raise ConfigError("one-off hazard needs --t-ext")
-        model = OneOffHazard(args.t_ext)
-    else:
-        path = ExponentialPath(c0=config.resolved_c0() if args.normalized else 1.0,
-                               growth=ET_G_AI if args.g_ai is None else args.g_ai)
-        model = MountingLogHazard(config.epsilon, path)
-    print(format_number(expected_lifespan(model)))
+    reads, model = HAZARDS[args.hazard]
+    # RunConfig.epsilon has a default; --m and --t-ext have none
+    values = {name: getattr(config if name in args.config_keys else args, name)
+              for name in reads if name != "path"}
+    if "path" in reads:
+        values["path"] = ExponentialPath(config.resolved_c0() if args.normalized else 1.0,
+                                         ET_G_AI if args.g_ai is None else args.g_ai)
+    for name, value in values.items():
+        if value is None:
+            raise ConfigError(f"{args.hazard} hazard needs {_flag(name)}")
+    print(format_number(expected_lifespan(model(**values))))
     return 0
 
 
@@ -209,8 +206,9 @@ def _ev_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _et_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hazard", choices=("zero", "constant", "one-off", "mounting"),
-                   required=True)
+    from .hazards import HAZARDS
+
+    p.add_argument("--hazard", choices=tuple(HAZARDS), required=True)
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--t-ext", type=float, default=None)
     p.add_argument("--g-ai", type=float, default=None, dest="g_ai",

@@ -3,8 +3,9 @@
 A hazard model defines an extinction rate m(t) >= 0.  Each model evaluates
 its own cumulative hazard, cumulative(t) = int_0^t m, and its own expected
 lifespan, lifespan() = int_0^inf M(t) dt (possibly infinite), each in closed
-form.  survival(model, t) = exp(-cumulative(t)) is the one function that all
-four models share.
+form; survival(model, t) = exp(-cumulative(t)) serves all four.  HAZARDS
+names each model, with the values it reads and its constructor, and
+failure_mode_path pairs each failure mode fm1-fm5 with a path and a model.
 
 The mounting-risk model ties the hazard to log consumption, m(t) = eps *
 log C(t), on an exponential path C(t) = c0 e^(g t).  Its cumulative hazard is
@@ -26,13 +27,11 @@ finite rate: m(t) = 0 before the date and M drops to zero at it.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .config import DEFAULT_G_BASELINE
 from .errors import DomainError
 from .special import gauss_laplace
-
-FailureMode = Literal["fm1", "fm2", "fm3", "fm4", "fm5"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +189,14 @@ class MountingLogHazard(NamedTuple("MountingLogHazard", [
 
 HazardModel = Union[ZeroHazard, ConstantHazard, OneOffHazard, MountingLogHazard]
 
+# each hazard's name -> (the values its model reads, the model's constructor)
+HAZARDS = {
+    "zero": ((), ZeroHazard),
+    "constant": (("m",), ConstantHazard),
+    "one-off": (("t_ext",), OneOffHazard),
+    "mounting": (("epsilon", "path"), MountingLogHazard),
+}
+
 
 def survival(model: HazardModel, t: float) -> float:
     """Unconditional survival probability M(t) = exp(-cumulative hazard).
@@ -211,22 +218,15 @@ def expected_lifespan(model: HazardModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def failure_mode_path(
-    mode: FailureMode,
-    *,
-    c0: float = 1.0,
-    g_ai: float = 0.3,
-    switch_time: float = 0.0,
-    crash_factor: float = 1.0,
-    epsilon: float = 0.0,
-) -> tuple[ConsumptionPath, HazardModel]:
+def failure_mode_path(mode: str, *, c0: float = 1.0, g_ai: float = 0.3,
+                      switch_time: float = 0.0, crash_factor: float = 1.0,
+                      epsilon: float = 0.0) -> tuple[ConsumptionPath, HazardModel]:
     """Consumption path and hazard model for each misalignment failure mode.
 
     fm1  the TAI optimizes something other than human consumption: doom at 0
-    fm2  consumption proxy too narrow; a life-support component is zeroed
-         out once technology allows, at switch_time
-    fm3  consumption proxy too wide; a lethal component arrives at
-         switch_time
+    fm2  consumption proxy too narrow: life support is zeroed out once
+         technology allows, at switch_time
+    fm3  consumption proxy too wide: a lethal component arrives at switch_time
     fm4  mounting side effects: hazard epsilon * log C on the fast path
     fm5  the TAI stops working at switch_time: consumption crashes by
          crash_factor (clamped at subsistence) and grows on at the baseline
@@ -237,21 +237,20 @@ def failure_mode_path(
     if not 0.0 < crash_factor <= 1.0:
         raise DomainError(f"crash_factor must lie in (0, 1], got {crash_factor!r}")
     fast = ExponentialPath(c0=c0, growth=g_ai)
-    if mode == "fm1":
-        return fast, OneOffHazard(0.0)
-    if mode in ("fm2", "fm3"):
-        return fast, OneOffHazard(switch_time)
-    if mode == "fm4":
+
+    def mounting() -> tuple[ExponentialPath, MountingLogHazard]:
         if epsilon <= 0.0:
             raise DomainError("fm4 needs a positive epsilon")
         return fast, MountingLogHazard(epsilon, fast)
-    if mode == "fm5":
-        path = CrashPath(
-            c0=c0,
-            g_pre=g_ai,
-            t_stop=switch_time,
-            crash_factor=crash_factor,
-            g_post=DEFAULT_G_BASELINE,
-        )
-        return path, ZeroHazard()
-    raise DomainError(f"unknown failure mode {mode!r}")
+
+    rows = {  # each mode's (path, hazard); only the selected row is built
+        "fm1": lambda: (fast, OneOffHazard(0.0)),
+        "fm2": lambda: (fast, OneOffHazard(switch_time)),
+        "fm3": lambda: (fast, OneOffHazard(switch_time)),
+        "fm4": mounting,
+        "fm5": lambda: (CrashPath(c0, g_ai, switch_time, crash_factor, DEFAULT_G_BASELINE),
+                        ZeroHazard()),
+    }
+    if mode not in rows:
+        raise DomainError(f"unknown failure mode {mode!r}")
+    return rows[mode]()

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import io
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from tai_welfare import ConvergenceError, growth, quadrature, rootfind, solvers,
 from tai_welfare.compensation import PANELS, EvResult
 from tai_welfare.cli import COMMANDS, build_parser, main
 from tai_welfare.config import RunConfig, parse_config
+from tai_welfare.hazards import HAZARDS
 from conftest import assert_prints_the_root, make_spec
 
 
@@ -369,6 +372,45 @@ def test_ev_hands_a_panel_exactly_its_reads(capsys, monkeypatch, tmp_path, panel
     assert seen == [{name: GIVEN[name] for name in PANELS[panel][0]}]
 
 
+def _et_needs():
+    """{et flag: what it needs}.
+
+    The flags of a hazard's reads need that hazard, where the mounting path's
+    flags are --g-ai and --normalized; --c0 and --g-baseline need --normalized.
+    """
+    needs = {}
+    for hazard, (reads, _) in HAZARDS.items():
+        for read in reads:
+            flags = (("--g-ai", "--normalized") if read == "path"
+                     else ("--" + read.replace("_", "-"),))
+            needs.update(dict.fromkeys(flags, "--hazard " + hazard))
+    return {**needs, "--c0": "--normalized", "--g-baseline": "--normalized"}
+
+
+ET_NEEDS = _et_needs()
+
+
+def _et_flag(flag):
+    # values the config accepts, so that the flag is what gets rejected
+    value = {"--normalized": (), "--c0": ("3",), "--g-baseline": ("0.01",)}
+    return (flag, *value.get(flag, ("0.5",)))
+
+
+def _et_rejections():
+    """(argv, flag) for each et flag given to each hazard that does not read it.
+
+    The rest of the argv is a call the hazard accepts: its own flags, less
+    --normalized, which would let --c0 and --g-baseline in.
+    """
+    for hazard in HAZARDS:
+        own = [f for f, need in ET_NEEDS.items()
+               if need == "--hazard " + hazard and f not in ET_NEEDS.values()]
+        call = ("et", "--hazard", hazard, *(x for f in own for x in _et_flag(f)))
+        for flag, need in ET_NEEDS.items():
+            if need != "--hazard " + hazard:
+                yield (*call, *_et_flag(flag)), flag
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("et", "--hazard", "mounting", "--epsilon", "1e-4", "--c0", "5"), "--c0"),
     (("et", "--hazard", "zero", "--epsilon", "5"), "--epsilon"),
@@ -379,13 +421,18 @@ def test_ev_hands_a_panel_exactly_its_reads(capsys, monkeypatch, tmp_path, panel
     (("et", "--hazard", "constant", "--m", "0.1", "--g-ai", "0.3"), "--g-ai"),
     (("et", "--hazard", "one-off", "--t-ext", "50", "--normalized"), "--normalized"),
     (("et", "--hazard", "mounting", "--g-baseline", "0.01"), "--g-baseline"),
+    *_et_rejections(),
 ])
 def test_et_rejects_a_flag_its_hazard_does_not_read(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("config error: et reads " + flag + " only with")
-    assert "Traceback" not in err
+    assert (code, out) == (2, "")
+    assert err == f"config error: et reads {flag} only with {ET_NEEDS[flag]}\n"
+
+
+@pytest.mark.parametrize("hazard, flag", [("constant", "--m"), ("one-off", "--t-ext")])
+def test_et_needs_the_value_its_hazard_reads(capsys, hazard, flag):
+    assert run_cli(capsys, "et", "--hazard", hazard) == (
+        2, "", f"config error: {hazard} hazard needs {flag}\n")
 
 
 # the argv shapes of cli-cold's et commands, with the stdout they printed
@@ -725,6 +772,28 @@ def test_readme_cli_examples_run(capsys):
     assert config == RunConfig(c0=46999.67, g_baseline=0.0175,
                                g_ai_grid=(0.05, 0.1, 0.2, 0.3, 0.4),
                                rho_grid=(0.002, 0.01, 0.03, 0.05), output_format="csv")
+
+
+def test_readme_library_tour_prints_its_values():
+    # each statement whose comment opens with a number, ~ allowed, computes that
+    # number to the digits the comment prints
+    block = _readme_block("```python\n", "\n## Library tour\n")
+    lines, namespace, checked = block.splitlines(), {}, []
+    for statement in ast.parse(block).body:
+        match = re.search(r"#\s*~?(\d[\d.]*(?:e\d+)?)\b", lines[statement.end_lineno - 1])
+        if isinstance(statement, ast.Expr):  # keep its value, as the REPL's _ does
+            statement = ast.copy_location(
+                ast.Assign([ast.Name("_", ast.Store())], statement.value), statement)
+        module = ast.fix_missing_locations(ast.Module([statement], []))
+        exec(compile(module, "README.md", "exec"), namespace)
+        if match is None:
+            continue
+        value = namespace[statement.targets[0].id]
+        printed = Decimal(match.group(1))
+        step = Decimal(1).scaleb(printed.as_tuple().exponent)
+        assert Decimal(repr(value)).quantize(step) == printed, (match.group(0), value)
+        checked.append(match.group(1))
+    assert len(checked) == 5, checked
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -202,6 +202,20 @@ class TestFailureModes:
         assert path.g_post == DEFAULT_G_BASELINE
         assert isinstance(hazard, ZeroHazard)
 
+    @pytest.mark.parametrize("mode, kwargs, expected", [
+        # a mounting hazard on a falling path, or with a negative slope, is
+        # invalid, but only fm4 builds one
+        ("fm1", {"g_ai": -0.1}, (ExponentialPath(1.0, -0.1), OneOffHazard(0.0))),
+        ("fm5", {"g_ai": -0.1, "switch_time": 2.0, "crash_factor": 0.5},
+         (CrashPath(1.0, -0.1, 2.0, 0.5, DEFAULT_G_BASELINE), ZeroHazard())),
+        ("fm2", {"switch_time": 3.0, "epsilon": -1.0},
+         (ExponentialPath(1.0, 0.3), OneOffHazard(3.0))),
+    ])
+    def test_builds_only_the_selected_modes_models(self, mode, kwargs, expected):
+        result = failure_mode_path(mode, **kwargs)
+        assert result == expected
+        assert tuple(map(type, result)) == tuple(map(type, expected))
+
     @pytest.mark.parametrize("mode", ["fm1", "fm2", "fm3", "fm4", "fm5"])
     @pytest.mark.parametrize("switch_time", [math.nan, math.inf, -1.0])
     def test_rejects_a_switch_time_outside_finite_nonnegative(self, mode, switch_time):
